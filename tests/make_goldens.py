@@ -1,20 +1,25 @@
-"""Regenerate the golden CLI outputs under tests/golden/.
+"""Regenerate or check the golden CLI outputs under tests/golden/.
 
 Run from the repository root:
 
-    python3 tests/make_goldens.py
+    python3 tests/make_goldens.py          # rewrite goldens whose output changed
+    python3 tests/make_goldens.py --check  # report drift, write nothing
 
 Golden files freeze the exact bytes each command prints so the test suite
 can detect any formatting or numerical drift. JSON goldens still contain a
-wall_time_ms field; comparisons normalize it away.
+wall_time_ms field; comparisons mask its value and nothing else.
 """
+import argparse
 import contextlib
 import io
 import pathlib
+import re
 
-from qprop.cli import main
+from qprop.cli import main as qprop_main
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
+
+_WALL_TIME = re.compile(r'"wall_time_ms": [-+0-9.eE]+')
 
 CASES = {
     "order_effect_ab.csv": [
@@ -44,6 +49,15 @@ CASES = {
         "--seller-mean-price", "0.95", "--seller-sigma", "0.1",
         "--gamma", "1.0", "--grid", "0.8:1.25:11", "--output", "csv",
     ],
+    "force_grid.json": [
+        "force", "--mean-price", "1.0", "--sigma", "0.25", "--gamma", "1.0",
+        "--grid", "0.5:2.0:9", "--output", "json",
+    ],
+    "joint_grid.json": [
+        "joint", "--buyer-mean-price", "1.05", "--buyer-sigma", "0.1",
+        "--seller-mean-price", "0.95", "--seller-sigma", "0.1",
+        "--gamma", "1.0", "--grid", "0.8:1.25:11", "--output", "json",
+    ],
     "work.json": [
         "work", "--mean-price", "1.0", "--sigma", "0.25",
         "--price1", "1.2", "--price2", "1.0", "--gamma", "1.0",
@@ -54,25 +68,57 @@ CASES = {
         "--buyer-sigma", "0.1", "--seller-mean-price", "0.95",
         "--seller-sigma", "0.1", "--seed", "3", "--output", "csv",
     ],
+    "sample.json": [
+        "sample", "--trials", "5", "--buyer-mean-price", "1.05",
+        "--buyer-sigma", "0.1", "--seller-mean-price", "0.95",
+        "--seller-sigma", "0.1", "--seed", "3", "--output", "json",
+    ],
 }
+
+
+def mask_timing(text: str) -> str:
+    """The text with the wall_time_ms value, the one varying field, masked."""
+    return _WALL_TIME.sub('"wall_time_ms": 0', text)
 
 
 def emit(argv: list[str]) -> str:
     buffer = io.StringIO()
     with contextlib.redirect_stdout(buffer):
-        code = main(argv)
+        code = qprop_main(argv)
     if code != 0:
         raise RuntimeError(f"golden command failed with exit code {code}: {argv}")
     return buffer.getvalue()
 
 
-def write_all() -> None:
-    GOLDEN_DIR.mkdir(exist_ok=True)
+def drifted() -> dict[str, str]:
+    """Freshly rendered text of every case that differs from its golden file."""
+    out = {}
     for name, argv in CASES.items():
         text = emit(argv)
+        path = GOLDEN_DIR / name
+        old = path.read_text(encoding="utf-8") if path.exists() else None
+        if old is None or mask_timing(old) != mask_timing(text):
+            out[name] = text
+    return out
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description="Regenerate or check the CLI goldens.")
+    parser.add_argument("--check", action="store_true",
+                        help="report goldens that drifted and write nothing")
+    args = parser.parse_args()
+    changed = drifted()
+    if args.check:
+        for name in changed:
+            print(f"golden/{name} drifted")
+        print(f"{len(CASES) - len(changed)} of {len(CASES)} goldens match")
+        return 1 if changed else 0
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for name, text in changed.items():
         (GOLDEN_DIR / name).write_text(text, encoding="utf-8", newline="")
         print(f"wrote golden/{name} ({len(text)} bytes)")
+    return 0
 
 
 if __name__ == "__main__":
-    write_all()
+    raise SystemExit(main())

@@ -10,7 +10,8 @@ import pytest
 
 from qprop.cli import main
 
-from make_goldens import CASES, GOLDEN_DIR
+import make_goldens
+from make_goldens import CASES, GOLDEN_DIR, mask_timing
 
 CSV_CASES = {name: argv for name, argv in CASES.items() if name.endswith(".csv")}
 JSON_CASES = {name: argv for name, argv in CASES.items() if name.endswith(".json")}
@@ -54,6 +55,33 @@ def test_json_outputs_match_goldens_up_to_timing(name):
     assert code == 0
     golden = (GOLDEN_DIR / name).read_text(encoding="utf-8")
     assert normalize_json(text) == normalize_json(golden)
+
+
+@pytest.mark.parametrize("name", sorted(JSON_CASES))
+def test_json_outputs_match_goldens_byte_for_byte(name):
+    """Parsed comparison treats 1 and 1.0 alike; this one pins every byte
+    apart from the wall_time_ms value."""
+    code, text = run_cli(JSON_CASES[name])
+    assert code == 0
+    golden = (GOLDEN_DIR / name).read_text(encoding="utf-8")
+    assert mask_timing(text) == mask_timing(golden)
+    assert mask_timing(text) != text
+
+
+def test_golden_check_reports_drift_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    for name in CASES:
+        (tmp_path / name).write_bytes((GOLDEN_DIR / name).read_bytes())
+    drifted = tmp_path / "force_grid.json"
+    stale = drifted.read_text(encoding="utf-8").replace(
+        '"force_constant": 16.0', '"force_constant": 16')
+    drifted.write_text(stale, encoding="utf-8")
+    monkeypatch.setattr(make_goldens, "GOLDEN_DIR", tmp_path)
+    monkeypatch.setattr(sys, "argv", ["make_goldens.py", "--check"])
+    assert make_goldens.main() == 1
+    assert "golden/force_grid.json drifted" in capsys.readouterr().out
+    assert drifted.read_text(encoding="utf-8") == stale
+    drifted.write_bytes((GOLDEN_DIR / "force_grid.json").read_bytes())
+    assert make_goldens.main() == 0
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
