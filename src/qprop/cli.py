@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
-import io
 import json
 import math
 import os
@@ -165,7 +163,10 @@ def _fmt(value) -> str:
 
 
 def _round12(obj):
-    """Payload copy with every float rounded to 12 significant digits."""
+    """Payload copy with every float rounded to 12 significant digits.
+
+    Arrays pass through untouched; _render_json formats them as columns.
+    """
     if isinstance(obj, dict):
         return {k: _round12(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -179,12 +180,53 @@ def _round12(obj):
     return obj
 
 
+def _cells(column) -> list[str]:
+    """The CSV cells of one column: _fmt of each value, float arrays in bulk.
+
+    One %-format over the whole column is about a fifth faster than a
+    format call per value, and gives the same text.
+    """
+    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
+        values = (column + 0.0).tolist()
+        return ("%.12g\n" * len(values) % tuple(values)).split("\n")[:-1]
+    return [_fmt(value) for value in column]
+
+
+def _json_tokens(column: np.ndarray) -> list[str]:
+    """JSON numbers of a float column, as json.dumps prints _round12 of each value.
+
+    A 12-digit cell is already the token unless it lacks a decimal point
+    or has an exponent; _json_token settles those few.
+    """
+    return [cell if "." in cell and "e" not in cell else _json_token(cell)
+            for cell in _cells(column)]
+
+
+def _json_token(cell: str) -> str:
+    if "e" not in cell and "n" not in cell:
+        return cell + ".0"                # integer value: json prints 2.0
+    if "e-" in cell and "e-3" not in cell:
+        return cell                       # a normal |v| < 1e-4 prints alike
+    # 1e12 <= |v| < 1e16 prints positionally in JSON, a subnormal's shortest
+    # form has fewer digits, and nan and inf are spelled NaN and Infinity.
+    return json.dumps(float(cell))
+
+
+def _quantities(results: dict, prefix: str = ""):
+    """(name, value) pairs of a results listing; nested dicts flatten to
+    parent_key names, and a curve's kind label is left out."""
+    for key, value in results.items():
+        if isinstance(value, dict):
+            yield from _quantities(value, f"{prefix}{key}_")
+        elif key != "kind":
+            yield prefix + key, value
+
+
 @dataclass
 class CommandResult:
     model: str
-    results: dict
-    csv_header: list
-    csv_rows: list
+    results: dict                # numbers, strings, nested dicts and float arrays
+    table: dict | None = None    # CSV columns by header; None: results as quantity,value
     exit_code: int = 0
     message: str | None = None
 
@@ -248,7 +290,7 @@ def _exec_order_effect(params: dict) -> CommandResult:
     for name, marg in (("ab", marginals["a_then_b"]), ("ba", marginals["b_then_a"])):
         rows.extend(["marginal", name, key, value] for key, value in marg.items())
     return CommandResult("order-effect", results,
-                         ["kind", "order", "label", "value"], rows)
+                         dict(zip(["kind", "order", "label", "value"], zip(*rows))))
 
 
 def _exec_interference(params: dict) -> CommandResult:
@@ -261,8 +303,7 @@ def _exec_interference(params: dict) -> CommandResult:
         "interference": decision.interference_term(theta, phi),
         "order_effect_magnitude": decision.order_effect_magnitude(theta, phi),
     }
-    rows = [[key, value] for key, value in results.items()]
-    return CommandResult("interference", results, ["quantity", "value"], rows)
+    return CommandResult("interference", results)
 
 
 def _exec_equivalence(params: dict) -> CommandResult:
@@ -297,8 +338,8 @@ def _exec_equivalence(params: dict) -> CommandResult:
         "failures": failures,
         "all_passed": failures == 0,
     }
-    header = list(results)
-    return CommandResult("equivalence", results, header, [list(results.values())],
+    return CommandResult("equivalence", results,
+                         {key: [value] for key, value in results.items()},
                          exit_code=0 if failures == 0 else 1,
                          message=None if failures == 0 else
                          f"{failures} of {trials} gate pairs deviated beyond {tol:g} "
@@ -309,8 +350,7 @@ def _exec_reversal(params: dict) -> CommandResult:
     outcome = decision.preference_reversal_switch(params["x1"], params["x2"])
     results = {"x1": outcome.x1, "x2": outcome.x2,
                "ratio": outcome.ratio, "switches": outcome.switches}
-    rows = [[key, value] for key, value in results.items()]
-    return CommandResult("reversal", results, ["quantity", "value"], rows)
+    return CommandResult("reversal", results)
 
 
 def _exec_force(params: dict) -> CommandResult:
@@ -329,14 +369,9 @@ def _exec_force(params: dict) -> CommandResult:
             "sigma": curve.sigma,
             "gamma": scale.gamma,
             "force_constant": scale.gamma / curve.sigma ** 2,
-            "columns": {
-                "x": list(x), "price": list(prices),
-                "density": list(dens), "force": list(force),
-            },
+            "columns": {"x": x, "price": prices, "density": dens, "force": force},
         }
-        rows = [[x[i], prices[i], dens[i], force[i]] for i in range(len(x))]
-        return CommandResult("force", results,
-                             ["x", "price", "density", "force"], rows)
+        return CommandResult("force", results, results["columns"])
     x = math.log(price)
     results = {
         "mu": curve.mu,
@@ -348,8 +383,7 @@ def _exec_force(params: dict) -> CommandResult:
         "density": propensity.density(curve, x),
         "force": propensity.entropic_force(curve, x, scale),
     }
-    rows = [[key, value] for key, value in results.items()]
-    return CommandResult("force", results, ["quantity", "value"], rows)
+    return CommandResult("force", results)
 
 
 def _exec_oscillator(params: dict) -> CommandResult:
@@ -357,8 +391,7 @@ def _exec_oscillator(params: dict) -> CommandResult:
                                     hbar=params["hbar"])
     results = {"sigma": p.sigma, "omega": p.omega, "hbar": p.hbar,
                "mass": p.mass, "gamma": p.gamma, "force_constant": p.force_constant}
-    rows = [[key, value] for key, value in results.items()]
-    return CommandResult("oscillator", results, ["quantity", "value"], rows)
+    return CommandResult("oscillator", results)
 
 
 def _gaussian_side(params: dict, side: str) -> propensity.GaussianCurve:
@@ -420,22 +453,16 @@ def _exec_joint(params: dict) -> CommandResult:
             "joint": _curve_dict(pair.joint),
             "scale": pair.scale,
             "gamma": scale.gamma,
-            "columns": {name: list(col) for name, col in zip(header, columns)},
+            "columns": dict(zip(header, columns)),
         }
-        rows = [[col[i] for col in columns] for i in range(len(x))]
-        return CommandResult("joint", results, header, rows)
+        return CommandResult("joint", results, results["columns"])
     results = {
         "buyer": _curve_dict(pair.buyer),
         "seller": _curve_dict(pair.seller),
         "joint": _curve_dict(pair.joint),
         "scale": pair.scale,
     }
-    rows = []
-    for name in ("buyer", "seller", "joint"):
-        rows.extend([f"{name}_{key}", value]
-                    for key, value in results[name].items() if key != "kind")
-    rows.append(["scale", pair.scale])
-    return CommandResult("joint", results, ["quantity", "value"], rows)
+    return CommandResult("joint", results)
 
 
 def _exec_work(params: dict) -> CommandResult:
@@ -454,23 +481,23 @@ def _exec_work(params: dict) -> CommandResult:
         "delta_e": delta_e,
         "density_ratio": math.exp(delta_e / scale.gamma),
     }
-    rows = [[key, value] for key, value in results.items()]
-    return CommandResult("work", results, ["quantity", "value"], rows)
+    return CommandResult("work", results)
 
 
 def _exec_sample(params: dict) -> CommandResult:
     pair = _build_pair(params)
     rng = np.random.default_rng(params["seed"])
     draws = propensity.sample_prices(pair, params["trials"], rng)
+    prices = np.exp(draws)
     results = {
         "trials": params["trials"],
         "joint": _curve_dict(pair.joint),
         "scale": pair.scale,
-        "log_prices": list(draws),
-        "prices": list(np.exp(draws)),
+        "log_prices": draws,
+        "prices": prices,
     }
-    rows = [[i, x, math.exp(x)] for i, x in enumerate(draws)]
-    return CommandResult("sample", results, ["index", "x", "price"], rows)
+    return CommandResult("sample", results,
+                         {"index": range(len(draws)), "x": draws, "price": prices})
 
 
 _EXECUTORS = {
@@ -602,15 +629,51 @@ def load_config(path: str) -> tuple[str, dict, str, int | None]:
     return model, params, output, seed
 
 
+def _render_csv(result: CommandResult) -> str:
+    table = result.table
+    if table is None:
+        names, values = zip(*_quantities(result.results))
+        table = {"quantity": names, "value": values}
+    lines = [",".join(table)]
+    lines.extend(map(",".join, zip(*map(_cells, table.values()))))
+    return "\n".join(lines) + "\n"
+
+
+# Stands in for an array while json.dumps runs. No string of a record holds a
+# NUL: argv cannot carry one, and the only free-text value (a grid spec) is
+# parsed as numbers before anything is rendered.
+_ARRAY_SLOT = "\0array"
+
+
+def _render_json(record: dict) -> str:
+    """json.dumps(record, indent=2), with each float array formatted as a column.
+
+    json.dumps leaves a placeholder where an array goes; each placeholder is
+    then replaced by the array's tokens at the indent of the line it is on.
+    Arrays are never empty: grids have two points or more, samples one draw.
+    """
+    arrays = []
+
+    def defer(array: np.ndarray) -> str:
+        arrays.append(array)
+        return _ARRAY_SLOT
+
+    pieces = json.dumps(record, indent=2, default=defer).split(
+        json.dumps(_ARRAY_SLOT))
+    out = [pieces[0]]
+    for array, piece in zip(arrays, pieces[1:]):
+        line = out[-1][out[-1].rfind("\n") + 1:]
+        indent = "\n" + " " * (len(line) - len(line.lstrip(" ")))
+        item = indent + "  "
+        out.append("[" + item + ("," + item).join(_json_tokens(array)) + indent + "]")
+        out.append(piece)
+    return "".join(out) + "\n"
+
+
 def _render(result: CommandResult, params: dict, output: str,
             seed: int | None, elapsed_ms: float) -> str:
     if output == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(result.csv_header)
-        for row in result.csv_rows:
-            writer.writerow([_fmt(value) for value in row])
-        return buffer.getvalue()
+        return _render_csv(result)
     echo = {key: value for key, value in params.items()
             if value is not None and key != "seed"}
     record = {
@@ -622,7 +685,7 @@ def _render(result: CommandResult, params: dict, output: str,
         "wall_time_ms": round(elapsed_ms, 3),
         "results": _round12(result.results),
     }
-    return json.dumps(record, indent=2) + "\n"
+    return _render_json(record)
 
 
 def _run_model(model: str, params: dict, output: str, seed: int | None,
@@ -644,8 +707,11 @@ def _run_model(model: str, params: dict, output: str, seed: int | None,
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     text = _render(result, params, output, seed, elapsed_ms)
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write output: {exc}")
     else:
         sys.stdout.write(text)
     if result.message:

@@ -6,9 +6,12 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from qprop.cli import main
+from qprop.cli import _cells, _fmt, _json_tokens, main
 
 import make_goldens
 from make_goldens import CASES, GOLDEN_DIR, mask_timing
@@ -200,6 +203,23 @@ def test_sample_fixed_price_is_constant():
     assert [row[2] for row in rows] == ["1.25"] * 4
 
 
+def test_sample_csv_and_json_prices_agree():
+    # Seed 573 draws a log-price at row 304 whose price math.exp and np.exp
+    # round differently at 12 digits; both formats now print the np.exp one.
+    argv = ["sample", "--trials", "400", "--buyer-mean-price", "1.05",
+            "--buyer-sigma", "0.1", "--seller-mean-price", "0.95",
+            "--seller-sigma", "0.1", "--seed", "573"]
+    code_json, text_json = run_cli(argv + ["--output", "json"])
+    code_csv, text_csv = run_cli(argv + ["--output", "csv"])
+    assert code_json == code_csv == 0
+    results = json.loads(text_json)["results"]
+    header, rows = parse_csv(text_csv)
+    assert header == ["index", "x", "price"]
+    assert [int(row[0]) for row in rows] == list(range(400))
+    assert [float(row[1]) for row in rows] == results["log_prices"]
+    assert [float(row[2]) for row in rows] == results["prices"]
+
+
 def test_oscillator_json_results():
     code, text = run_cli(["oscillator", "--sigma", "1.0"])
     assert code == 0
@@ -358,6 +378,25 @@ omega = 2.0
     assert out.read_text(encoding="utf-8") == golden
 
 
+def test_run_out_to_missing_directory_exits_2(tmp_path, capsys):
+    path = write_config(tmp_path, """\
+[run]
+model = oscillator
+output = csv
+
+[oscillator]
+sigma = 0.25
+""")
+    out = tmp_path / "missing" / "result.csv"
+    code, text = run_cli(["run", path, "--out", str(out)])
+    assert code == 2
+    assert text == ""
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("qprop: error: cannot write output: ")
+    assert "Traceback" not in err
+
+
 def test_run_unknown_key_is_fatal(tmp_path, capsys):
     path = write_config(tmp_path, """\
 [run]
@@ -514,3 +553,27 @@ def test_version_flag():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "qprop 0.1.0"
+
+
+# ============================================================
+# Column formatting against the per-value route
+# ============================================================
+
+@given(arrays(np.float64, st.integers(0, 30),
+              elements=st.floats(allow_nan=False, allow_infinity=False)))
+@example(np.array([-0.0, 0.0]))
+@example(np.array([1.0, -3.0, 2.0e11, 123456789012.0, 999999999999.6]))
+@example(np.array([1e12, -4.5e13, 1234567890123.4, 9.9999999999994e15, 1e15]))
+@example(np.array([1e16, -1e16, 9.99999999999996e15, 1.5e300]))
+@example(np.array([1e-5, -1e-4, 1.5e-35, 2.5e-300]))
+@example(np.array([5e-324, -1e-310, 2.2250738585072014e-308, 2.225073858507e-308]))
+def test_column_formatter_matches_per_value_route(values):
+    assert _cells(values) == [_fmt(v) for v in values]
+    assert _json_tokens(values) == [json.dumps(float(format(v + 0.0, ".12g")))
+                                    for v in values]
+
+
+def test_column_formatter_spells_nonfinite_as_json_does():
+    values = np.array([np.nan, np.inf, -np.inf])
+    assert _cells(values) == ["nan", "inf", "-inf"]
+    assert _json_tokens(values) == ["NaN", "Infinity", "-Infinity"]
