@@ -10,7 +10,8 @@ numbers formatted to 12 significant digits either way. The run record's
 wall_time_ms field is the one part of the output that varies between
 otherwise identical runs.
 
-Exit codes: 0 success, 1 model failure, 2 usage or validation error.
+Exit codes: 0 success, 1 model failure, 2 usage or validation error (a
+request too large for the memory available included).
 """
 from __future__ import annotations
 
@@ -27,7 +28,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__, decision, propensity
-from .qubits import random_unitary_2x2
 
 
 class UsageError(Exception):
@@ -181,14 +181,17 @@ def _round12(obj):
 
 
 def _cells(column) -> list[str]:
-    """The CSV cells of one column: _fmt of each value, float arrays in bulk.
+    """The CSV cells of one column: _fmt of each value, numeric arrays in bulk.
 
-    One %-format over the whole column is about a fifth faster than a
-    format call per value, and gives the same text.
+    One %-format over a whole float column is about a fifth faster than a
+    format call per value, and gives the same text; an integer column is
+    printed as Python ints print.
     """
     if isinstance(column, np.ndarray) and column.dtype.kind == "f":
         values = (column + 0.0).tolist()
         return ("%.12g\n" * len(values) % tuple(values)).split("\n")[:-1]
+    if isinstance(column, np.ndarray) and column.dtype.kind in "iu":
+        return list(map(str, column.tolist()))
     return [_fmt(value) for value in column]
 
 
@@ -314,27 +317,13 @@ def _exec_equivalence(params: dict) -> CommandResult:
         raise ModelError(
             "tolerance 0 demands exact floating-point equality, which the circuits "
             "do not promise; the routes agree to about 1e-15, so pass a positive tolerance")
-    rng = np.random.default_rng(params["seed"])
-    max_dev = 0.0
-    moduli_dev = 0.0
-    failures = 0
-    for _ in range(trials):
-        a = random_unitary_2x2(rng)
-        b = random_unitary_2x2(rng)
-        report = decision.equivalence_check(a, b, tol)
-        max_dev = max(max_dev, report.max_abs_deviation)
-        if not report.passed:
-            failures += 1
-        for gate in (a, b):
-            m = gate.entries
-            moduli_dev = max(moduli_dev,
-                             abs(abs(m[0, 1]) ** 2 - abs(m[1, 0]) ** 2),
-                             abs(abs(m[0, 0]) ** 2 - abs(m[1, 1]) ** 2))
+    sweep = decision.equivalence_sweep(np.random.default_rng(params["seed"]), trials, tol)
+    max_dev, failures = sweep.max_abs_deviation, sweep.failures
     results = {
         "trials": trials,
         "tol": tol,
         "max_abs_deviation": max_dev,
-        "moduli_identity_max_deviation": moduli_dev,
+        "moduli_identity_max_deviation": sweep.moduli_identity_max_deviation,
         "failures": failures,
         "all_passed": failures == 0,
     }
@@ -497,7 +486,7 @@ def _exec_sample(params: dict) -> CommandResult:
         "prices": prices,
     }
     return CommandResult("sample", results,
-                         {"index": range(len(draws)), "x": draws, "price": prices})
+                         {"index": np.arange(len(draws)), "x": draws, "price": prices})
 
 
 _EXECUTORS = {
@@ -704,6 +693,8 @@ def _run_model(model: str, params: dict, output: str, seed: int | None,
         result = _EXECUTORS[model](params)
     except (propensity.PointMassError, ValueError) as exc:
         raise UsageError(str(exc))
+    except RuntimeError as exc:           # a model's self-check failed
+        raise ModelError(str(exc))
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     text = _render(result, params, output, seed, elapsed_ms)
     if out_path:
@@ -783,6 +774,9 @@ def main(argv: list[str] | None = None) -> int:
     except ModelError as exc:
         print(f"qprop: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("qprop: error: not enough memory for this request", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -15,25 +15,23 @@ collapsed state through the second. That sequential protocol and the
 entangled circuit agree event by event for any unitary pair, because
 unitarity forces |b12|^2 = |b21|^2 and |b11|^2 = |b22|^2; the intermediate
 amplitudes differ, the final probabilities do not.
+
+The circuits are evaluated in closed-form arithmetic over stacks of gates
+rather than by building gates and states step by step. Gates and angles
+passed in by the caller are checked once; products of checked unitaries are
+unitary and are not checked again. The arithmetic repeats, operation for
+operation, what the step-by-step route computes, so both give the same
+bits.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .qubits import (
-    Gate,
-    apply,
-    cnot,
-    initial_state,
-    measure_collapse,
-    probabilities,
-    rotation_gate,
-    tensor,
-)
+from .qubits import DRAW_BLOCK, Gate, random_unitaries
 
 EVENT_LABELS = ("A+B+", "A+B-", "A-B+", "A-B-")
 EVENT_SUM_TOL = 1e-12
@@ -55,8 +53,7 @@ class DecisionScenario:
     order: QuestionOrder = QuestionOrder.A_THEN_B
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.theta) and math.isfinite(self.phi)):
-            raise ValueError("angles must be finite")
+        _check_angles(self.theta, self.phi)
         if not isinstance(self.order, QuestionOrder):
             raise ValueError("order must be a QuestionOrder")
 
@@ -132,6 +129,22 @@ class EquivalenceReport:
 
 
 @dataclass(frozen=True)
+class EquivalenceSweep:
+    """The sequential/entangled comparison over a run of random gate pairs.
+
+    ``moduli_identity_max_deviation`` is the largest breach, over every
+    gate drawn, of the unitarity identities |u12|^2 = |u21|^2 and
+    |u11|^2 = |u22|^2 on which the equivalence rests.
+    """
+
+    trials: int
+    tol: float
+    max_abs_deviation: float
+    moduli_identity_max_deviation: float
+    failures: int
+
+
+@dataclass(frozen=True)
 class ReversalDecision:
     """Outcome of the cost-ratio switching rule."""
 
@@ -141,30 +154,44 @@ class ReversalDecision:
     switches: bool
 
 
+def _check_angles(theta: float, phi: float) -> None:
+    if not (math.isfinite(theta) and math.isfinite(phi)):
+        raise ValueError("angles must be finite")
+
+
+def _order_effect_events(theta: float, phi: float,
+                         order: QuestionOrder) -> tuple[float, ...]:
+    """The four answer probabilities of the circuit for one scenario.
+
+    Both rotations act on |00>, so the state is the product of their first
+    columns (cos, sin); the CNOT then swaps two of the four real amplitudes.
+    """
+    if order is QuestionOrder.A_THEN_B:
+        c1, s1, c2, s2 = math.cos(theta), math.sin(theta), math.cos(phi), math.sin(phi)
+        amps = (c1 * c2, c1 * s2, s1 * s2, s1 * c2)    # cnot(1) swaps |10>, |11>
+    else:
+        delta = theta - phi
+        c1, s1, c2, s2 = math.cos(phi), math.sin(phi), math.cos(delta), math.sin(delta)
+        amps = (c1 * c2, s1 * s2, s1 * c2, c1 * s2)    # cnot(2) swaps |01>, |11>
+    return tuple(x * x for x in amps)
+
+
 def order_effect_circuit(scenario: DecisionScenario) -> EventDistribution:
     """Run the two-question circuit and read off the four answer events."""
-    if scenario.order is QuestionOrder.A_THEN_B:
-        rotations = tensor(rotation_gate(scenario.theta), rotation_gate(scenario.phi))
-        entangler = cnot(control=1)
-    else:
-        rotations = tensor(rotation_gate(scenario.phi),
-                           rotation_gate(scenario.theta - scenario.phi))
-        entangler = cnot(control=2)
-    final = apply(entangler, apply(rotations, initial_state(2)))
-    probs = probabilities(final).probabilities
-    return EventDistribution(*(float(p) for p in probs))
+    return EventDistribution(
+        *_order_effect_events(scenario.theta, scenario.phi, scenario.order))
 
 
-def _a_then_b_marginals(theta: float, phi: float) -> Marginals:
+def _a_then_b_marginals(theta: float, phi: float) -> tuple[float, ...]:
     ct, st = math.cos(theta) ** 2, math.sin(theta) ** 2
     cp, sp = math.cos(phi) ** 2, math.sin(phi) ** 2
-    return Marginals(ct, st, ct * cp + st * sp, ct * sp + st * cp)
+    return (ct, st, ct * cp + st * sp, ct * sp + st * cp)
 
 
-def _b_then_a_marginals(theta: float, phi: float) -> Marginals:
+def _b_then_a_marginals(theta: float, phi: float) -> tuple[float, ...]:
     cd, sd = math.cos(theta - phi) ** 2, math.sin(theta - phi) ** 2
     cp, sp = math.cos(phi) ** 2, math.sin(phi) ** 2
-    return Marginals(cd * cp + sd * sp, cd * sp + sd * cp, cd, sd)
+    return (cd * cp + sd * sp, cd * sp + sd * cp, cd, sd)
 
 
 def order_effect_summary(theta: float, phi: float) -> OrderEffectSummary:
@@ -174,19 +201,20 @@ def order_effect_summary(theta: float, phi: float) -> OrderEffectSummary:
     forms; a disagreement beyond 1e-12 means the engine is broken and raises
     RuntimeError.
     """
+    _check_angles(theta, phi)
     closed = {
         QuestionOrder.A_THEN_B: _a_then_b_marginals(theta, phi),
         QuestionOrder.B_THEN_A: _b_then_a_marginals(theta, phi),
     }
     rows: dict[QuestionOrder, Marginals] = {}
     for order, expected in closed.items():
-        dist = order_effect_circuit(DecisionScenario(theta, phi, order))
-        got = Marginals(dist.a_yes, dist.a_no, dist.b_yes, dist.b_no)
-        dev = max(abs(g - e) for g, e in zip(astuple(got), astuple(expected)))
+        yy, yn, ny, nn = _order_effect_events(theta, phi, order)
+        got = (yy + yn, ny + nn, yy + ny, yn + nn)
+        dev = max(abs(g - e) for g, e in zip(got, expected))
         if dev > CLOSED_FORM_TOL:
             raise RuntimeError(
                 f"circuit marginals deviate from closed forms by {dev:g}")
-        rows[order] = got
+        rows[order] = Marginals(*got)
     return OrderEffectSummary(theta, phi,
                               rows[QuestionOrder.A_THEN_B],
                               rows[QuestionOrder.B_THEN_A])
@@ -221,8 +249,46 @@ def order_effect_magnitude(theta: float, phi: float) -> float:
     return -interference_term(theta, phi)
 
 
-def _coerce_gate(gate: Gate | np.ndarray) -> Gate:
-    return gate if isinstance(gate, Gate) else Gate(np.asarray(gate, dtype=np.complex128))
+def _gate_entries(gate: Gate | np.ndarray) -> np.ndarray:
+    """The entries of a caller's single-qubit gate, checked for unitarity."""
+    if not isinstance(gate, Gate):
+        gate = Gate(np.asarray(gate, dtype=np.complex128))
+    if gate.dim != 2:
+        raise ValueError("decision circuits take single-qubit gates")
+    return gate.entries
+
+
+def _squares(values: np.ndarray) -> np.ndarray:
+    # math.pow, as numpy's scalar ``** 2`` computes it; array squaring rounds
+    # differently in a few values per thousand.
+    return np.array([math.pow(v, 2) for v in values.ravel().tolist()]).reshape(values.shape)
+
+
+def _sequential_events(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(n, 4) events of the measure-then-continue protocol for gate stacks.
+
+    Collapsing after gate A leaves a basis state, so every path probability
+    is a squared product of entries: |a11 b11|^2, |a11 b21|^2, |a21 b12|^2
+    and |a21 b22|^2. Each is computed as ``abs(x * y) ** 2`` of numpy
+    scalars computes it: the product in real arithmetic, the modulus by
+    hypot and the square by pow.
+    """
+    x = a[:, (0, 0, 1, 1), 0]
+    y = b[:, (0, 1, 0, 1), (0, 0, 1, 1)]
+    re = x.real * y.real - x.imag * y.imag
+    im = x.real * y.imag + x.imag * y.real
+    return _squares(np.hypot(re, im))
+
+
+def _entangled_events(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(n, 4) events of cnot(1) . (A x B) |00> for gate stacks.
+
+    (A x B)|00> holds the products of the first columns, a_i1 b_j1, formed
+    by numpy's array product as the Kronecker product forms them; cnot(1)
+    swaps the last two. Probabilities are re^2 + im^2.
+    """
+    amps = a[:, (0, 0, 1, 1), 0] * b[:, (0, 1, 1, 0), 0]
+    return amps.real * amps.real + amps.imag * amps.imag
 
 
 def sequential_measurement(a_gate: Gate | np.ndarray,
@@ -233,17 +299,19 @@ def sequential_measurement(a_gate: Gate | np.ndarray,
     is a product of squared entries: |a11 b11|^2, |a11 b21|^2, |a21 b12|^2
     and |a21 b22|^2.
     """
-    a = _coerce_gate(a_gate)
-    b = _coerce_gate(b_gate)
-    if a.dim != 2 or b.dim != 2:
-        raise ValueError("sequential measurement is defined for single-qubit gates")
-    am, bm = a.entries, b.entries
-    return EventDistribution(
-        abs(am[0, 0] * bm[0, 0]) ** 2,
-        abs(am[0, 0] * bm[1, 0]) ** 2,
-        abs(am[1, 0] * bm[0, 1]) ** 2,
-        abs(am[1, 0] * bm[1, 1]) ** 2,
-    )
+    a, b = _gate_entries(a_gate), _gate_entries(b_gate)
+    return EventDistribution(*_sequential_events(a[None], b[None])[0].tolist())
+
+
+def _column_probabilities(column: np.ndarray) -> list[float]:
+    return (column.real * column.real + column.imag * column.imag).tolist()
+
+
+def _sample_indices(probs: list[float], u: np.ndarray) -> np.ndarray:
+    """``qubits._sample_index`` of a two-outcome distribution for each draw in
+    ``u``: outcome 0 when the draw falls below its mass (never, if it has
+    none), otherwise the last outcome with mass."""
+    return np.where(u < probs[0], 0, 1 if probs[1] > 0.0 else 0)
 
 
 def sequential_measurement_sampled(a_gate: Gate | np.ndarray,
@@ -252,30 +320,31 @@ def sequential_measurement_sampled(a_gate: Gate | np.ndarray,
                                    rng: np.random.Generator) -> EventDistribution:
     """Monte Carlo estimate of ``sequential_measurement``.
 
-    Each trial genuinely collapses the qubit after gate A and feeds the
-    collapsed state through gate B; use it to validate the analytic table.
+    Each trial collapses the qubit after gate A and feeds the collapsed
+    basis state through gate B; use it to validate the analytic table. A
+    trial draws two uniforms, one per measurement, exactly as two calls of
+    ``measure_collapse`` do, and trials run DRAW_BLOCK at a time.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    a = _coerce_gate(a_gate)
-    b = _coerce_gate(b_gate)
-    after_a = apply(a, initial_state(1))
-    counts = [0, 0, 0, 0]
-    for _ in range(trials):
-        first, collapsed = measure_collapse(after_a, rng)
-        second, _ = measure_collapse(apply(b, collapsed), rng)
-        counts[2 * int(first) + int(second)] += 1
-    return EventDistribution(*(c / trials for c in counts))
+    a, b = _gate_entries(a_gate), _gate_entries(b_gate)
+    first_probs = _column_probabilities(a[:, 0])
+    second_probs = [_column_probabilities(b[:, bit]) for bit in (0, 1)]
+    counts = np.zeros(4, dtype=np.int64)
+    for start in range(0, trials, DRAW_BLOCK):
+        u = rng.random((min(DRAW_BLOCK, trials - start), 2))
+        first = _sample_indices(first_probs, u[:, 0])
+        second = np.where(first == 0, _sample_indices(second_probs[0], u[:, 1]),
+                          _sample_indices(second_probs[1], u[:, 1]))
+        counts += np.bincount(2 * first + second, minlength=4)
+    return EventDistribution(*(c / trials for c in counts.tolist()))
 
 
 def entangled_circuit(a_gate: Gate | np.ndarray,
                       b_gate: Gate | np.ndarray) -> EventDistribution:
     """Event probabilities of the two-qubit circuit cnot(1) . (A x B) |00>."""
-    a = _coerce_gate(a_gate)
-    b = _coerce_gate(b_gate)
-    final = apply(cnot(control=1), apply(tensor(a, b), initial_state(2)))
-    probs = probabilities(final).probabilities
-    return EventDistribution(*(float(p) for p in probs))
+    a, b = _gate_entries(a_gate), _gate_entries(b_gate)
+    return EventDistribution(*_entangled_events(a[None], b[None])[0].tolist())
 
 
 def equivalence_check(a_gate: Gate | np.ndarray,
@@ -292,6 +361,34 @@ def equivalence_check(a_gate: Gate | np.ndarray,
     ent = entangled_circuit(a_gate, b_gate)
     dev = max(abs(x - y) for x, y in zip(seq.as_tuple(), ent.as_tuple()))
     return EquivalenceReport(seq, ent, dev, tol, dev <= tol)
+
+
+def equivalence_sweep(rng: np.random.Generator, trials: int,
+                      tol: float = 1e-12) -> EquivalenceSweep:
+    """``equivalence_check`` over ``trials`` random gate pairs.
+
+    Pair k is the (2k)th and (2k+1)th draw of ``random_unitary_2x2`` from
+    ``rng``. Pairs are drawn and compared one block of DRAW_BLOCK gates at a
+    time, so memory does not grow with ``trials``.
+    """
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    if tol <= 0:
+        raise ValueError("tolerance must be positive")
+    max_dev = moduli_dev = 0.0
+    failures = 0
+    pairs_per_block = DRAW_BLOCK // 2
+    for start in range(0, trials, pairs_per_block):
+        gates = random_unitaries(rng, 2 * min(pairs_per_block, trials - start))
+        a, b = gates[0::2], gates[1::2]
+        dev = np.abs(_sequential_events(a, b) - _entangled_events(a, b)).max(axis=1)
+        max_dev = max(max_dev, float(dev.max()))
+        failures += int(np.count_nonzero(~(dev <= tol)))
+        moduli = _squares(np.hypot(gates.real, gates.imag))
+        moduli_dev = max(moduli_dev,
+                         float(np.abs(moduli[:, 0, 1] - moduli[:, 1, 0]).max()),
+                         float(np.abs(moduli[:, 0, 0] - moduli[:, 1, 1]).max()))
+    return EquivalenceSweep(trials, tol, max_dev, moduli_dev, failures)
 
 
 def preference_reversal_switch(x1: float, x2: float) -> ReversalDecision:

@@ -148,8 +148,11 @@ def density(curve: PropensityCurve, x):
     """Density of ``curve`` at log-price ``x`` (scalar or array)."""
     if isinstance(curve, PointMassCurve):
         raise PointMassError("a point mass has no finite density")
-    z = (np.asarray(x, dtype=np.float64) - curve.mu) / curve.sigma
-    out = np.exp(-0.5 * z * z) / (curve.sigma * math.sqrt(2.0 * math.pi))
+    # Far tails overflow z * z to inf and the density to 0, which is the
+    # right value; callers that need a positive density check for it.
+    with np.errstate(over="ignore", under="ignore"):
+        z = (np.asarray(x, dtype=np.float64) - curve.mu) / curve.sigma
+        out = np.exp(-0.5 * z * z) / (curve.sigma * math.sqrt(2.0 * math.pi))
     return out if out.ndim else float(out)
 
 
@@ -157,8 +160,9 @@ def log_density(curve: PropensityCurve, x):
     """Natural log of ``density``; stays finite far into the tails."""
     if isinstance(curve, PointMassCurve):
         raise PointMassError("a point mass has no finite density")
-    z = (np.asarray(x, dtype=np.float64) - curve.mu) / curve.sigma
-    out = -0.5 * z * z - math.log(curve.sigma) - _LOG_ROOT_2PI
+    with np.errstate(over="ignore", under="ignore"):
+        z = (np.asarray(x, dtype=np.float64) - curve.mu) / curve.sigma
+        out = -0.5 * z * z - math.log(curve.sigma) - _LOG_ROOT_2PI
     return out if out.ndim else float(out)
 
 

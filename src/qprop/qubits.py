@@ -24,6 +24,7 @@ import numpy as np
 STATE_NORM_TOL = 1e-12
 GATE_UNITARY_TOL = 1e-10
 PROBABILITY_TOL = 1e-12
+DRAW_BLOCK = 8192            # rows of generator draws taken at a time
 
 
 def _as_complex_array(values, name: str, shapes: tuple) -> np.ndarray:
@@ -243,18 +244,40 @@ def is_unitary(gate: Gate | np.ndarray, tol: float) -> bool:
 
 
 def random_unitary_2x2(rng: np.random.Generator) -> Gate:
-    """Seeded random single-qubit unitary.
+    """Seeded random single-qubit unitary: one gate of ``random_unitaries``."""
+    return Gate(random_unitaries(rng, 1)[0])
 
-    Built as exp(i d) * diag(exp(i a), 1) @ R_theta @ diag(exp(i b), 1) with
+
+def random_unitaries(rng: np.random.Generator, n: int) -> np.ndarray:
+    """``n`` seeded random single-qubit unitaries as an (n, 2, 2) array.
+
+    Each is exp(i d) * diag(exp(i a), 1) @ R_theta @ diag(exp(i b), 1) with
     theta = arcsin(sqrt(u)), u uniform on [0, 1) and phases uniform on
-    [0, 2 pi). The draw order (u, a, b, d) is fixed, so one generator state
-    maps to exactly one gate.
+    [0, 2 pi). Each gate draws (u, a, b, d) in that order, so one generator
+    state maps to exactly one stack, and n gates drawn one at a time equal
+    one stack of n. The draws are taken DRAW_BLOCK gates at a time.
     """
-    u = rng.random()
-    a, b, d = rng.uniform(0.0, 2.0 * math.pi, size=3)
-    theta = math.asin(math.sqrt(u))
-    rot = np.array([[math.cos(theta), -math.sin(theta)],
-                    [math.sin(theta), math.cos(theta)]])
-    left = np.diag([np.exp(1j * a), 1.0])
-    right = np.diag([np.exp(1j * b), 1.0])
-    return Gate(np.exp(1j * d) * (left @ rot @ right))
+    if n < 0:
+        raise ValueError("number of unitaries must not be negative")
+    out = np.empty((n, 2, 2), dtype=np.complex128)
+    for start in range(0, n, DRAW_BLOCK):
+        draws = rng.random((min(DRAW_BLOCK, n - start), 4))
+        out[start:start + len(draws)] = _unitaries_from_draws(draws)
+    return out
+
+
+def _unitaries_from_draws(draws: np.ndarray) -> np.ndarray:
+    # The angle goes through math.asin, math.cos and math.sin one value at a
+    # time: numpy's vectorised trigonometry may differ from libm in the last
+    # bit, and the gates are meant to be the same on every build.
+    theta = [math.asin(math.sqrt(u)) for u in draws[:, 0].tolist()]
+    cos = np.array([math.cos(t) for t in theta])
+    sin = np.array([math.sin(t) for t in theta])
+    rot = np.stack([cos, -sin, sin, cos], axis=1).reshape(-1, 2, 2)
+    phases = np.exp(1j * (2.0 * math.pi * draws[:, 1:]))
+    left = np.zeros((len(draws), 2, 2), dtype=np.complex128)
+    left[:, 0, 0] = phases[:, 0]
+    left[:, 1, 1] = 1.0
+    right = left.copy()
+    right[:, 0, 0] = phases[:, 1]
+    return phases[:, 2, None, None] * (left @ rot @ right)

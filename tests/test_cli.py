@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from qprop import cli, decision
 from qprop.cli import _cells, _fmt, _json_tokens, main
 
 import make_goldens
@@ -548,6 +549,42 @@ def test_module_entry_point_error_path():
     assert "error" in proc.stderr
 
 
+def test_far_tail_density_prints_only_the_error_line():
+    """The overflow of z * z in a far tail is expected, and numpy's warning
+    about it must not reach stderr ahead of the usage error."""
+    proc = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "qprop", "force", "--mean-price", "1",
+         "--sigma", "1e-160", "--gamma", "1e-300", "--grid", "0.5:2.0:3"],
+        capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("qprop: error: density underflow")
+    assert proc.stderr.count("\n") == 1
+
+
+def test_failed_cross_check_exits_1(monkeypatch, capsys):
+    def broken(theta, phi):
+        raise RuntimeError("circuit marginals deviate from closed forms by 0.1")
+
+    monkeypatch.setattr(decision, "order_effect_summary", broken)
+    code, text = run_cli(["order-effect", "--theta", "0.3", "--phi", "0.2"])
+    assert code == 1
+    assert text == ""
+    assert capsys.readouterr().err == (
+        "qprop: circuit marginals deviate from closed forms by 0.1\n")
+
+
+def test_out_of_memory_exits_2(monkeypatch, capsys):
+    def too_large(params):
+        raise MemoryError()
+
+    monkeypatch.setitem(cli._EXECUTORS, "equivalence", too_large)
+    code, text = run_cli(["equivalence", "--trials", "5", "--seed", "1"])
+    assert code == 2
+    assert text == ""
+    assert capsys.readouterr().err == "qprop: error: not enough memory for this request\n"
+
+
 def test_version_flag():
     proc = subprocess.run([sys.executable, "-m", "qprop", "--version"],
                           capture_output=True, text=True)
@@ -571,6 +608,17 @@ def test_column_formatter_matches_per_value_route(values):
     assert _cells(values) == [_fmt(v) for v in values]
     assert _json_tokens(values) == [json.dumps(float(format(v + 0.0, ".12g")))
                                     for v in values]
+
+
+@given(st.one_of(
+    arrays(np.int64, st.integers(0, 30)),
+    arrays(np.uint64, st.integers(0, 30)),
+    arrays(np.int8, st.integers(0, 30))))
+@example(np.arange(12))
+@example(np.array([np.iinfo(np.int64).min, -1, 0, np.iinfo(np.int64).max]))
+@example(np.array([np.iinfo(np.uint64).max], dtype=np.uint64))
+def test_integer_column_formatter_matches_per_value_route(values):
+    assert _cells(values) == [_fmt(v) for v in values]
 
 
 def test_column_formatter_spells_nonfinite_as_json_does():
