@@ -11,23 +11,38 @@ wall_time_ms field is the one part of the output that varies between
 otherwise identical runs.
 
 Exit codes: 0 success, 1 model failure, 2 usage or validation error (a
-request too large for the memory available included).
+request too large for the memory available, or output that cannot be
+written, included).
+
+A call imports only what it computes with: every usage error is decided
+before a model module is loaded, and a command loads its own model module
+(decision or propensity) alone, numpy only when that module needs arrays.
 """
 from __future__ import annotations
 
 import argparse
 import configparser
+import importlib
 import json
 import math
+import numbers
 import os
 import re
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+from . import __version__
 
-from . import __version__, decision, propensity
+if TYPE_CHECKING:
+    import numpy as np
+
+    from . import decision, propensity
+
+# Largest grid (N of LO:HI:N) and largest number of sample draws: both are
+# output rows, about 0.4-0.5 KB of peak memory each in a force grid.
+MAX_ROWS = 2_000_000
 
 
 class UsageError(Exception):
@@ -50,6 +65,7 @@ class Param:
     default: object = None
     choices: tuple = ()
     cli_only: bool = False
+    maximum: int | None = None     # posint cap, checked before anything is built
     help: str = ""
 
     @property
@@ -127,7 +143,8 @@ _MODEL_PARAMS: dict[str, list[Param]] = {
         *_scale_params(),
     ],
     "sample": [
-        Param("trials", "posint", required=True, help="number of price draws"),
+        Param("trials", "posint", required=True, maximum=MAX_ROWS,
+              help="number of price draws"),
         *_curve_pair_params(),
     ],
 }
@@ -146,6 +163,19 @@ _MODEL_HELP = {
 
 _STOCHASTIC = frozenset({"equivalence", "sample"})
 
+# The modules each model computes with, imported before its timer starts.
+_MODEL_MODULES = {
+    "order-effect": (".decision",),
+    "interference": (".decision",),
+    "equivalence": (".decision", ".qubits", "numpy"),
+    "reversal": (".decision",),
+    "force": (".propensity", "numpy"),
+    "oscillator": (".propensity",),
+    "joint": (".propensity", "numpy"),
+    "work": (".propensity", "numpy"),
+    "sample": (".propensity", "numpy"),
+}
+
 
 # ============================================================
 # Output formatting
@@ -155,9 +185,9 @@ def _fmt(value) -> str:
     """One CSV cell, floats at 12 significant digits."""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, numbers.Integral):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, numbers.Real):
         return format(float(value) + 0.0, ".12g")
     return str(value)
 
@@ -173,9 +203,9 @@ def _round12(obj):
         return [_round12(v) for v in obj]
     if isinstance(obj, bool):
         return obj
-    if isinstance(obj, (int, np.integer)):
+    if isinstance(obj, numbers.Integral):
         return int(obj)
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, numbers.Real):
         return float(format(float(obj) + 0.0, ".12g"))
     return obj
 
@@ -187,10 +217,11 @@ def _cells(column) -> list[str]:
     format call per value, and gives the same text; an integer column is
     printed as Python ints print.
     """
-    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
+    kind = getattr(getattr(column, "dtype", None), "kind", None)
+    if kind == "f":
         values = (column + 0.0).tolist()
         return ("%.12g\n" * len(values) % tuple(values)).split("\n")[:-1]
-    if isinstance(column, np.ndarray) and column.dtype.kind in "iu":
+    if kind in ("i", "u"):
         return list(map(str, column.tolist()))
     return [_fmt(value) for value in column]
 
@@ -239,11 +270,11 @@ class CommandResult:
 # ============================================================
 
 def _resolve_scale(params: dict) -> propensity.EntropicScale:
+    from . import propensity
+
     gamma = params.get("gamma")
     omega = params.get("omega")
     hbar = params.get("hbar")
-    if gamma is not None and (omega is not None or hbar is not None):
-        raise UsageError("pass either gamma or omega/hbar, not both")
     if gamma is not None:
         return propensity.EntropicScale.direct(gamma)
     return propensity.EntropicScale.from_oscillator(
@@ -251,8 +282,8 @@ def _resolve_scale(params: dict) -> propensity.EntropicScale:
         hbar if hbar is not None else 1.0)
 
 
-def _parse_grid(spec: str) -> tuple[np.ndarray, np.ndarray]:
-    """Parse LO:HI:N in currency units into log-price and price columns."""
+def _grid_bounds(spec: str) -> tuple[float, float, int]:
+    """Parse LO:HI:N in currency units, checking it without building it."""
     parts = str(spec).split(":")
     if len(parts) != 3:
         raise UsageError(f"grid must be LO:HI:N, got {spec!r}")
@@ -266,6 +297,16 @@ def _parse_grid(spec: str) -> tuple[np.ndarray, np.ndarray]:
         raise UsageError("grid needs 0 < LO < HI")
     if n < 2:
         raise UsageError("grid needs at least 2 points")
+    if n > MAX_ROWS:
+        raise UsageError(f"grid needs at most {MAX_ROWS} points")
+    return lo, hi, n
+
+
+def _grid_columns(spec: str) -> tuple[np.ndarray, np.ndarray]:
+    """The log-price and price columns of a checked LO:HI:N grid."""
+    import numpy as np
+
+    lo, hi, n = _grid_bounds(spec)
     x = np.linspace(math.log(lo), math.log(hi), n)
     return x, np.exp(x)
 
@@ -275,6 +316,8 @@ def _marginals_dict(m: decision.Marginals) -> dict[str, float]:
 
 
 def _exec_order_effect(params: dict) -> CommandResult:
+    from . import decision
+
     theta, phi = params["theta"], params["phi"]
     order = decision.QuestionOrder(params["order"])
     dist = decision.order_effect_circuit(decision.DecisionScenario(theta, phi, order))
@@ -297,6 +340,8 @@ def _exec_order_effect(params: dict) -> CommandResult:
 
 
 def _exec_interference(params: dict) -> CommandResult:
+    from . import decision
+
     theta, phi = params["theta"], params["phi"]
     results = {
         "theta": theta,
@@ -310,9 +355,11 @@ def _exec_interference(params: dict) -> CommandResult:
 
 
 def _exec_equivalence(params: dict) -> CommandResult:
+    import numpy as np
+
+    from . import decision
+
     trials, tol = params["trials"], params["tol"]
-    if tol < 0:
-        raise UsageError("tolerance must not be negative")
     if tol == 0.0:
         raise ModelError(
             "tolerance 0 demands exact floating-point equality, which the circuits "
@@ -336,6 +383,8 @@ def _exec_equivalence(params: dict) -> CommandResult:
 
 
 def _exec_reversal(params: dict) -> CommandResult:
+    from . import decision
+
     outcome = decision.preference_reversal_switch(params["x1"], params["x2"])
     results = {"x1": outcome.x1, "x2": outcome.x2,
                "ratio": outcome.ratio, "switches": outcome.switches}
@@ -343,14 +392,14 @@ def _exec_reversal(params: dict) -> CommandResult:
 
 
 def _exec_force(params: dict) -> CommandResult:
+    from . import propensity
+
     curve = propensity.GaussianCurve(math.log(params["mean_price"]), params["sigma"])
     scale = _resolve_scale(params)
     grid = params.get("grid")
     price = params.get("price")
-    if (grid is None) == (price is None):
-        raise UsageError("pass exactly one of price or grid")
     if grid is not None:
-        x, prices = _parse_grid(grid)
+        x, prices = _grid_columns(grid)
         dens = propensity.density(curve, x)
         force = propensity.entropic_force(curve, x, scale)
         results = {
@@ -376,6 +425,8 @@ def _exec_force(params: dict) -> CommandResult:
 
 
 def _exec_oscillator(params: dict) -> CommandResult:
+    from . import propensity
+
     p = propensity.OscillatorParams(omega=params["omega"], sigma=params["sigma"],
                                     hbar=params["hbar"])
     results = {"sigma": p.sigma, "omega": p.omega, "hbar": p.hbar,
@@ -384,23 +435,18 @@ def _exec_oscillator(params: dict) -> CommandResult:
 
 
 def _gaussian_side(params: dict, side: str) -> propensity.GaussianCurve:
-    mean_price = params.get(f"{side}_mean_price")
-    sigma = params.get(f"{side}_sigma")
-    if mean_price is None or sigma is None:
-        raise UsageError(f"the {side} needs {side}-mean-price and {side}-sigma, "
-                         f"or a {side}-fixed-price")
-    return propensity.GaussianCurve(math.log(mean_price), sigma)
+    from . import propensity
+
+    return propensity.GaussianCurve(math.log(params[f"{side}_mean_price"]),
+                                    params[f"{side}_sigma"])
 
 
 def _build_pair(params: dict) -> propensity.JointPropensity:
+    """The joint of a pair that _check_pair has accepted."""
+    from . import propensity
+
     buyer_fixed = params.get("buyer_fixed_price")
     seller_fixed = params.get("seller_fixed_price")
-    if buyer_fixed is not None and seller_fixed is not None:
-        raise UsageError("at most one side can fix its price")
-    for side, fixed in (("buyer", buyer_fixed), ("seller", seller_fixed)):
-        if fixed is not None and (params.get(f"{side}_mean_price") is not None
-                                  or params.get(f"{side}_sigma") is not None):
-            raise UsageError(f"{side}-fixed-price excludes the {side} curve parameters")
     if seller_fixed is not None:
         return propensity.fixed_price_joint(_gaussian_side(params, "buyer"),
                                             math.log(seller_fixed), fixed_side="seller")
@@ -412,6 +458,8 @@ def _build_pair(params: dict) -> propensity.JointPropensity:
 
 
 def _curve_dict(curve: propensity.PropensityCurve) -> dict:
+    from . import propensity
+
     if isinstance(curve, propensity.GaussianCurve):
         return {"kind": "gaussian", "mu": curve.mu, "sigma": curve.sigma,
                 "mean_price": math.exp(curve.mu)}
@@ -419,13 +467,13 @@ def _curve_dict(curve: propensity.PropensityCurve) -> dict:
 
 
 def _exec_joint(params: dict) -> CommandResult:
+    from . import propensity
+
     pair = _build_pair(params)
     grid = params.get("grid")
     if grid is not None:
-        if not isinstance(pair.joint, propensity.GaussianCurve):
-            raise UsageError("curve output needs two Gaussian curves, not a fixed price")
         scale = _resolve_scale(params)
-        x, prices = _parse_grid(grid)
+        x, prices = _grid_columns(grid)
         buyer_density = propensity.density(pair.buyer, x)
         seller_density = propensity.density(pair.seller, x)
         joint_density = pair.scale * propensity.density(pair.joint, x)
@@ -455,6 +503,8 @@ def _exec_joint(params: dict) -> CommandResult:
 
 
 def _exec_work(params: dict) -> CommandResult:
+    from . import propensity
+
     curve = propensity.GaussianCurve(math.log(params["mean_price"]), params["sigma"])
     scale = _resolve_scale(params)
     x1, x2 = math.log(params["price1"]), math.log(params["price2"])
@@ -474,6 +524,10 @@ def _exec_work(params: dict) -> CommandResult:
 
 
 def _exec_sample(params: dict) -> CommandResult:
+    import numpy as np
+
+    from . import propensity
+
     pair = _build_pair(params)
     rng = np.random.default_rng(params["seed"])
     draws = propensity.sample_prices(pair, params["trials"], rng)
@@ -519,9 +573,51 @@ def _validate_params(model: str, params: dict) -> None:
         elif spec.kind == "posint":
             if value < 1:
                 raise UsageError(f"{spec.config_key} must be at least 1")
+            if spec.maximum is not None and value > spec.maximum:
+                raise UsageError(f"{spec.config_key} must be at most {spec.maximum}")
         elif spec.kind == "choice":
             if value not in spec.choices:
                 raise UsageError(f"{spec.config_key} must be one of {spec.choices}")
+
+
+def _check_pair(params: dict) -> None:
+    """A buyer/seller pair: each side a mean-price and sigma curve, or at most
+    one side a fixed price."""
+    fixed = {side: params.get(f"{side}_fixed_price") for side in ("buyer", "seller")}
+    if None not in fixed.values():
+        raise UsageError("at most one side can fix its price")
+    curves = {side: (params.get(f"{side}_mean_price"), params.get(f"{side}_sigma"))
+              for side in fixed}
+    for side in fixed:
+        if fixed[side] is not None and curves[side] != (None, None):
+            raise UsageError(f"{side}-fixed-price excludes the {side} curve parameters")
+    for side in fixed:
+        if fixed[side] is None and None in curves[side]:
+            raise UsageError(f"the {side} needs {side}-mean-price and {side}-sigma, "
+                             f"or a {side}-fixed-price")
+
+
+def _check_combinations(model: str, params: dict) -> None:
+    """Usage rules that tie parameters to each other, in the order the
+    executors would meet them, so that no model module is loaded for a call
+    that cannot run."""
+    grid = params.get("grid")
+    if model in ("joint", "sample"):
+        _check_pair(params)
+    if model == "joint" and grid is not None and (
+            params.get("buyer_fixed_price") is not None
+            or params.get("seller_fixed_price") is not None):
+        raise UsageError("curve output needs two Gaussian curves, not a fixed price")
+    if ((model in ("force", "work") or grid is not None)
+            and params.get("gamma") is not None
+            and (params.get("omega") is not None or params.get("hbar") is not None)):
+        raise UsageError("pass either gamma or omega/hbar, not both")
+    if model == "force" and (grid is None) == (params.get("price") is None):
+        raise UsageError("pass exactly one of price or grid")
+    if grid is not None:
+        _grid_bounds(grid)
+    if model == "equivalence" and params["tol"] < 0:
+        raise UsageError("tolerance must not be negative")
 
 
 def _resolve_seed(flag_seed: int | None) -> int | None:
@@ -677,6 +773,21 @@ def _render(result: CommandResult, params: dict, output: str,
     return _render_json(record)
 
 
+def _write(text: str, out_path: str | None) -> None:
+    """Write the output to out_path or stdout; any failure is a usage error."""
+    try:
+        if out_path:
+            with open(out_path, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+        elif sys.stdout is None:
+            raise OSError("standard output is closed")
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as exc:
+        raise UsageError(f"cannot write output: {exc}")
+
+
 def _run_model(model: str, params: dict, output: str, seed: int | None,
                out_path: str | None = None) -> int:
     _validate_params(model, params)
@@ -688,23 +799,20 @@ def _run_model(model: str, params: dict, output: str, seed: int | None,
         params = dict(params, seed=seed)
     else:
         seed = None
+    _check_combinations(model, params)
+    for name in _MODEL_MODULES[model]:
+        importlib.import_module(name, __package__)
     start = time.perf_counter()
     try:
         result = _EXECUTORS[model](params)
-    except (propensity.PointMassError, ValueError) as exc:
+    except ValueError as exc:
         raise UsageError(str(exc))
+    except ArithmeticError as exc:        # a result beyond the range of a float
+        raise UsageError(f"parameters out of floating-point range: {exc}")
     except RuntimeError as exc:           # a model's self-check failed
         raise ModelError(str(exc))
     elapsed_ms = (time.perf_counter() - start) * 1000.0
-    text = _render(result, params, output, seed, elapsed_ms)
-    if out_path:
-        try:
-            with open(out_path, "w", encoding="utf-8", newline="") as handle:
-                handle.write(text)
-        except OSError as exc:
-            raise UsageError(f"cannot write output: {exc}")
-    else:
-        sys.stdout.write(text)
+    _write(_render(result, params, output, seed, elapsed_ms), out_path)
     if result.message:
         print(f"qprop: {result.message}", file=sys.stderr)
     return result.exit_code

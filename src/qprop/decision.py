@@ -21,17 +21,21 @@ rather than by building gates and states step by step. Gates and angles
 passed in by the caller are checked once; products of checked unitaries are
 unitary and are not checked again. The arithmetic repeats, operation for
 operation, what the step-by-step route computes, so both give the same
-bits.
+bits. Only those gate kernels need numpy and the qubit engine, and they
+import them when first called: the order-effect, interference and reversal
+closed forms run on ``math`` alone.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
-from .qubits import DRAW_BLOCK, Gate, random_unitaries
+    from .qubits import Gate
 
 EVENT_LABELS = ("A+B+", "A+B-", "A-B+", "A-B-")
 EVENT_SUM_TOL = 1e-12
@@ -251,6 +255,10 @@ def order_effect_magnitude(theta: float, phi: float) -> float:
 
 def _gate_entries(gate: Gate | np.ndarray) -> np.ndarray:
     """The entries of a caller's single-qubit gate, checked for unitarity."""
+    import numpy as np
+
+    from .qubits import Gate
+
     if not isinstance(gate, Gate):
         gate = Gate(np.asarray(gate, dtype=np.complex128))
     if gate.dim != 2:
@@ -261,6 +269,8 @@ def _gate_entries(gate: Gate | np.ndarray) -> np.ndarray:
 def _squares(values: np.ndarray) -> np.ndarray:
     # math.pow, as numpy's scalar ``** 2`` computes it; array squaring rounds
     # differently in a few values per thousand.
+    import numpy as np
+
     return np.array([math.pow(v, 2) for v in values.ravel().tolist()]).reshape(values.shape)
 
 
@@ -273,6 +283,8 @@ def _sequential_events(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     scalars computes it: the product in real arithmetic, the modulus by
     hypot and the square by pow.
     """
+    import numpy as np
+
     x = a[:, (0, 0, 1, 1), 0]
     y = b[:, (0, 1, 0, 1), (0, 0, 1, 1)]
     re = x.real * y.real - x.imag * y.imag
@@ -311,6 +323,8 @@ def _sample_indices(probs: list[float], u: np.ndarray) -> np.ndarray:
     """``qubits._sample_index`` of a two-outcome distribution for each draw in
     ``u``: outcome 0 when the draw falls below its mass (never, if it has
     none), otherwise the last outcome with mass."""
+    import numpy as np
+
     return np.where(u < probs[0], 0, 1 if probs[1] > 0.0 else 0)
 
 
@@ -327,6 +341,10 @@ def sequential_measurement_sampled(a_gate: Gate | np.ndarray,
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    import numpy as np
+
+    from .qubits import DRAW_BLOCK
+
     a, b = _gate_entries(a_gate), _gate_entries(b_gate)
     first_probs = _column_probabilities(a[:, 0])
     second_probs = [_column_probabilities(b[:, bit]) for bit in (0, 1)]
@@ -375,6 +393,10 @@ def equivalence_sweep(rng: np.random.Generator, trials: int,
         raise ValueError("trials must be at least 1")
     if tol <= 0:
         raise ValueError("tolerance must be positive")
+    import numpy as np
+
+    from .qubits import DRAW_BLOCK, random_unitaries
+
     max_dev = moduli_dev = 0.0
     failures = 0
     pairs_per_block = DRAW_BLOCK // 2

@@ -16,15 +16,20 @@ The product of a buyer and a seller curve is again Gaussian up to a scale
 factor (the overlap mass), and its force is the sum of the two parties'
 forces. When one side fixes its price the joint collapses to a point mass
 and the transaction force is the flexible party's alone.
+
+numpy is imported by the functions that evaluate densities, forces or
+draws, when first called; the curve types and oscillator quantities need
+only ``math``.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 DENSITY_FLOOR = 1e-300
 _LOG_ROOT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -148,6 +153,8 @@ def density(curve: PropensityCurve, x):
     """Density of ``curve`` at log-price ``x`` (scalar or array)."""
     if isinstance(curve, PointMassCurve):
         raise PointMassError("a point mass has no finite density")
+    import numpy as np
+
     # Far tails overflow z * z to inf and the density to 0, which is the
     # right value; callers that need a positive density check for it.
     with np.errstate(over="ignore", under="ignore"):
@@ -160,6 +167,8 @@ def log_density(curve: PropensityCurve, x):
     """Natural log of ``density``; stays finite far into the tails."""
     if isinstance(curve, PointMassCurve):
         raise PointMassError("a point mass has no finite density")
+    import numpy as np
+
     with np.errstate(over="ignore", under="ignore"):
         z = (np.asarray(x, dtype=np.float64) - curve.mu) / curve.sigma
         out = -0.5 * z * z - math.log(curve.sigma) - _LOG_ROOT_2PI
@@ -167,6 +176,8 @@ def log_density(curve: PropensityCurve, x):
 
 
 def _require_positive_density(curve: GaussianCurve, x) -> None:
+    import numpy as np
+
     d = np.asarray(density(curve, x))
     if np.any(d < DENSITY_FLOOR):
         raise ValueError(
@@ -182,6 +193,8 @@ def entropic_force(curve: PropensityCurve, x, scale: EntropicScale):
     if isinstance(curve, PointMassCurve):
         raise PointMassError(
             "a point mass exerts no entropic force; use fixed_price_joint")
+    import numpy as np
+
     _require_positive_density(curve, x)
     k = scale.gamma / curve.sigma ** 2
     out = -k * (np.asarray(x, dtype=np.float64) - curve.mu)
@@ -282,6 +295,8 @@ def sample_prices(joint: JointPropensity, n: int,
     """Draw ``n`` independent log-prices from the joint curve."""
     if n < 1:
         raise ValueError("need at least one draw")
+    import numpy as np
+
     curve = joint.joint
     if isinstance(curve, PointMassCurve):
         return np.full(n, curve.point)

@@ -2,17 +2,18 @@ import contextlib
 import io
 import json
 import math
+import os
 import pathlib
 import subprocess
 import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qprop import cli, decision
-from qprop.cli import _cells, _fmt, _json_tokens, main
+from qprop.cli import MAX_ROWS, _cells, _fmt, _json_tokens, main
 
 import make_goldens
 from make_goldens import CASES, GOLDEN_DIR, mask_timing
@@ -433,6 +434,59 @@ verbose = yes
     assert "extras" in capsys.readouterr().err
 
 
+# Values stay small where they size the work: at most 1000 trials or grid
+# points. Each kind also draws extreme and malformed text.
+NOISE = st.one_of(st.floats().map(repr), st.sampled_from(["", "1e400", "0x10"]),
+                  st.text(max_size=6))
+CONFIG_VALUES = {
+    "float": st.floats(-4.0, 4.0).map(repr),
+    "posfloat": st.floats(0.05, 3.0).map(repr),
+    "posint": st.integers(-1, 1000).map(str),
+    "choice": st.sampled_from(["ab", "ba", "xy"]),
+    "grid": st.builds("{!r}:{!r}:{}".format, st.floats(-0.5, 2.0), st.floats(0.0, 4.0),
+                      st.integers(-1, 1000)),
+}
+
+
+@st.composite
+def config_texts(draw):
+    """INI text near a valid config of a model: most keys present, some
+    values extreme or malformed, now and then a section, key or line wrong."""
+    model = draw(st.sampled_from([*cli._MODEL_PARAMS, "nosuch"]))
+    specs = [spec for spec in cli._MODEL_PARAMS.get(model, []) if not spec.cli_only]
+    rare = st.integers(0, 19).map(lambda n: n == 0)
+    lines = [] if draw(rare) else ["[run]", f"model = {model}"]
+    if draw(st.booleans()):
+        lines.append(f"output = {draw(st.sampled_from(['json', 'csv', 'xml']))}")
+    lines.append(f"[{'extra' if draw(rare) else model}]")
+    for spec in specs:
+        if draw(st.integers(0, 3)):
+            value = draw(NOISE if draw(rare) else CONFIG_VALUES[spec.kind])
+            lines.append(f"{spec.config_key} = {value}")
+    if model in cli._STOCHASTIC and draw(st.integers(0, 9)):
+        lines.append(f"seed = {draw(st.integers(-1, 2**32))}")
+    if draw(rare):
+        lines.append(f"{draw(st.sampled_from(['spin', 'seed', 'mean-price']))} = 1")
+    if draw(rare):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.text(max_size=12)))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=config_texts())
+def test_config_fuzz_exits_cleanly(tmp_path, text):
+    """Any config text ends in exit 0, 1 or 2 with qprop's own message, never
+    an exception or a traceback."""
+    path = write_config(tmp_path, text)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, _ = run_cli(["run", path])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    assert err.getvalue() == "" or err.getvalue().startswith("qprop: ")
+
+
 def test_run_missing_config_file(capsys):
     code, _ = run_cli(["run", "/nonexistent/model.cfg"])
     assert code == 2
@@ -518,6 +572,25 @@ def test_fixed_price_excludes_same_side_curve(capsys):
     assert code == 2
 
 
+def test_values_beyond_float_range_exit_2(capsys):
+    code, _ = run_cli(["oscillator", "--sigma", "1e-200"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "qprop: error: parameters out of floating-point range: float division by zero\n")
+    code, _ = run_cli(["force", "--mean-price", "1", "--sigma", "1e200",
+                       "--price", "1", "--gamma", "1"])
+    assert code == 2
+    assert "out of floating-point range" in capsys.readouterr().err
+
+
+def test_caps_admit_their_own_size():
+    assert cli._grid_bounds(f"0.5:2.0:{MAX_ROWS}") == (0.5, 2.0, MAX_ROWS)
+    cli._validate_params("sample", {"trials": MAX_ROWS})
+    with pytest.raises(cli.UsageError, match="trials must be at most"):
+        cli._validate_params("sample", {"trials": MAX_ROWS + 1})
+    cli._validate_params("equivalence", {"trials": 10 * MAX_ROWS, "tol": 1e-12})
+
+
 def test_point_mass_joint_grid_exits_2(capsys):
     code, _ = run_cli(["joint", "--buyer-mean-price", "1.0",
                        "--buyer-sigma", "0.1", "--seller-fixed-price", "1.1",
@@ -583,6 +656,35 @@ def test_out_of_memory_exits_2(monkeypatch, capsys):
     assert code == 2
     assert text == ""
     assert capsys.readouterr().err == "qprop: error: not enough memory for this request\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+def test_stdout_write_failure_exits_2():
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "qprop", "oscillator", "--sigma", "0.3"],
+                              stdout=full, stderr=subprocess.PIPE, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        "qprop: error: cannot write output: [Errno 28] No space left on device\n")
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes a file descriptor in the child")
+def test_closed_stdout_exits_2():
+    proc = subprocess.run([sys.executable, "-m", "qprop", "oscillator", "--sigma", "0.3"],
+                          stderr=subprocess.PIPE, text=True, preexec_fn=lambda: os.close(1))
+    assert proc.returncode == 2
+    assert proc.stderr == "qprop: error: cannot write output: standard output is closed\n"
+
+
+@pytest.mark.skipif(os.name != "posix", reason="POSIX pipe semantics")
+def test_pipe_without_reader_exits_2():
+    proc = subprocess.Popen([sys.executable, "-m", "qprop", "oscillator", "--sigma", "0.3"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    proc.stdout.close()                   # long before the child starts writing
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert err == "qprop: error: cannot write output: [Errno 32] Broken pipe\n"
 
 
 def test_version_flag():

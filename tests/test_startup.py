@@ -1,0 +1,120 @@
+"""What a call imports: the package, the CLI and each kind of call load only
+the modules they compute with.
+
+Each probe runs ``python -m qprop`` in a fresh interpreter and reports the
+names in ``sys.modules`` as the interpreter exits.
+"""
+import importlib
+import subprocess
+import sys
+
+import pytest
+
+import qprop
+from qprop.cli import MAX_ROWS
+
+MODEL_MODULES = {"numpy", "qprop.decision", "qprop.propensity", "qprop.qubits"}
+
+PROBE = """\
+import atexit, runpy, sys
+atexit.register(lambda: sys.__stderr__.write("\\nMODULES " + " ".join(sys.modules) + "\\n"))
+runpy.run_module("qprop", run_name="__main__", alter_sys=True)
+"""
+
+
+def run_probe(*argv):
+    """(exit code, stdout, stderr, model modules loaded) of one qprop call."""
+    proc = subprocess.run([sys.executable, "-c", PROBE, *argv],
+                          capture_output=True, text=True)
+    err, _, modules = proc.stderr.rpartition("\nMODULES ")
+    return proc.returncode, proc.stdout, err, MODEL_MODULES & set(modules.split())
+
+
+def test_importing_the_package_and_cli_loads_no_model_module():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, qprop, qprop.cli; print(' '.join(sorted(sys.modules)))"],
+        capture_output=True, text=True, check=True)
+    assert MODEL_MODULES & set(proc.stdout.split()) == set()
+
+
+BAD_CONFIG = "[run]\nmodel = oscillator\n\n[oscillator]\nsigma = 0.3\nspin = 1\n"
+
+REJECTED = {
+    "argparse": ["force", "--mean-price", "1", "--bogus", "2"],
+    "validation": ["reversal", "--x1", "-1", "--x2", "2"],
+    "grid": ["force", "--mean-price", "1", "--sigma", "0.3", "--gamma", "1",
+             "--grid", "2.0:0.5:9"],
+    "scale": ["work", "--mean-price", "1", "--sigma", "0.3", "--price1", "1.2",
+              "--price2", "1", "--gamma", "1", "--omega", "2"],
+    "pair": ["sample", "--trials", "5", "--buyer-fixed-price", "1",
+             "--seller-fixed-price", "1.1", "--seed", "1"],
+    "grid cap": ["force", "--mean-price", "1", "--sigma", "0.3", "--gamma", "1",
+                 "--grid", f"0.5:2.0:{MAX_ROWS + 1}"],
+    "trials cap": ["sample", "--trials", str(MAX_ROWS + 1), "--buyer-mean-price", "1",
+                   "--buyer-sigma", "0.1", "--seller-mean-price", "1",
+                   "--seller-sigma", "0.1", "--seed", "1"],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(REJECTED))
+def test_rejected_call_loads_no_numpy(kind):
+    code, out, err, loaded = run_probe(*REJECTED[kind])
+    assert code == 2
+    assert out == ""
+    assert "error" in err and "Traceback" not in err
+    assert loaded == set()
+
+
+def test_rejected_config_loads_no_numpy(tmp_path):
+    path = tmp_path / "bad.cfg"
+    path.write_text(BAD_CONFIG, encoding="utf-8")
+    code, out, err, loaded = run_probe("run", str(path))
+    assert code == 2
+    assert "unknown key 'spin'" in err
+    assert loaded == set()
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("grid cap", f"qprop: error: grid needs at most {MAX_ROWS} points\n"),
+    ("trials cap", f"qprop: error: trials must be at most {MAX_ROWS}\n"),
+])
+def test_size_caps_are_checked_before_anything_is_built(kind, message):
+    """One past a cap exits 2 before numpy is loaded, so nothing was allocated."""
+    code, out, err, loaded = run_probe(*REJECTED[kind])
+    assert (code, out, err, loaded) == (2, "", message, set())
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["interference", "--theta", "0.3", "--phi", "0.2"], {"qprop.decision"}),
+    (["reversal", "--x1", "1", "--x2", "4"], {"qprop.decision"}),
+    (["order-effect", "--theta", "0.3", "--phi", "0.2", "--order", "ba"],
+     {"qprop.decision"}),
+    (["oscillator", "--sigma", "0.3", "--output", "csv"], {"qprop.propensity"}),
+    (["force", "--mean-price", "1", "--sigma", "0.3", "--gamma", "1",
+      "--grid", "0.5:2.0:5"], {"numpy", "qprop.propensity"}),
+    (["force", "--mean-price", "1", "--sigma", "0.3", "--price", "1.1"],
+     {"numpy", "qprop.propensity"}),
+    (["equivalence", "--trials", "3", "--seed", "1"],
+     {"numpy", "qprop.decision", "qprop.qubits"}),
+])
+def test_call_loads_only_its_model_modules(argv, expected):
+    code, out, err, loaded = run_probe(*argv)
+    assert code == 0 and err == ""
+    assert loaded == expected
+
+
+def test_every_export_resolves_to_its_home_module_object():
+    exported = [name for name in qprop.__all__ if name != "__version__"]
+    assert sorted(exported) == sorted(qprop._HOME)
+    assert len(exported) == len(set(exported))
+    for name in exported:
+        home = importlib.import_module(f"qprop.{qprop._HOME[name]}")
+        assert getattr(qprop, name) is getattr(home, name), name
+    assert set(qprop.__all__) <= set(dir(qprop))
+    assert qprop.decision is importlib.import_module("qprop.decision")
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        qprop.no_such_name  # noqa: B018
