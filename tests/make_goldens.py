@@ -30,6 +30,14 @@ CASES = {
         "order-effect", "--theta", "0.5236", "--phi", "0.7854",
         "--order", "ab", "--output", "json",
     ],
+    "order_effect_ba.csv": [
+        "order-effect", "--theta", "0.5236", "--phi", "0.7854",
+        "--order", "ba", "--output", "csv",
+    ],
+    "order_effect_ba.json": [
+        "order-effect", "--theta", "0.5236", "--phi", "0.7854",
+        "--order", "ba", "--output", "json",
+    ],
     "interference.csv": [
         "interference", "--theta", "0.5236", "--phi", "0.7854",
         "--output", "csv",
@@ -52,6 +60,14 @@ CASES = {
     "force_grid.json": [
         "force", "--mean-price", "1.0", "--sigma", "0.25", "--gamma", "1.0",
         "--grid", "0.5:2.0:9", "--output", "json",
+    ],
+    "force_point.json": [
+        "force", "--mean-price", "1.0", "--sigma", "0.25", "--gamma", "1.0",
+        "--price", "1.2", "--output", "json",
+    ],
+    "joint_fixed.json": [
+        "joint", "--buyer-mean-price", "1.05", "--buyer-sigma", "0.1",
+        "--seller-fixed-price", "0.95", "--output", "json",
     ],
     "joint_grid.json": [
         "joint", "--buyer-mean-price", "1.05", "--buyer-sigma", "0.1",
