@@ -18,7 +18,6 @@ _EXPORTS = {
         "EquivalenceReport",
         "EquivalenceSweep",
         "EventDistribution",
-        "Marginals",
         "OrderEffectSummary",
         "QuestionOrder",
         "ReversalDecision",

@@ -64,7 +64,6 @@ class Param:
     required: bool = False
     default: object = None
     choices: tuple = ()
-    cli_only: bool = False
     maximum: int | None = None     # posint cap, checked before anything is built
     help: str = ""
 
@@ -103,12 +102,12 @@ _MODEL_PARAMS: dict[str, list[Param]] = {
         Param("phi", "float", required=True, help="basis offset of question B (radians)"),
         Param("order", "choice", choices=("ab", "ba"), default="ab",
               help="which question is asked first"),
-        Param("degrees", "flag", cli_only=True, help="interpret angles as degrees"),
+        Param("degrees", "flag", help="interpret angles as degrees"),
     ],
     "interference": [
         Param("theta", "float", required=True, help="basis angle of question A (radians)"),
         Param("phi", "float", required=True, help="basis offset of question B (radians)"),
-        Param("degrees", "flag", cli_only=True, help="interpret angles as degrees"),
+        Param("degrees", "flag", help="interpret angles as degrees"),
     ],
     "equivalence": [
         Param("trials", "posint", required=True, help="number of random gate pairs"),
@@ -246,6 +245,15 @@ def _json_token(cell: str) -> str:
     return json.dumps(float(cell))
 
 
+def _is_finite(value) -> bool:
+    """False for a float, or a float array, holding a nan or an infinity."""
+    if getattr(getattr(value, "dtype", None), "kind", None) == "f":
+        import numpy as np
+
+        return bool(np.isfinite(value).all())
+    return not isinstance(value, float) or math.isfinite(value)
+
+
 def _quantities(results: dict, prefix: str = ""):
     """(name, value) pairs of a results listing; nested dicts flatten to
     parent_key names, and a curve's kind label is left out."""
@@ -258,7 +266,6 @@ def _quantities(results: dict, prefix: str = ""):
 
 @dataclass
 class CommandResult:
-    model: str
     results: dict                # numbers, strings, nested dicts and float arrays
     table: dict | None = None    # CSV columns by header; None: results as quantity,value
     exit_code: int = 0
@@ -311,32 +318,30 @@ def _grid_columns(spec: str) -> tuple[np.ndarray, np.ndarray]:
     return x, np.exp(x)
 
 
-def _marginals_dict(m: decision.Marginals) -> dict[str, float]:
+def _marginals_dict(m: decision.EventDistribution) -> dict[str, float]:
     return {"A_yes": m.a_yes, "A_no": m.a_no, "B_yes": m.b_yes, "B_no": m.b_no}
 
 
 def _exec_order_effect(params: dict) -> CommandResult:
     from . import decision
 
-    theta, phi = params["theta"], params["phi"]
-    order = decision.QuestionOrder(params["order"])
-    dist = decision.order_effect_circuit(decision.DecisionScenario(theta, phi, order))
+    theta, phi, order = params["theta"], params["phi"], params["order"]
     summary = decision.order_effect_summary(theta, phi)
+    joint = (summary.a_then_b if order == "ab" else summary.b_then_a).as_dict()
     marginals = {"a_then_b": _marginals_dict(summary.a_then_b),
                  "b_then_a": _marginals_dict(summary.b_then_a)}
     results = {
         "theta": theta,
         "phi": phi,
-        "order": order.value,
-        "joint": dist.as_dict(),
+        "order": order,
+        "joint": joint,
         "marginals": marginals,
         "order_effect_magnitude": decision.order_effect_magnitude(theta, phi),
     }
-    rows = [["joint", order.value, label, p] for label, p in dist.as_dict().items()]
-    for name, marg in (("ab", marginals["a_then_b"]), ("ba", marginals["b_then_a"])):
+    rows = [["joint", order, label, p] for label, p in joint.items()]
+    for name, marg in zip(("ab", "ba"), marginals.values()):
         rows.extend(["marginal", name, key, value] for key, value in marg.items())
-    return CommandResult("order-effect", results,
-                         dict(zip(["kind", "order", "label", "value"], zip(*rows))))
+    return CommandResult(results, dict(zip(["kind", "order", "label", "value"], zip(*rows))))
 
 
 def _exec_interference(params: dict) -> CommandResult:
@@ -351,7 +356,7 @@ def _exec_interference(params: dict) -> CommandResult:
         "interference": decision.interference_term(theta, phi),
         "order_effect_magnitude": decision.order_effect_magnitude(theta, phi),
     }
-    return CommandResult("interference", results)
+    return CommandResult(results)
 
 
 def _exec_equivalence(params: dict) -> CommandResult:
@@ -374,8 +379,7 @@ def _exec_equivalence(params: dict) -> CommandResult:
         "failures": failures,
         "all_passed": failures == 0,
     }
-    return CommandResult("equivalence", results,
-                         {key: [value] for key, value in results.items()},
+    return CommandResult(results, {key: [value] for key, value in results.items()},
                          exit_code=0 if failures == 0 else 1,
                          message=None if failures == 0 else
                          f"{failures} of {trials} gate pairs deviated beyond {tol:g} "
@@ -388,7 +392,7 @@ def _exec_reversal(params: dict) -> CommandResult:
     outcome = decision.preference_reversal_switch(params["x1"], params["x2"])
     results = {"x1": outcome.x1, "x2": outcome.x2,
                "ratio": outcome.ratio, "switches": outcome.switches}
-    return CommandResult("reversal", results)
+    return CommandResult(results)
 
 
 def _exec_force(params: dict) -> CommandResult:
@@ -396,32 +400,24 @@ def _exec_force(params: dict) -> CommandResult:
 
     curve = propensity.GaussianCurve(math.log(params["mean_price"]), params["sigma"])
     scale = _resolve_scale(params)
-    grid = params.get("grid")
-    price = params.get("price")
-    if grid is not None:
-        x, prices = _grid_columns(grid)
-        dens = propensity.density(curve, x)
-        force = propensity.entropic_force(curve, x, scale)
-        results = {
-            "mu": curve.mu,
-            "sigma": curve.sigma,
-            "gamma": scale.gamma,
-            "force_constant": scale.gamma / curve.sigma ** 2,
-            "columns": {"x": x, "price": prices, "density": dens, "force": force},
-        }
-        return CommandResult("force", results, results["columns"])
-    x = math.log(price)
+    columns = None
+    if params.get("grid") is not None:   # a grid reports underflow before force_constant
+        x, prices = _grid_columns(params["grid"])
+        columns = {"x": x, "price": prices, "density": propensity.density(curve, x),
+                   "force": propensity.entropic_force(curve, x, scale)}
     results = {
         "mu": curve.mu,
         "sigma": curve.sigma,
         "gamma": scale.gamma,
         "force_constant": scale.gamma / curve.sigma ** 2,
-        "x": x,
-        "price": price,
-        "density": propensity.density(curve, x),
-        "force": propensity.entropic_force(curve, x, scale),
     }
-    return CommandResult("force", results)
+    if columns is not None:
+        results["columns"] = columns
+    else:
+        x = math.log(params["price"])
+        results.update(x=x, price=params["price"], density=propensity.density(curve, x),
+                       force=propensity.entropic_force(curve, x, scale))
+    return CommandResult(results, columns)
 
 
 def _exec_oscillator(params: dict) -> CommandResult:
@@ -431,7 +427,7 @@ def _exec_oscillator(params: dict) -> CommandResult:
                                     hbar=params["hbar"])
     results = {"sigma": p.sigma, "omega": p.omega, "hbar": p.hbar,
                "mass": p.mass, "gamma": p.gamma, "force_constant": p.force_constant}
-    return CommandResult("oscillator", results)
+    return CommandResult(results)
 
 
 def _gaussian_side(params: dict, side: str) -> propensity.GaussianCurve:
@@ -470,36 +466,29 @@ def _exec_joint(params: dict) -> CommandResult:
     from . import propensity
 
     pair = _build_pair(params)
-    grid = params.get("grid")
-    if grid is not None:
+    columns = None
+    if params.get("grid") is not None:
         scale = _resolve_scale(params)
-        x, prices = _grid_columns(grid)
-        buyer_density = propensity.density(pair.buyer, x)
-        seller_density = propensity.density(pair.seller, x)
-        joint_density = pair.scale * propensity.density(pair.joint, x)
-        buyer_force = propensity.entropic_force(pair.buyer, x, scale)
-        seller_force = propensity.entropic_force(pair.seller, x, scale)
-        joint_force = propensity.entropic_force(pair.joint, x, scale)
-        header = ["x", "price", "buyer_density", "seller_density", "joint_density",
-                  "buyer_force", "seller_force", "joint_force"]
-        columns = [x, prices, buyer_density, seller_density, joint_density,
-                   buyer_force, seller_force, joint_force]
-        results = {
-            "buyer": _curve_dict(pair.buyer),
-            "seller": _curve_dict(pair.seller),
-            "joint": _curve_dict(pair.joint),
-            "scale": pair.scale,
-            "gamma": scale.gamma,
-            "columns": dict(zip(header, columns)),
+        x, prices = _grid_columns(params["grid"])
+        columns = {
+            "x": x,
+            "price": prices,
+            "buyer_density": propensity.density(pair.buyer, x),
+            "seller_density": propensity.density(pair.seller, x),
+            "joint_density": pair.scale * propensity.density(pair.joint, x),
+            "buyer_force": propensity.entropic_force(pair.buyer, x, scale),
+            "seller_force": propensity.entropic_force(pair.seller, x, scale),
+            "joint_force": propensity.entropic_force(pair.joint, x, scale),
         }
-        return CommandResult("joint", results, results["columns"])
     results = {
         "buyer": _curve_dict(pair.buyer),
         "seller": _curve_dict(pair.seller),
         "joint": _curve_dict(pair.joint),
         "scale": pair.scale,
     }
-    return CommandResult("joint", results)
+    if columns is not None:
+        results.update(gamma=scale.gamma, columns=columns)
+    return CommandResult(results, columns)
 
 
 def _exec_work(params: dict) -> CommandResult:
@@ -520,7 +509,7 @@ def _exec_work(params: dict) -> CommandResult:
         "delta_e": delta_e,
         "density_ratio": math.exp(delta_e / scale.gamma),
     }
-    return CommandResult("work", results)
+    return CommandResult(results)
 
 
 def _exec_sample(params: dict) -> CommandResult:
@@ -531,7 +520,8 @@ def _exec_sample(params: dict) -> CommandResult:
     pair = _build_pair(params)
     rng = np.random.default_rng(params["seed"])
     draws = propensity.sample_prices(pair, params["trials"], rng)
-    prices = np.exp(draws)
+    with np.errstate(over="ignore"):     # an infinite price is refused by _run_model
+        prices = np.exp(draws)
     results = {
         "trials": params["trials"],
         "joint": _curve_dict(pair.joint),
@@ -539,8 +529,7 @@ def _exec_sample(params: dict) -> CommandResult:
         "log_prices": draws,
         "prices": prices,
     }
-    return CommandResult("sample", results,
-                         {"index": np.arange(len(draws)), "x": draws, "price": prices})
+    return CommandResult(results, {"index": np.arange(len(draws)), "x": draws, "price": prices})
 
 
 _EXECUTORS = {
@@ -687,7 +676,7 @@ def load_config(path: str) -> tuple[str, dict, str, int | None]:
         raise UsageError(f"{path}: unexpected section(s): {', '.join(sorted(extras))}")
     if not parser.has_section(model):
         raise UsageError(f"{path}: missing [{model}] section")
-    specs = {s.config_key: s for s in _MODEL_PARAMS[model] if not s.cli_only}
+    specs = {s.config_key: s for s in _MODEL_PARAMS[model] if s.kind != "flag"}
     params: dict = {}
     seed: int | None = None
     for key in parser[model]:
@@ -755,15 +744,15 @@ def _render_json(record: dict) -> str:
     return "".join(out) + "\n"
 
 
-def _render(result: CommandResult, params: dict, output: str,
+def _render(result: CommandResult, model: str, params: dict, output: str,
             seed: int | None, elapsed_ms: float) -> str:
     if output == "csv":
         return _render_csv(result)
     echo = {key: value for key, value in params.items()
             if value is not None and key != "seed"}
     record = {
-        "command": result.model,
-        "config": {"model": result.model, "parameters": _round12(echo),
+        "command": model,
+        "config": {"model": model, "parameters": _round12(echo),
                    "output": output},
         "version": __version__,
         "seed": seed,
@@ -812,7 +801,10 @@ def _run_model(model: str, params: dict, output: str, seed: int | None,
     except RuntimeError as exc:           # a model's self-check failed
         raise ModelError(str(exc))
     elapsed_ms = (time.perf_counter() - start) * 1000.0
-    _write(_render(result, params, output, seed, elapsed_ms), out_path)
+    for name, value in _quantities(result.results):
+        if not _is_finite(value):
+            raise UsageError(f"parameters out of floating-point range: {name} is not finite")
+    _write(_render(result, model, params, output, seed, elapsed_ms), out_path)
     if result.message:
         print(f"qprop: {result.message}", file=sys.stderr)
     return result.exit_code

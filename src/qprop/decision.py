@@ -64,7 +64,8 @@ class DecisionScenario:
 
 @dataclass(frozen=True)
 class EventDistribution:
-    """Joint probabilities of the four answer pairs, "yes" outcomes first."""
+    """Joint probabilities of the four answer pairs, "yes" outcomes first,
+    with the single-question marginals they sum to."""
 
     p_yes_yes: float
     p_yes_no: float
@@ -102,23 +103,14 @@ class EventDistribution:
 
 
 @dataclass(frozen=True)
-class Marginals:
-    """Single-question yes/no probabilities under one asking order."""
-
-    a_yes: float
-    a_no: float
-    b_yes: float
-    b_no: float
-
-
-@dataclass(frozen=True)
 class OrderEffectSummary:
-    """Marginals for both asking orders at one (theta, phi)."""
+    """The answer events of both asking orders at one (theta, phi); each
+    carries its yes/no marginals as properties."""
 
     theta: float
     phi: float
-    a_then_b: Marginals
-    b_then_a: Marginals
+    a_then_b: EventDistribution
+    b_then_a: EventDistribution
 
 
 @dataclass(frozen=True)
@@ -199,29 +191,24 @@ def _b_then_a_marginals(theta: float, phi: float) -> tuple[float, ...]:
 
 
 def order_effect_summary(theta: float, phi: float) -> OrderEffectSummary:
-    """Yes/no marginals for both asking orders.
+    """Answer events and yes/no marginals for both asking orders.
 
-    Values come from the circuit and are cross-checked against the closed
-    forms; a disagreement beyond 1e-12 means the engine is broken and raises
-    RuntimeError.
+    Values come from the circuit and its marginals are cross-checked against
+    the closed forms; a disagreement beyond 1e-12 means the engine is broken
+    and raises RuntimeError.
     """
     _check_angles(theta, phi)
-    closed = {
-        QuestionOrder.A_THEN_B: _a_then_b_marginals(theta, phi),
-        QuestionOrder.B_THEN_A: _b_then_a_marginals(theta, phi),
-    }
-    rows: dict[QuestionOrder, Marginals] = {}
-    for order, expected in closed.items():
-        yy, yn, ny, nn = _order_effect_events(theta, phi, order)
-        got = (yy + yn, ny + nn, yy + ny, yn + nn)
+    dists = []
+    for order, expected in ((QuestionOrder.A_THEN_B, _a_then_b_marginals(theta, phi)),
+                            (QuestionOrder.B_THEN_A, _b_then_a_marginals(theta, phi))):
+        dist = EventDistribution(*_order_effect_events(theta, phi, order))
+        got = (dist.a_yes, dist.a_no, dist.b_yes, dist.b_no)
         dev = max(abs(g - e) for g, e in zip(got, expected))
         if dev > CLOSED_FORM_TOL:
             raise RuntimeError(
                 f"circuit marginals deviate from closed forms by {dev:g}")
-        rows[order] = Marginals(*got)
-    return OrderEffectSummary(theta, phi,
-                              rows[QuestionOrder.A_THEN_B],
-                              rows[QuestionOrder.B_THEN_A])
+        dists.append(dist)
+    return OrderEffectSummary(theta, phi, *dists)
 
 
 def unmeasured_b_yes(theta: float, phi: float) -> float:

@@ -197,7 +197,9 @@ def entropic_force(curve: PropensityCurve, x, scale: EntropicScale):
 
     _require_positive_density(curve, x)
     k = scale.gamma / curve.sigma ** 2
-    out = -k * (np.asarray(x, dtype=np.float64) - curve.mu)
+    # k overflows to inf for extreme widths; the caller sees the inf or nan.
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = -k * (np.asarray(x, dtype=np.float64) - curve.mu)
     return out if out.ndim else float(out)
 
 

@@ -12,6 +12,7 @@ wall_time_ms field; comparisons mask its value and nothing else.
 import argparse
 import contextlib
 import io
+import json
 import pathlib
 import re
 
@@ -97,6 +98,16 @@ def mask_timing(text: str) -> str:
     return _WALL_TIME.sub('"wall_time_ms": 0', text)
 
 
+def _reject_constant(token: str):
+    raise ValueError(f"{token} is not a JSON number (RFC 8259)")
+
+
+def strict_json(text: str):
+    """Parse a JSON output, refusing the NaN and Infinity that json.loads
+    accepts by default."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 def emit(argv: list[str]) -> str:
     buffer = io.StringIO()
     with contextlib.redirect_stdout(buffer):
@@ -111,6 +122,11 @@ def drifted() -> dict[str, str]:
     out = {}
     for name, argv in CASES.items():
         text = emit(argv)
+        if name.endswith(".json"):        # a NaN or Infinity is never pinned
+            try:
+                strict_json(text)
+            except ValueError as exc:
+                raise RuntimeError(f"golden/{name}: {exc}")
         path = GOLDEN_DIR / name
         old = path.read_text(encoding="utf-8") if path.exists() else None
         if old is None or mask_timing(old) != mask_timing(text):

@@ -16,7 +16,7 @@ from qprop import cli, decision
 from qprop.cli import MAX_ROWS, _cells, _fmt, _json_tokens, main
 
 import make_goldens
-from make_goldens import CASES, GOLDEN_DIR, mask_timing
+from make_goldens import CASES, GOLDEN_DIR, mask_timing, strict_json
 
 CSV_CASES = {name: argv for name, argv in CASES.items() if name.endswith(".csv")}
 JSON_CASES = {name: argv for name, argv in CASES.items() if name.endswith(".json")}
@@ -31,8 +31,9 @@ def run_cli(argv):
 
 
 def normalize_json(text):
-    """Parse a JSON record and drop the only timing-dependent field."""
-    record = json.loads(text)
+    """Parse a JSON record, refusing NaN and Infinity, and drop the only
+    timing-dependent field."""
+    record = strict_json(text)
     assert isinstance(record.pop("wall_time_ms"), float)
     return record
 
@@ -87,6 +88,19 @@ def test_golden_check_reports_drift_and_writes_nothing(tmp_path, monkeypatch, ca
     assert drifted.read_text(encoding="utf-8") == stale
     drifted.write_bytes((GOLDEN_DIR / "force_grid.json").read_bytes())
     assert make_goldens.main() == 0
+
+
+def test_golden_check_refuses_nonfinite_json(monkeypatch, capsys):
+    with pytest.raises(ValueError, match="Infinity is not a JSON number"):
+        strict_json('{"ratio": Infinity}')
+    with pytest.raises(ValueError, match="NaN is not a JSON number"):
+        strict_json('[1.0, NaN]')
+    monkeypatch.setattr(make_goldens, "emit",
+                        lambda argv: (GOLDEN_DIR / "force_grid.json").read_text(
+                            encoding="utf-8").replace("16.0", "NaN"))
+    monkeypatch.setattr(sys, "argv", ["make_goldens.py", "--check"])
+    with pytest.raises(RuntimeError, match="NaN is not a JSON number"):
+        make_goldens.main()
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -453,7 +467,7 @@ def config_texts(draw):
     """INI text near a valid config of a model: most keys present, some
     values extreme or malformed, now and then a section, key or line wrong."""
     model = draw(st.sampled_from([*cli._MODEL_PARAMS, "nosuch"]))
-    specs = [spec for spec in cli._MODEL_PARAMS.get(model, []) if not spec.cli_only]
+    specs = [spec for spec in cli._MODEL_PARAMS.get(model, []) if spec.kind != "flag"]
     rare = st.integers(0, 19).map(lambda n: n == 0)
     lines = [] if draw(rare) else ["[run]", f"model = {model}"]
     if draw(st.booleans()):
@@ -633,6 +647,24 @@ def test_far_tail_density_prints_only_the_error_line():
     assert proc.stdout == ""
     assert proc.stderr.startswith("qprop: error: density underflow")
     assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["reversal", "--x1", "1e-320", "--x2", "1e308"], "ratio"),
+    (["force", "--mean-price", "1", "--sigma", "1e-150", "--price", "1",
+      "--gamma", "1e300"], "force_constant"),
+    (["sample", "--trials", "2000", "--buyer-mean-price", "1", "--buyer-sigma", "1000",
+      "--seller-mean-price", "1", "--seller-sigma", "1000", "--seed", "1"], "prices"),
+])
+def test_nonfinite_results_exit_2_with_one_line(argv, name):
+    """A result that leaves the float range is refused, not printed as NaN
+    or Infinity, and no numpy warning reaches stderr ahead of the error."""
+    proc = subprocess.run([sys.executable, "-W", "default", "-m", "qprop", *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        f"qprop: error: parameters out of floating-point range: {name} is not finite\n")
 
 
 def test_failed_cross_check_exits_1(monkeypatch, capsys):

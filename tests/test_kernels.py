@@ -200,14 +200,15 @@ def test_order_effect_equals_the_oracle_bit_for_bit():
     angles += [(0.0, 0.0), (1e-300, -1e-300), (1e6, -3.5), (-0.0, math.pi)]
     for theta, phi in angles:
         summary = order_effect_summary(theta, phi)
-        for order, marginals in ((QuestionOrder.A_THEN_B, summary.a_then_b),
-                                 (QuestionOrder.B_THEN_A, summary.b_then_a)):
+        for order, dist in ((QuestionOrder.A_THEN_B, summary.a_then_b),
+                            (QuestionOrder.B_THEN_A, summary.b_then_a)):
             want = oracle_order_effect(theta, phi, order)
             got = order_effect_circuit(DecisionScenario(theta, phi, order))
             assert np.array_equal(bits(got.as_tuple()), bits(want))
+            assert np.array_equal(bits(dist.as_tuple()), bits(want))
             yy, yn, ny, nn = want
             assert np.array_equal(
-                bits((marginals.a_yes, marginals.a_no, marginals.b_yes, marginals.b_no)),
+                bits((dist.a_yes, dist.a_no, dist.b_yes, dist.b_no)),
                 bits((yy + yn, ny + nn, yy + ny, yn + nn)))
 
 
