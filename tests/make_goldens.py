@@ -43,11 +43,24 @@ CASES = {
         "interference", "--theta", "0.5236", "--phi", "0.7854",
         "--output", "csv",
     ],
+    "interference.json": [
+        "interference", "--theta", "0.5236", "--phi", "0.7854",
+        "--output", "json",
+    ],
+    "reversal.csv": [
+        "reversal", "--x1", "1.5", "--x2", "4.0", "--output", "csv",
+    ],
+    "reversal.json": [
+        "reversal", "--x1", "1.5", "--x2", "4.0", "--output", "json",
+    ],
     "equivalence.json": [
         "equivalence", "--trials", "5", "--seed", "7", "--output", "json",
     ],
     "oscillator.csv": [
         "oscillator", "--sigma", "0.25", "--omega", "2.0", "--output", "csv",
+    ],
+    "oscillator.json": [
+        "oscillator", "--sigma", "0.25", "--omega", "2.0", "--output", "json",
     ],
     "force_grid.csv": [
         "force", "--mean-price", "1.0", "--sigma", "0.25", "--gamma", "1.0",
