@@ -31,7 +31,7 @@ import re
 import sys
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from . import __version__
 
@@ -41,7 +41,8 @@ if TYPE_CHECKING:
     from . import decision, propensity
 
 # Largest grid (N of LO:HI:N) and largest number of sample draws: both are
-# output rows, about 0.4-0.5 KB of peak memory each in a force grid.
+# output rows, about 0.27 KB (JSON) to 0.46 KB (CSV) of peak memory each in
+# a force grid.
 MAX_ROWS = 2_000_000
 
 
@@ -75,105 +76,25 @@ class Param:
     def config_key(self) -> str:
         return self.name.replace("_", "-")
 
-
-def _curve_pair_params() -> list[Param]:
-    out = []
-    for side in ("buyer", "seller"):
-        out.append(Param(f"{side}_mean_price", "posfloat",
-                         help=f"{side} mean price in currency units"))
-        out.append(Param(f"{side}_sigma", "posfloat",
-                         help=f"{side} curve width in log-price units"))
-        out.append(Param(f"{side}_fixed_price", "posfloat",
-                         help=f"fixed, non-negotiable {side} price"))
-    return out
+    @property
+    def convert(self) -> Callable[[str], object]:
+        """Text to value: the flag's argparse type and the config key's parser."""
+        return {"float": float, "posfloat": float, "posint": int}.get(self.kind, str)
 
 
-def _scale_params() -> list[Param]:
-    return [
-        Param("gamma", "posfloat", help="energy scale used directly"),
-        Param("omega", "posfloat", help="oscillator frequency (gamma = hbar*omega/2)"),
-        Param("hbar", "posfloat", help="action quantum, defaults to 1"),
-    ]
-
-
-_MODEL_PARAMS: dict[str, list[Param]] = {
-    "order-effect": [
-        Param("theta", "float", required=True, help="basis angle of question A (radians)"),
-        Param("phi", "float", required=True, help="basis offset of question B (radians)"),
-        Param("order", "choice", choices=("ab", "ba"), default="ab",
-              help="which question is asked first"),
-        Param("degrees", "flag", help="interpret angles as degrees"),
-    ],
-    "interference": [
-        Param("theta", "float", required=True, help="basis angle of question A (radians)"),
-        Param("phi", "float", required=True, help="basis offset of question B (radians)"),
-        Param("degrees", "flag", help="interpret angles as degrees"),
-    ],
-    "equivalence": [
-        Param("trials", "posint", required=True, help="number of random gate pairs"),
-        Param("tol", "float", default=1e-12, help="per-event tolerance"),
-    ],
-    "reversal": [
-        Param("x1", "posfloat", required=True, help="cost of the less attractive option"),
-        Param("x2", "posfloat", required=True, help="cost of the more attractive option"),
-    ],
-    "force": [
-        Param("mean_price", "posfloat", required=True, help="curve mean in currency units"),
-        Param("sigma", "posfloat", required=True, help="curve width in log-price units"),
-        Param("price", "posfloat", help="evaluation price in currency units"),
-        *_scale_params(),
-        Param("grid", "grid", help="LO:HI:N price grid for curve output"),
-    ],
-    "oscillator": [
-        Param("sigma", "posfloat", required=True, help="curve width in log-price units"),
-        Param("omega", "posfloat", default=1.0, help="oscillator frequency"),
-        Param("hbar", "posfloat", default=1.0, help="action quantum"),
-    ],
-    "joint": [
-        *_curve_pair_params(),
-        *_scale_params(),
-        Param("grid", "grid", help="LO:HI:N price grid for curve output"),
-    ],
-    "work": [
-        Param("mean_price", "posfloat", required=True, help="curve mean in currency units"),
-        Param("sigma", "posfloat", required=True, help="curve width in log-price units"),
-        Param("price1", "posfloat", required=True, help="starting price"),
-        Param("price2", "posfloat", required=True, help="ending price"),
-        *_scale_params(),
-    ],
-    "sample": [
-        Param("trials", "posint", required=True, maximum=MAX_ROWS,
-              help="number of price draws"),
-        *_curve_pair_params(),
-    ],
-}
-
-_MODEL_HELP = {
-    "order-effect": "joint answer probabilities and marginals for both question orders",
-    "interference": "gap between deciding B with and without settling A first",
-    "equivalence": "sequential versus entangled circuit check over random gate pairs",
-    "reversal": "cost-ratio rule for preference reversal",
-    "force": "entropic force of a propensity curve",
-    "oscillator": "oscillator parameters derived from a curve width",
-    "joint": "product of buyer and seller propensity curves",
-    "work": "energy to move a mental price state between two prices",
-    "sample": "seeded price draws from a joint propensity",
-}
-
-_STOCHASTIC = frozenset({"equivalence", "sample"})
-
-# The modules each model computes with, imported before its timer starts.
-_MODEL_MODULES = {
-    "order-effect": (".decision",),
-    "interference": (".decision",),
-    "equivalence": (".decision", ".qubits", "numpy"),
-    "reversal": (".decision",),
-    "force": (".propensity", "numpy"),
-    "oscillator": (".propensity",),
-    "joint": (".propensity", "numpy"),
-    "work": (".propensity", "numpy"),
-    "sample": (".propensity", "numpy"),
-}
+_ANGLES = (Param("theta", "float", required=True, help="basis angle of question A (radians)"),
+           Param("phi", "float", required=True, help="basis offset of question B (radians)"))
+_DEGREES = Param("degrees", "flag", help="interpret angles as degrees")
+_CURVE = (Param("mean_price", "posfloat", required=True, help="curve mean in currency units"),
+          Param("sigma", "posfloat", required=True, help="curve width in log-price units"))
+_SCALE = (Param("gamma", "posfloat", help="energy scale used directly"),
+          Param("omega", "posfloat", help="oscillator frequency (gamma = hbar*omega/2)"),
+          Param("hbar", "posfloat", help="action quantum, defaults to 1"))
+_PAIR = tuple(param for side in ("buyer", "seller") for param in (
+    Param(f"{side}_mean_price", "posfloat", help=f"{side} mean price in currency units"),
+    Param(f"{side}_sigma", "posfloat", help=f"{side} curve width in log-price units"),
+    Param(f"{side}_fixed_price", "posfloat", help=f"fixed, non-negotiable {side} price")))
+_GRID = Param("grid", "grid", help="LO:HI:N price grid for curve output")
 
 
 # ============================================================
@@ -189,24 +110,6 @@ def _fmt(value) -> str:
     if isinstance(value, numbers.Real):
         return format(float(value) + 0.0, ".12g")
     return str(value)
-
-
-def _round12(obj):
-    """Payload copy with every float rounded to 12 significant digits.
-
-    Arrays pass through untouched; _render_json formats them as columns.
-    """
-    if isinstance(obj, dict):
-        return {k: _round12(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round12(v) for v in obj]
-    if isinstance(obj, bool):
-        return obj
-    if isinstance(obj, numbers.Integral):
-        return int(obj)
-    if isinstance(obj, numbers.Real):
-        return float(format(float(obj) + 0.0, ".12g"))
-    return obj
 
 
 def _cells(column) -> list[str]:
@@ -225,8 +128,8 @@ def _cells(column) -> list[str]:
     return [_fmt(value) for value in column]
 
 
-def _json_tokens(column: np.ndarray) -> list[str]:
-    """JSON numbers of a float column, as json.dumps prints _round12 of each value.
+def _json_tokens(column: np.ndarray | list[float]) -> list[str]:
+    """JSON numbers of a float column: json.dumps of each value at 12 digits.
 
     A 12-digit cell is already the token unless it lacks a decimal point
     or has an exponent; _json_token settles those few.
@@ -532,16 +435,57 @@ def _exec_sample(params: dict) -> CommandResult:
     return CommandResult(results, {"index": np.arange(len(draws)), "x": draws, "price": prices})
 
 
-_EXECUTORS = {
-    "order-effect": _exec_order_effect,
-    "interference": _exec_interference,
-    "equivalence": _exec_equivalence,
-    "reversal": _exec_reversal,
-    "force": _exec_force,
-    "oscillator": _exec_oscillator,
-    "joint": _exec_joint,
-    "work": _exec_work,
-    "sample": _exec_sample,
+@dataclass(frozen=True)
+class Command:
+    help: str
+    params: tuple                  # of Param, in flag order
+    run: Callable[[dict], CommandResult]
+    modules: tuple                 # imported before the timer starts
+    stochastic: bool = False       # takes --seed or QPROP_SEED
+
+
+COMMANDS = {
+    "order-effect": Command(
+        "joint answer probabilities and marginals for both question orders",
+        (*_ANGLES, Param("order", "choice", choices=("ab", "ba"), default="ab",
+                         help="which question is asked first"), _DEGREES),
+        _exec_order_effect, (".decision",)),
+    "interference": Command(
+        "gap between deciding B with and without settling A first",
+        (*_ANGLES, _DEGREES), _exec_interference, (".decision",)),
+    "equivalence": Command(
+        "sequential versus entangled circuit check over random gate pairs",
+        (Param("trials", "posint", required=True, help="number of random gate pairs"),
+         Param("tol", "float", default=1e-12, help="per-event tolerance")),
+        _exec_equivalence, (".decision", ".qubits", "numpy"), stochastic=True),
+    "reversal": Command(
+        "cost-ratio rule for preference reversal",
+        (Param("x1", "posfloat", required=True, help="cost of the less attractive option"),
+         Param("x2", "posfloat", required=True, help="cost of the more attractive option")),
+        _exec_reversal, (".decision",)),
+    "force": Command(
+        "entropic force of a propensity curve",
+        (*_CURVE, Param("price", "posfloat", help="evaluation price in currency units"),
+         *_SCALE, _GRID),
+        _exec_force, (".propensity", "numpy")),
+    "oscillator": Command(
+        "oscillator parameters derived from a curve width",
+        (_CURVE[1], Param("omega", "posfloat", default=1.0, help="oscillator frequency"),
+         Param("hbar", "posfloat", default=1.0, help="action quantum")),
+        _exec_oscillator, (".propensity",)),
+    "joint": Command(
+        "product of buyer and seller propensity curves",
+        (*_PAIR, *_SCALE, _GRID), _exec_joint, (".propensity", "numpy")),
+    "work": Command(
+        "energy to move a mental price state between two prices",
+        (*_CURVE, Param("price1", "posfloat", required=True, help="starting price"),
+         Param("price2", "posfloat", required=True, help="ending price"), *_SCALE),
+        _exec_work, (".propensity", "numpy")),
+    "sample": Command(
+        "seeded price draws from a joint propensity",
+        (Param("trials", "posint", required=True, maximum=MAX_ROWS,
+               help="number of price draws"), *_PAIR),
+        _exec_sample, (".propensity", "numpy"), stochastic=True),
 }
 
 
@@ -550,7 +494,7 @@ _EXECUTORS = {
 # ============================================================
 
 def _validate_params(model: str, params: dict) -> None:
-    for spec in _MODEL_PARAMS[model]:
+    for spec in COMMANDS[model].params:
         value = params.get(spec.name)
         if value is None:
             continue
@@ -629,17 +573,6 @@ def _line_of(text: str, key: str) -> str:
     return "?"
 
 
-def _convert_config_value(spec: Param, raw: str, where: str) -> object:
-    try:
-        if spec.kind in ("float", "posfloat"):
-            return float(raw)
-        if spec.kind == "posint":
-            return int(raw)
-    except ValueError:
-        raise UsageError(f"{where}: {spec.config_key} must be a number, got {raw!r}")
-    return raw.strip()
-
-
 def load_config(path: str) -> tuple[str, dict, str, int | None]:
     """Parse a key = value config file into (model, params, output, seed).
 
@@ -665,9 +598,9 @@ def load_config(path: str) -> tuple[str, dict, str, int | None]:
     model = run.get("model")
     if not model:
         raise UsageError(f"{path}: [run] must name a model")
-    if model not in _MODEL_PARAMS:
+    if model not in COMMANDS:
         raise UsageError(f"{path}: unknown model {model!r}; choose from "
-                         f"{', '.join(sorted(_MODEL_PARAMS))}")
+                         f"{', '.join(sorted(COMMANDS))}")
     output = run.get("output", "json")
     if output not in ("json", "csv"):
         raise UsageError(f"{path}: output must be json or csv, got {output!r}")
@@ -676,14 +609,14 @@ def load_config(path: str) -> tuple[str, dict, str, int | None]:
         raise UsageError(f"{path}: unexpected section(s): {', '.join(sorted(extras))}")
     if not parser.has_section(model):
         raise UsageError(f"{path}: missing [{model}] section")
-    specs = {s.config_key: s for s in _MODEL_PARAMS[model] if s.kind != "flag"}
+    specs = {s.config_key: s for s in COMMANDS[model].params if s.kind != "flag"}
     params: dict = {}
     seed: int | None = None
     for key in parser[model]:
         raw = parser[model][key]
         where = f"{path}:{_line_of(text, key)}"
         if key == "seed":
-            if model not in _STOCHASTIC:
+            if not COMMANDS[model].stochastic:
                 raise UsageError(f"{where}: unknown key 'seed' for model {model!r}")
             try:
                 seed = int(raw)
@@ -692,7 +625,10 @@ def load_config(path: str) -> tuple[str, dict, str, int | None]:
             continue
         if key not in specs:
             raise UsageError(f"{where}: unknown key {key!r} for model {model!r}")
-        params[specs[key].name] = _convert_config_value(specs[key], raw, where)
+        try:
+            params[specs[key].name] = specs[key].convert(raw.strip())
+        except ValueError:
+            raise UsageError(f"{where}: {key} must be a number, got {raw!r}")
     for spec in specs.values():
         if spec.name not in params:
             if spec.required:
@@ -713,35 +649,27 @@ def _render_csv(result: CommandResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-# Stands in for an array while json.dumps runs. No string of a record holds a
-# NUL: argv cannot carry one, and the only free-text value (a grid spec) is
-# parsed as numbers before anything is rendered.
-_ARRAY_SLOT = "\0array"
+def _json_pieces(value, out: list, indent: str = "\n") -> None:
+    """Append json.dumps(value, indent=2) to out in pieces, floats at 12 digits.
 
-
-def _render_json(record: dict) -> str:
-    """json.dumps(record, indent=2), with each float array formatted as a column.
-
-    json.dumps leaves a placeholder where an array goes; each placeholder is
-    then replaced by the array's tokens at the indent of the line it is on.
-    Arrays are never empty: grids have two points or more, samples one draw.
+    Every float, alone or in an array, is printed by _json_tokens, and each
+    float array as a list. Arrays are never empty: grids have two points or
+    more, samples one draw.
     """
-    arrays = []
-
-    def defer(array: np.ndarray) -> str:
-        arrays.append(array)
-        return _ARRAY_SLOT
-
-    pieces = json.dumps(record, indent=2, default=defer).split(
-        json.dumps(_ARRAY_SLOT))
-    out = [pieces[0]]
-    for array, piece in zip(arrays, pieces[1:]):
-        line = out[-1][out[-1].rfind("\n") + 1:]
-        indent = "\n" + " " * (len(line) - len(line.lstrip(" ")))
-        item = indent + "  "
-        out.append("[" + item + ("," + item).join(_json_tokens(array)) + indent + "]")
-        out.append(piece)
-    return "".join(out) + "\n"
+    inner = indent + "  "
+    if isinstance(value, dict) and value:
+        opening = "{"
+        for key, item in value.items():
+            out.append(opening + inner + json.dumps(key) + ": ")
+            _json_pieces(item, out, inner)
+            opening = ","
+        out.append(indent + "}")
+    elif isinstance(value, float):
+        out.extend(_json_tokens([value]))
+    elif hasattr(value, "dtype"):
+        out.append("[" + inner + ("," + inner).join(_json_tokens(value)) + indent + "]")
+    else:
+        out.append(json.dumps(value))
 
 
 def _render(result: CommandResult, model: str, params: dict, output: str,
@@ -752,14 +680,16 @@ def _render(result: CommandResult, model: str, params: dict, output: str,
             if value is not None and key != "seed"}
     record = {
         "command": model,
-        "config": {"model": model, "parameters": _round12(echo),
-                   "output": output},
+        "config": {"model": model, "parameters": echo, "output": output},
         "version": __version__,
         "seed": seed,
         "wall_time_ms": round(elapsed_ms, 3),
-        "results": _round12(result.results),
+        "results": result.results,
     }
-    return _render_json(record)
+    out: list[str] = []
+    _json_pieces(record, out)
+    out.append("\n")
+    return "".join(out)
 
 
 def _write(text: str, out_path: str | None) -> None:
@@ -778,22 +708,21 @@ def _write(text: str, out_path: str | None) -> None:
 
 
 def _run_model(model: str, params: dict, output: str, seed: int | None,
-               out_path: str | None = None) -> int:
+               out_path: str | None) -> int:
+    command = COMMANDS[model]
     _validate_params(model, params)
-    if model in _STOCHASTIC:
+    if command.stochastic:
         if seed is None:
             raise UsageError(f"model {model!r} is stochastic; pass --seed or set QPROP_SEED")
         if seed < 0:
             raise UsageError("seed must be a nonnegative integer")
         params = dict(params, seed=seed)
-    else:
-        seed = None
     _check_combinations(model, params)
-    for name in _MODEL_MODULES[model]:
+    for name in command.modules:
         importlib.import_module(name, __package__)
     start = time.perf_counter()
     try:
-        result = _EXECUTORS[model](params)
+        result = command.run(params)
     except ValueError as exc:
         raise UsageError(str(exc))
     except ArithmeticError as exc:        # a result beyond the range of a float
@@ -816,23 +745,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Decision circuits and propensity dynamics for economic choices.")
     parser.add_argument("--version", action="version", version=f"qprop {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-    for model, specs in _MODEL_PARAMS.items():
-        p = sub.add_parser(model, help=_MODEL_HELP[model])
-        for spec in specs:
+    # A value such as -1e3 is a number, not an option: argparse's own rule
+    # takes -2 and -2.5 for numbers, but not an exponent form.
+    negative_number = re.compile(r"^-\.?\d")
+    for model, command in COMMANDS.items():
+        p = sub.add_parser(model, help=command.help)
+        p._negative_number_matcher = negative_number
+        for spec in command.params:
             if spec.kind == "flag":
                 p.add_argument(spec.flag, action="store_true", help=spec.help)
-            elif spec.kind == "posint":
-                p.add_argument(spec.flag, type=int, required=spec.required,
-                               default=spec.default, help=spec.help)
-            elif spec.kind in ("float", "posfloat"):
-                p.add_argument(spec.flag, type=float, required=spec.required,
-                               default=spec.default, help=spec.help)
-            elif spec.kind == "choice":
-                p.add_argument(spec.flag, choices=spec.choices,
-                               default=spec.default, help=spec.help)
             else:
-                p.add_argument(spec.flag, default=spec.default, help=spec.help)
-        if model in _STOCHASTIC:
+                p.add_argument(spec.flag, type=spec.convert, required=spec.required,
+                               default=spec.default, choices=spec.choices or None,
+                               help=spec.help)
+        if command.stochastic:
             p.add_argument("--seed", type=int, default=None,
                            help="RNG seed; falls back to QPROP_SEED")
         p.add_argument("--output", choices=("json", "csv"), default="json",
@@ -846,16 +772,15 @@ def build_parser() -> argparse.ArgumentParser:
 def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "run":
         model, params, output, seed = load_config(args.config)
-        if model in _STOCHASTIC and seed is None:
-            seed = _resolve_seed(None)
-        return _run_model(model, params, output, seed, out_path=args.out)
-    model = args.command
-    params = {spec.name: getattr(args, spec.name) for spec in _MODEL_PARAMS[model]}
-    if params.pop("degrees", False):
-        for key in ("theta", "phi"):
-            params[key] = math.radians(params[key])
-    seed = _resolve_seed(getattr(args, "seed", None)) if model in _STOCHASTIC else None
-    return _run_model(model, params, args.output, seed)
+    else:
+        model, output, seed = args.command, args.output, getattr(args, "seed", None)
+        params = {spec.name: getattr(args, spec.name) for spec in COMMANDS[model].params}
+        if params.pop("degrees", False):
+            for key in ("theta", "phi"):
+                params[key] = math.radians(params[key])
+    if COMMANDS[model].stochastic:
+        seed = _resolve_seed(seed)
+    return _run_model(model, params, output, seed, getattr(args, "out", None))
 
 
 def main(argv: list[str] | None = None) -> int:

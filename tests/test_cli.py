@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -13,7 +14,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qprop import cli, decision
-from qprop.cli import MAX_ROWS, _cells, _fmt, _json_tokens, main
+from qprop.cli import MAX_ROWS, _cells, _fmt, _json_pieces, _json_tokens, main
 
 import make_goldens
 from make_goldens import CASES, GOLDEN_DIR, mask_timing, strict_json
@@ -307,20 +308,41 @@ x2 = 4.0
     assert rows["ratio"] == "4"
 
 
-def test_run_matches_direct_invocation(tmp_path):
-    path = write_config(tmp_path, """\
-[run]
-model = interference
-output = csv
+# One valid call of each command, as flags; a seed for the stochastic ones.
+DIRECT_CALLS = {
+    "order-effect": ["--theta", "0.5236", "--phi", "-0.7854", "--order", "ba"],
+    "interference": ["--theta", "0.5236", "--phi", "0.7854"],
+    "equivalence": ["--trials", "6", "--tol", "1e-9", "--seed", "17"],
+    "reversal": ["--x1", "1.5", "--x2", "6.0"],
+    "force": ["--mean-price", "1.2", "--sigma", "0.3", "--omega", "2.0",
+              "--grid", "0.5:2.0:7"],
+    "oscillator": ["--sigma", "0.4", "--omega", "3.0"],
+    "joint": ["--buyer-mean-price", "1.05", "--buyer-sigma", "0.1",
+              "--seller-fixed-price", "0.97", "--gamma", "0.5"],
+    "work": ["--mean-price", "1.0", "--sigma", "0.25", "--price1", "1.2",
+             "--price2", "0.9", "--gamma", "1.5"],
+    "sample": ["--trials", "7", "--buyer-mean-price", "1.05", "--buyer-sigma", "0.1",
+               "--seller-mean-price", "0.95", "--seller-sigma", "0.2", "--seed", "5"],
+}
 
-[interference]
-theta = 0.5236
-phi = 0.7854
-""")
+
+def test_direct_calls_cover_every_command():
+    assert set(DIRECT_CALLS) == set(cli.COMMANDS)
+
+
+@pytest.mark.parametrize("output", ["json", "csv"])
+@pytest.mark.parametrize("model", sorted(DIRECT_CALLS))
+def test_run_matches_direct_invocation(tmp_path, model, output):
+    flags = DIRECT_CALLS[model]
+    keys = [flag[2:] + " = " + value for flag, value in zip(flags[::2], flags[1::2])]
+    path = write_config(tmp_path, f"[run]\nmodel = {model}\noutput = {output}\n\n"
+                                  f"[{model}]\n" + "\n".join(keys) + "\n")
     code, via_config = run_cli(["run", path])
     assert code == 0
-    _, direct = run_cli(["interference", "--theta", "0.5236",
-                         "--phi", "0.7854", "--output", "csv"])
+    code, direct = run_cli([model, *flags, "--output", output])
+    assert code == 0
+    if output == "json":
+        via_config, direct = mask_timing(via_config), mask_timing(direct)
     assert via_config == direct
 
 
@@ -466,8 +488,9 @@ CONFIG_VALUES = {
 def config_texts(draw):
     """INI text near a valid config of a model: most keys present, some
     values extreme or malformed, now and then a section, key or line wrong."""
-    model = draw(st.sampled_from([*cli._MODEL_PARAMS, "nosuch"]))
-    specs = [spec for spec in cli._MODEL_PARAMS.get(model, []) if spec.kind != "flag"]
+    model = draw(st.sampled_from([*cli.COMMANDS, "nosuch"]))
+    command = cli.COMMANDS.get(model)
+    specs = [spec for spec in command.params if spec.kind != "flag"] if command else []
     rare = st.integers(0, 19).map(lambda n: n == 0)
     lines = [] if draw(rare) else ["[run]", f"model = {model}"]
     if draw(st.booleans()):
@@ -477,7 +500,7 @@ def config_texts(draw):
         if draw(st.integers(0, 3)):
             value = draw(NOISE if draw(rare) else CONFIG_VALUES[spec.kind])
             lines.append(f"{spec.config_key} = {value}")
-    if model in cli._STOCHASTIC and draw(st.integers(0, 9)):
+    if command and command.stochastic and draw(st.integers(0, 9)):
         lines.append(f"seed = {draw(st.integers(-1, 2**32))}")
     if draw(rare):
         lines.append(f"{draw(st.sampled_from(['spin', 'seed', 'mean-price']))} = 1")
@@ -597,6 +620,17 @@ def test_values_beyond_float_range_exit_2(capsys):
     assert "out of floating-point range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["-1e3", "-1e-300", "-.5", "-2.5", "-1E+2"])
+def test_negative_values_parse_as_separate_arguments(value):
+    """A negative number, exponent form included, is a value and not an
+    option, spelled as its own argument or after an equals sign."""
+    argv = ["order-effect", "--theta", "1", "--output", "csv"]
+    spaced = run_cli([*argv, "--phi", value])
+    joined = run_cli([*argv, f"--phi={value}"])
+    assert spaced == joined
+    assert spaced[0] == 0
+
+
 def test_caps_admit_their_own_size():
     assert cli._grid_bounds(f"0.5:2.0:{MAX_ROWS}") == (0.5, 2.0, MAX_ROWS)
     cli._validate_params("sample", {"trials": MAX_ROWS})
@@ -683,7 +717,8 @@ def test_out_of_memory_exits_2(monkeypatch, capsys):
     def too_large(params):
         raise MemoryError()
 
-    monkeypatch.setitem(cli._EXECUTORS, "equivalence", too_large)
+    monkeypatch.setitem(cli.COMMANDS, "equivalence",
+                        dataclasses.replace(cli.COMMANDS["equivalence"], run=too_large))
     code, text = run_cli(["equivalence", "--trials", "5", "--seed", "1"])
     assert code == 2
     assert text == ""
@@ -759,3 +794,40 @@ def test_column_formatter_spells_nonfinite_as_json_does():
     values = np.array([np.nan, np.inf, -np.inf])
     assert _cells(values) == ["nan", "inf", "-inf"]
     assert _json_tokens(values) == ["NaN", "Infinity", "-Infinity"]
+
+
+# ============================================================
+# JSON writer against json.dumps
+# ============================================================
+
+FLOATS = st.one_of(
+    st.floats(),
+    st.floats(1e12, 1e16), st.floats(-1e16, -1e12),
+    st.integers(-2**53, 2**53).map(float),
+    st.floats(-2.3e-308, 2.3e-308),
+    st.sampled_from([-0.0, 5e-324, 1e16, 999999999999.6]))
+LEAVES = st.one_of(FLOATS, st.integers(), st.booleans(), st.none(), st.text(max_size=8),
+                   arrays(np.float64, st.integers(1, 6), elements=FLOATS))
+RECORDS = st.dictionaries(st.text(max_size=8), st.recursive(
+    LEAVES, lambda children: st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=12), min_size=1, max_size=5)
+
+
+def rounded(value):
+    """The value with every float at 12 significant digits, arrays as lists."""
+    if isinstance(value, dict):
+        return {key: rounded(item) for key, item in value.items()}
+    if isinstance(value, np.ndarray):
+        return [rounded(float(v)) for v in value]
+    if isinstance(value, float):
+        return float(format(value + 0.0, ".12g"))
+    return value
+
+
+@settings(max_examples=100, deadline=None)
+@given(RECORDS)
+@example({"a": {"b": np.array([1e12, -0.0, 5e-324]), "c": 2.0}, "d": True, "e": None})
+def test_json_writer_matches_json_dumps(record):
+    out = []
+    _json_pieces(record, out)
+    assert "".join(out) == json.dumps(rounded(record), indent=2)

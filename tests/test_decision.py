@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qprop.decision import (
@@ -351,3 +351,17 @@ def test_order_effect_distributions_are_closed(theta, phi):
 @settings(max_examples=150, deadline=None)
 def test_interference_is_bounded(theta, phi):
     assert abs(interference_term(theta, phi)) <= 0.5 + 1e-12
+
+
+@given(angles, angles)
+@settings(max_examples=150, deadline=None)
+def test_conditional_answers_are_reciprocal(theta, phi):
+    """P(B+|A+) with A asked first equals P(A+|B+) with B asked first: both
+    are the squared overlap of the two rank-1 yes projectors (Busemeyer and
+    Bruza 2012, ch. 4)."""
+    summary = order_effect_summary(theta, phi)
+    first_a, first_b = summary.a_then_b, summary.b_then_a
+    assume(first_a.a_yes > 1e-3 and first_b.b_yes > 1e-3)
+    b_given_a = first_a.p_yes_yes / first_a.a_yes
+    a_given_b = first_b.p_yes_yes / first_b.b_yes
+    assert a_given_b == pytest.approx(b_given_a, rel=0, abs=1e-12)
