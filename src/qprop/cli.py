@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import importlib
 import json
 import math
@@ -41,9 +42,13 @@ if TYPE_CHECKING:
     from . import decision, propensity
 
 # Largest grid (N of LO:HI:N) and largest number of sample draws: both are
-# output rows, about 0.27 KB (JSON) to 0.46 KB (CSV) of peak memory each in
-# a force grid.
+# output rows. Their text is written in chunks, so what grows is the computed
+# columns: a 1e6-row force grid peaks at about 75 MB, JSON or CSV.
 MAX_ROWS = 2_000_000
+
+# Rows (or array values) formatted and written at a time: one chunk's text is
+# all the output a call holds.
+CHUNK_ROWS = 8192
 
 
 class UsageError(Exception):
@@ -610,7 +615,7 @@ def load_config(path: str) -> tuple[str, dict, str, int | None]:
     if not parser.has_section(model):
         raise UsageError(f"{path}: missing [{model}] section")
     specs = {s.config_key: s for s in COMMANDS[model].params if s.kind != "flag"}
-    params: dict = {}
+    given: dict = {}
     seed: int | None = None
     for key in parser[model]:
         raw = parser[model][key]
@@ -626,83 +631,71 @@ def load_config(path: str) -> tuple[str, dict, str, int | None]:
         if key not in specs:
             raise UsageError(f"{where}: unknown key {key!r} for model {model!r}")
         try:
-            params[specs[key].name] = specs[key].convert(raw.strip())
+            given[key] = specs[key].convert(raw.strip())
         except ValueError:
             raise UsageError(f"{where}: {key} must be a number, got {raw!r}")
-    for spec in specs.values():
-        if spec.name not in params:
-            if spec.required:
-                raise UsageError(f"{path}: [{model}] is missing required key "
-                                 f"{spec.config_key!r}")
-            if spec.default is not None:
-                params[spec.name] = spec.default
+    for key, spec in specs.items():
+        if spec.required and key not in given:
+            raise UsageError(f"{path}: [{model}] is missing required key {key!r}")
+    # In table order, as the flag route has them, so both echo the same JSON.
+    params = {spec.name: given.get(key, spec.default) for key, spec in specs.items()}
     return model, params, output, seed
 
 
-def _render_csv(result: CommandResult) -> str:
-    table = result.table
-    if table is None:
-        names, values = zip(*_quantities(result.results))
-        table = {"quantity": names, "value": values}
-    lines = [",".join(table)]
-    lines.extend(map(",".join, zip(*map(_cells, table.values()))))
-    return "\n".join(lines) + "\n"
-
-
-def _json_pieces(value, out: list, indent: str = "\n") -> None:
-    """Append json.dumps(value, indent=2) to out in pieces, floats at 12 digits.
+def _json_pieces(value, write: Callable[[str], object], indent: str = "\n") -> None:
+    """Write json.dumps(value, indent=2) in pieces, floats at 12 digits.
 
     Every float, alone or in an array, is printed by _json_tokens, and each
-    float array as a list. Arrays are never empty: grids have two points or
-    more, samples one draw.
+    float array as a list, CHUNK_ROWS values to a piece. Arrays are never
+    empty: grids have two points or more, samples one draw.
     """
     inner = indent + "  "
     if isinstance(value, dict) and value:
         opening = "{"
         for key, item in value.items():
-            out.append(opening + inner + json.dumps(key) + ": ")
-            _json_pieces(item, out, inner)
+            write(opening + inner + json.dumps(key) + ": ")
+            _json_pieces(item, write, inner)
             opening = ","
-        out.append(indent + "}")
+        write(indent + "}")
     elif isinstance(value, float):
-        out.extend(_json_tokens([value]))
+        write(_json_tokens([value])[0])
     elif hasattr(value, "dtype"):
-        out.append("[" + inner + ("," + inner).join(_json_tokens(value)) + indent + "]")
+        for i in range(0, len(value), CHUNK_ROWS):
+            write(("," if i else "[") + inner
+                  + ("," + inner).join(_json_tokens(value[i:i + CHUNK_ROWS])))
+        write(indent + "]")
     else:
-        out.append(json.dumps(value))
+        write(json.dumps(value))
 
 
-def _render(result: CommandResult, model: str, params: dict, output: str,
-            seed: int | None, elapsed_ms: float) -> str:
-    if output == "csv":
-        return _render_csv(result)
-    echo = {key: value for key, value in params.items()
-            if value is not None and key != "seed"}
-    record = {
-        "command": model,
-        "config": {"model": model, "parameters": echo, "output": output},
-        "version": __version__,
-        "seed": seed,
-        "wall_time_ms": round(elapsed_ms, 3),
-        "results": result.results,
-    }
-    out: list[str] = []
-    _json_pieces(record, out)
-    out.append("\n")
-    return "".join(out)
-
-
-def _write(text: str, out_path: str | None) -> None:
-    """Write the output to out_path or stdout; any failure is a usage error."""
+def _write(result: CommandResult, model: str, params: dict, output: str,
+           seed: int | None, elapsed_ms: float, out_path: str | None) -> None:
+    """Format the output straight into out_path or stdout, CHUNK_ROWS rows at a
+    time, so the whole text is never held. Any failure to open or write is a
+    usage error; what was written before it stays written."""
     try:
-        if out_path:
-            with open(out_path, "w", encoding="utf-8", newline="") as handle:
-                handle.write(text)
-        elif sys.stdout is None:
+        if not out_path and sys.stdout is None:
             raise OSError("standard output is closed")
-        else:
-            sys.stdout.write(text)
-            sys.stdout.flush()
+        with (open(out_path, "w", encoding="utf-8", newline="") if out_path
+              else contextlib.nullcontext(sys.stdout)) as handle:
+            if output == "json":
+                echo = {key: value for key, value in params.items()
+                        if value is not None and key != "seed"}
+                _json_pieces({"command": model,
+                              "config": {"model": model, "parameters": echo, "output": output},
+                              "version": __version__, "seed": seed,
+                              "wall_time_ms": round(elapsed_ms, 3),
+                              "results": result.results}, handle.write)
+                handle.write("\n")
+            else:
+                table = result.table or dict(zip(("quantity", "value"),
+                                                 zip(*_quantities(result.results))))
+                handle.write(",".join(table) + "\n")
+                columns = list(table.values())
+                for i in range(0, len(columns[0]), CHUNK_ROWS):
+                    handle.write("\n".join(map(",".join, zip(*(
+                        _cells(column[i:i + CHUNK_ROWS]) for column in columns)))) + "\n")
+            handle.flush()
     except OSError as exc:
         raise UsageError(f"cannot write output: {exc}")
 
@@ -733,7 +726,7 @@ def _run_model(model: str, params: dict, output: str, seed: int | None,
     for name, value in _quantities(result.results):
         if not _is_finite(value):
             raise UsageError(f"parameters out of floating-point range: {name} is not finite")
-    _write(_render(result, model, params, output, seed, elapsed_ms), out_path)
+    _write(result, model, params, output, seed, elapsed_ms, out_path)
     if result.message:
         print(f"qprop: {result.message}", file=sys.stderr)
     return result.exit_code
@@ -770,6 +763,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _dispatch(args: argparse.Namespace) -> int:
+    for name, value in vars(args).items():   # argparse stores --flag=-- as []
+        if isinstance(value, list):
+            raise UsageError(f"argument --{name.replace('_', '-')}: expected one argument")
     if args.command == "run":
         model, params, output, seed = load_config(args.config)
     else:

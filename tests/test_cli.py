@@ -13,8 +13,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qprop import cli, decision
-from qprop.cli import MAX_ROWS, _cells, _fmt, _json_pieces, _json_tokens, main
+from qprop import __version__, cli, decision
+from qprop.cli import CHUNK_ROWS, MAX_ROWS, _cells, _fmt, _json_pieces, _json_tokens, main
 
 import make_goldens
 from make_goldens import CASES, GOLDEN_DIR, mask_timing, strict_json
@@ -326,10 +326,19 @@ DIRECT_CALLS = {
 }
 
 
+# Config files that list keys unlike the command table: given keys with a
+# default between them, and every key in reverse order.
+UNORDERED_CALLS = {
+    "oscillator-sigma-hbar": ("oscillator", ["--sigma", "0.4", "--hbar", "0.5"]),
+    "work-reversed": ("work", ["--gamma", "1.5", "--price2", "0.9", "--price1", "1.2",
+                               "--sigma", "0.25", "--mean-price", "1.0"]),
+}
+
+
 @pytest.mark.parametrize("output", ["json", "csv"])
-@pytest.mark.parametrize("model", sorted(cli.COMMANDS))
-def test_run_matches_direct_invocation(tmp_path, model, output):
-    flags = DIRECT_CALLS[model]
+@pytest.mark.parametrize("case", [*sorted(cli.COMMANDS), *UNORDERED_CALLS])
+def test_run_matches_direct_invocation(tmp_path, case, output):
+    model, flags = UNORDERED_CALLS.get(case) or (case, DIRECT_CALLS[case])
     keys = [flag[2:] + " = " + value for flag, value in zip(flags[::2], flags[1::2])]
     path = write_config(tmp_path, f"[run]\nmodel = {model}\noutput = {output}\n\n"
                                   f"[{model}]\n" + "\n".join(keys) + "\n")
@@ -627,6 +636,22 @@ def test_negative_values_parse_as_separate_arguments(value):
     assert spaced[0] == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["order-effect", "--theta", "1", "--phi=--"],
+    ["reversal", "--x1", "1", "--x2=--"],
+    ["equivalence", "--trials=--", "--seed", "1"],
+    ["sample", "--trials", "3", "--buyer-mean-price", "1.05", "--buyer-sigma", "0.1",
+     "--seller-mean-price", "0.95", "--seller-sigma", "0.1", "--seed=--"],
+], ids=lambda argv: argv[0])
+def test_flag_given_double_dash_exits_2(argv, capsys):
+    """argparse stores --flag=-- as an empty list; it is refused as a
+    missing value, not passed on to the model."""
+    flag = next(arg for arg in argv if arg.endswith("=--"))[:-len("=--")]
+    code, text = run_cli(argv)
+    assert (code, text) == (2, "")
+    assert capsys.readouterr().err == f"qprop: error: argument {flag}: expected one argument\n"
+
+
 def test_caps_admit_their_own_size():
     assert cli._grid_bounds(f"0.5:2.0:{MAX_ROWS}") == (0.5, 2.0, MAX_ROWS)
     cli._validate_params("sample", {"trials": MAX_ROWS})
@@ -825,5 +850,77 @@ def rounded(value):
 @example({"a": {"b": np.array([1e12, -0.0, 5e-324]), "c": 2.0}, "d": True, "e": None})
 def test_json_writer_matches_json_dumps(record):
     out = []
-    _json_pieces(record, out)
+    _json_pieces(record, out.append)
     assert "".join(out) == json.dumps(rounded(record), indent=2)
+
+
+# ============================================================
+# Chunked output
+# ============================================================
+
+SEAMS = f"0.5:2.0:{2 * CHUNK_ROWS + 1}"    # two full chunks and a row
+SEAM_FLAGS = ["force", "--mean-price", "1.0", "--sigma", "0.25", "--gamma", "1.0",
+              "--grid", SEAMS]
+
+
+class FakeStdout:
+    """Keeps each write as a piece; the write numbered fail_at raises."""
+
+    def __init__(self, fail_at=None):
+        self.pieces, self.fail_at = [], fail_at
+
+    def write(self, text):
+        if len(self.pieces) + 1 == self.fail_at:
+            raise OSError(28, "No space left on device")
+        self.pieces.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("output", ["json", "csv"])
+def test_chunked_writer_matches_per_value_route(output):
+    code, text = run_cli([*SEAM_FLAGS, "--output", output])
+    assert code == 0
+    params = {spec.name: None for spec in cli.COMMANDS["force"].params}
+    params.update(mean_price=1.0, sigma=0.25, gamma=1.0, grid=SEAMS)
+    results = cli._exec_force(params).results
+    if output == "csv":
+        columns = results["columns"]
+        rows = zip(*columns.values())
+        assert text == "".join(",".join(map(_fmt, row)) + "\n"
+                               for row in [columns, *rows])
+    else:
+        record = {"command": "force",
+                  "config": {"model": "force", "parameters": {
+                      "mean_price": 1.0, "sigma": 0.25, "gamma": 1.0, "grid": SEAMS},
+                      "output": "json"},
+                  "version": __version__, "seed": None,
+                  "wall_time_ms": json.loads(text)["wall_time_ms"], "results": results}
+        assert text == json.dumps(rounded(record), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("output", ["json", "csv"])
+def test_writer_never_holds_the_whole_text(monkeypatch, output):
+    code, text = run_cli([*SEAM_FLAGS, "--output", output])
+    assert code == 0
+    fake = FakeStdout()
+    monkeypatch.setattr(sys, "stdout", fake)
+    assert main([*SEAM_FLAGS, "--output", output]) == 0
+    assert mask_timing("".join(fake.pieces)) == mask_timing(text)
+    # A piece is at most CHUNK_ROWS lines of a text more than twice as long.
+    assert text.count("\n") > 2 * CHUNK_ROWS
+    assert max(piece.count("\n") for piece in fake.pieces) <= CHUNK_ROWS
+    longest_line = max(map(len, text.splitlines(keepends=True)))
+    assert max(map(len, fake.pieces)) <= CHUNK_ROWS * longest_line
+
+
+@pytest.mark.parametrize("output", ["json", "csv"])
+def test_failed_write_part_way_exits_2(monkeypatch, capsys, output):
+    fake = FakeStdout(fail_at=3)
+    monkeypatch.setattr(sys, "stdout", fake)
+    assert main([*SEAM_FLAGS, "--output", output]) == 2
+    assert len(fake.pieces) == 2
+    assert capsys.readouterr().err == (
+        "qprop: error: cannot write output: [Errno 28] No space left on device\n")
