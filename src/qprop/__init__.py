@@ -44,6 +44,7 @@ _EXPORTS = {
         "density",
         "entropic_force",
         "fixed_price_joint",
+        "force_constant",
         "ground_state_density",
         "joint_propensity",
         "log_density",

@@ -16,7 +16,8 @@ written, included).
 
 A call imports only what it computes with: every usage error is decided
 before a model module is loaded, and a command loads its own model module
-(decision or propensity) alone, numpy only when that module needs arrays.
+(decision or propensity) alone, numpy only when it computes over arrays (a
+--grid, a sample, a sweep of random gates).
 """
 from __future__ import annotations
 
@@ -317,7 +318,7 @@ def _exec_force(params: dict) -> CommandResult:
         "mu": curve.mu,
         "sigma": curve.sigma,
         "gamma": scale.gamma,
-        "force_constant": scale.gamma / curve.sigma ** 2,
+        "force_constant": propensity.force_constant(curve.sigma, scale.gamma),
     }
     if columns is not None:
         results["columns"] = columns
@@ -406,6 +407,10 @@ def _exec_work(params: dict) -> CommandResult:
     scale = _resolve_scale(params)
     x1, x2 = math.log(params["price1"]), math.log(params["price2"])
     delta_e = propensity.work(curve, x1, x2, scale)
+    try:
+        density_ratio = math.exp(delta_e / scale.gamma)
+    except OverflowError:                # refused by _run_model as not finite
+        density_ratio = math.inf
     results = {
         "mu": curve.mu,
         "sigma": curve.sigma,
@@ -415,7 +420,7 @@ def _exec_work(params: dict) -> CommandResult:
         "price1": params["price1"],
         "price2": params["price2"],
         "delta_e": delta_e,
-        "density_ratio": math.exp(delta_e / scale.gamma),
+        "density_ratio": density_ratio,
     }
     return CommandResult(results)
 
@@ -445,7 +450,7 @@ class Command:
     help: str
     params: tuple                  # of Param, in flag order
     run: Callable[[dict], CommandResult]
-    modules: tuple                 # imported before the timer starts
+    modules: tuple                 # imported before the timer starts, numpy too for a grid
     stochastic: bool = False       # takes --seed or QPROP_SEED
 
 
@@ -472,7 +477,7 @@ COMMANDS = {
         "entropic force of a propensity curve",
         (*_CURVE, Param("price", "posfloat", help="evaluation price in currency units"),
          *_SCALE, _GRID),
-        _exec_force, (".propensity", "numpy")),
+        _exec_force, (".propensity",)),
     "oscillator": Command(
         "oscillator parameters derived from a curve width",
         (_CURVE[1], Param("omega", "posfloat", default=1.0, help="oscillator frequency"),
@@ -480,12 +485,12 @@ COMMANDS = {
         _exec_oscillator, (".propensity",)),
     "joint": Command(
         "product of buyer and seller propensity curves",
-        (*_PAIR, *_SCALE, _GRID), _exec_joint, (".propensity", "numpy")),
+        (*_PAIR, *_SCALE, _GRID), _exec_joint, (".propensity",)),
     "work": Command(
         "energy to move a mental price state between two prices",
         (*_CURVE, Param("price1", "posfloat", required=True, help="starting price"),
          Param("price2", "posfloat", required=True, help="ending price"), *_SCALE),
-        _exec_work, (".propensity", "numpy")),
+        _exec_work, (".propensity",)),
     "sample": Command(
         "seeded price draws from a joint propensity",
         (Param("trials", "posint", required=True, maximum=MAX_ROWS,
@@ -674,10 +679,10 @@ def _write(result: CommandResult, model: str, params: dict, output: str,
     time, so the whole text is never held. Any failure to open or write is a
     usage error; what was written before it stays written."""
     try:
-        if not out_path and sys.stdout is None:
+        if out_path is None and sys.stdout is None:
             raise OSError("standard output is closed")
-        with (open(out_path, "w", encoding="utf-8", newline="") if out_path
-              else contextlib.nullcontext(sys.stdout)) as handle:
+        with (contextlib.nullcontext(sys.stdout) if out_path is None
+              else open(out_path, "w", encoding="utf-8", newline="")) as handle:
             if output == "json":
                 echo = {key: value for key, value in params.items()
                         if value is not None and key != "seed"}
@@ -711,7 +716,8 @@ def _run_model(model: str, params: dict, output: str, seed: int | None,
             raise UsageError("seed must be a nonnegative integer")
         params = dict(params, seed=seed)
     _check_combinations(model, params)
-    for name in command.modules:
+    arrays = ("numpy",) if params.get("grid") is not None else ()
+    for name in command.modules + arrays:
         importlib.import_module(name, __package__)
     start = time.perf_counter()
     try:

@@ -17,13 +17,15 @@ factor (the overlap mass), and its force is the sum of the two parties'
 forces. When one side fixes its price the joint collapses to a point mass
 and the transaction force is the flexible party's alone.
 
-numpy is imported by the functions that evaluate densities, forces or
-draws, when first called; the curve types and oscillator quantities need
-only ``math``.
+Densities and forces at one point (a Python float or int) are evaluated
+with ``math``; numpy is imported, when first needed, only to evaluate them
+over arrays and to draw prices. The curve types, joint curves, work and
+oscillator quantities need only ``math``.
 """
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Union
@@ -32,7 +34,22 @@ if TYPE_CHECKING:
     import numpy as np
 
 DENSITY_FLOOR = 1e-300
+_ROOT_2PI = math.sqrt(2.0 * math.pi)
 _LOG_ROOT_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+# One point of a density or force: evaluated with math, no numpy.
+_SCALAR = (int, float)
+
+
+@contextmanager
+def _named(quantity: str):
+    """Turn an arithmetic error (sigma ** 2 beyond the float range, or a
+    division by its underflow to 0) into an OverflowError naming the quantity."""
+    try:
+        yield
+    except ArithmeticError:
+        raise OverflowError(f"{quantity} does not fit in a float") from None
 
 
 class PointMassError(ValueError):
@@ -113,7 +130,8 @@ class OscillatorParams:
 
     @property
     def mass(self) -> float:
-        return self.hbar / (2.0 * self.omega * self.sigma ** 2)
+        with _named("mass"):
+            return self.hbar / (2.0 * self.omega * self.sigma ** 2)
 
     @property
     def gamma(self) -> float:
@@ -121,7 +139,7 @@ class OscillatorParams:
 
     @property
     def force_constant(self) -> float:
-        return self.gamma / self.sigma ** 2
+        return force_constant(self.sigma, self.gamma)
 
     def scale(self) -> EntropicScale:
         return EntropicScale(self.gamma, Provenance.OSCILLATOR)
@@ -153,13 +171,16 @@ def density(curve: PropensityCurve, x):
     """Density of ``curve`` at log-price ``x`` (scalar or array)."""
     if isinstance(curve, PointMassCurve):
         raise PointMassError("a point mass has no finite density")
-    import numpy as np
-
     # Far tails overflow z * z to inf and the density to 0, which is the
     # right value; callers that need a positive density check for it.
+    if isinstance(x, _SCALAR):
+        z = (x - curve.mu) / curve.sigma
+        return math.exp(-0.5 * z * z) / (curve.sigma * _ROOT_2PI)
+    import numpy as np
+
     with np.errstate(over="ignore", under="ignore"):
         z = (np.asarray(x, dtype=np.float64) - curve.mu) / curve.sigma
-        out = np.exp(-0.5 * z * z) / (curve.sigma * math.sqrt(2.0 * math.pi))
+        out = np.exp(-0.5 * z * z) / (curve.sigma * _ROOT_2PI)
     return out if out.ndim else float(out)
 
 
@@ -167,6 +188,9 @@ def log_density(curve: PropensityCurve, x):
     """Natural log of ``density``; stays finite far into the tails."""
     if isinstance(curve, PointMassCurve):
         raise PointMassError("a point mass has no finite density")
+    if isinstance(x, _SCALAR):
+        z = (x - curve.mu) / curve.sigma
+        return -0.5 * z * z - math.log(curve.sigma) - _LOG_ROOT_2PI
     import numpy as np
 
     with np.errstate(over="ignore", under="ignore"):
@@ -176,28 +200,35 @@ def log_density(curve: PropensityCurve, x):
 
 
 def _require_positive_density(curve: GaussianCurve, x) -> None:
-    import numpy as np
-
-    d = np.asarray(density(curve, x))
-    if np.any(d < DENSITY_FLOOR):
+    below = density(curve, x) < DENSITY_FLOOR
+    if below if isinstance(below, bool) else below.any():
         raise ValueError(
             "density underflow: the point lies too far from the curve to carry meaning")
+
+
+def force_constant(sigma: float, gamma: float) -> float:
+    """k = gamma / sigma^2, the spring constant of a curve's force."""
+    with _named("force_constant"):
+        return gamma / sigma ** 2
 
 
 def entropic_force(curve: PropensityCurve, x, scale: EntropicScale):
     """gamma * P'(x)/P(x); for a Gaussian curve exactly -k (x - mu).
 
-    Raises PointMassError for fixed-price curves (see ``fixed_price_joint``)
-    and ValueError where the density has underflowed to zero.
+    Raises PointMassError for fixed-price curves (see ``fixed_price_joint``),
+    ValueError where the density has underflowed to zero, and OverflowError
+    where k does not fit in a float.
     """
     if isinstance(curve, PointMassCurve):
         raise PointMassError(
             "a point mass exerts no entropic force; use fixed_price_joint")
+    _require_positive_density(curve, x)
+    k = force_constant(curve.sigma, scale.gamma)
+    if isinstance(x, _SCALAR):
+        return -k * (x - curve.mu)
     import numpy as np
 
-    _require_positive_density(curve, x)
-    k = scale.gamma / curve.sigma ** 2
-    # k overflows to inf for extreme widths; the caller sees the inf or nan.
+    # A product beyond the float range is inf; the caller sees the inf.
     with np.errstate(over="ignore", invalid="ignore"):
         out = -k * (np.asarray(x, dtype=np.float64) - curve.mu)
     return out if out.ndim else float(out)
@@ -223,15 +254,21 @@ def joint_propensity(buyer: GaussianCurve, seller: GaussianCurve) -> JointPropen
     ``joint`` is the normalized product, with precision the sum of the input
     precisions and mean their precision-weighted average; ``scale`` is the
     raw product's mass, the Gaussian overlap of the two curves.
+
+    Both come from the width ratio t = sigma_b / sigma_s and from
+    h = hypot(sigma_b, sigma_s) rather than from precisions 1/sigma^2, so
+    no step leaves the float range for widths that are floats themselves.
     """
     if isinstance(buyer, PointMassCurve) or isinstance(seller, PointMassCurve):
         raise PointMassError("fixed prices go through fixed_price_joint")
-    precision = 1.0 / buyer.sigma ** 2 + 1.0 / seller.sigma ** 2
-    var = 1.0 / precision
-    mu = var * (buyer.mu / buyer.sigma ** 2 + seller.mu / seller.sigma ** 2)
-    overlap_sigma = math.sqrt(buyer.sigma ** 2 + seller.sigma ** 2)
+    t = buyer.sigma / seller.sigma
+    w = 1.0 / (1.0 + t * t)               # the buyer's weight, 0 where t * t is inf
+    mu = w * buyer.mu + (1.0 - w) * seller.mu
+    overlap_sigma = math.hypot(buyer.sigma, seller.sigma)
+    narrow, wide = sorted((buyer.sigma, seller.sigma))
+    sigma = narrow * (wide / overlap_sigma)   # wide / h lies in [1/sqrt(2), 1]
     scale = density(GaussianCurve(seller.mu, overlap_sigma), buyer.mu)
-    return JointPropensity(buyer, seller, GaussianCurve(mu, math.sqrt(var)), scale)
+    return JointPropensity(buyer, seller, GaussianCurve(mu, sigma), scale)
 
 
 def fixed_price_joint(counterparty: GaussianCurve, price: float,
@@ -274,7 +311,8 @@ def work(curve: GaussianCurve, x1: float, x2: float, scale: EntropicScale) -> fl
     """
     if isinstance(curve, PointMassCurve):
         raise PointMassError("work along a point mass is undefined")
-    _require_positive_density(curve, [x1, x2])
+    _require_positive_density(curve, x1)
+    _require_positive_density(curve, x2)
     return scale.gamma * (log_density(curve, x2) - log_density(curve, x1))
 
 

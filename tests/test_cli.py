@@ -440,6 +440,16 @@ sigma = 0.25
     assert "Traceback" not in err
 
 
+def test_run_empty_out_exits_2(tmp_path, capsys):
+    """An empty --out is a path that cannot be opened, not a request for stdout."""
+    path = write_config(tmp_path, "[run]\nmodel = oscillator\n\n[oscillator]\nsigma = 0.25\n")
+    code, text = run_cli(["run", path, "--out="])
+    assert (code, text) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("qprop: error: cannot write output: ")
+    assert err.count("\n") == 1
+
+
 def test_run_unknown_key_is_fatal(tmp_path, capsys):
     path = write_config(tmp_path, """\
 [run]
@@ -614,15 +624,35 @@ def test_fixed_price_excludes_same_side_curve(capsys):
     assert code == 2
 
 
-def test_values_beyond_float_range_exit_2(capsys):
-    code, _ = run_cli(["oscillator", "--sigma", "1e-200"])
-    assert code == 2
-    assert capsys.readouterr().err == (
-        "qprop: error: parameters out of floating-point range: float division by zero\n")
-    code, _ = run_cli(["force", "--mean-price", "1", "--sigma", "1e200",
-                       "--price", "1", "--gamma", "1"])
-    assert code == 2
-    assert "out of floating-point range" in capsys.readouterr().err
+@pytest.mark.parametrize("argv, message", [
+    (["force", "--mean-price", "1", "--sigma", "1e200", "--gamma", "1", "--price", "2"],
+     "force_constant does not fit in a float"),
+    (["oscillator", "--sigma", "1e-200"], "mass does not fit in a float"),
+    (["oscillator", "--sigma", "1e200"], "mass does not fit in a float"),
+    (["joint", "--buyer-mean-price", "1", "--buyer-sigma", "1e200", "--seller-mean-price",
+      "1.1", "--seller-sigma", "0.1", "--gamma", "1", "--grid", "0.5:2:3"],
+     "force_constant does not fit in a float"),
+    (["work", "--mean-price", "1", "--sigma", "5.84e-18", "--price1", "1.0000000000000002",
+      "--price2", "1", "--gamma", "1"], "density_ratio is not finite"),
+], ids=["force", "oscillator-narrow", "oscillator-wide", "joint-grid", "work"])
+def test_values_beyond_float_range_exit_2(argv, message):
+    """A quantity beyond the float range is named in the one error line."""
+    proc = subprocess.run([sys.executable, "-W", "default", "-m", "qprop", *argv],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"qprop: error: parameters out of floating-point range: {message}\n"
+
+
+@pytest.mark.parametrize("sigma", ["1e-160", "5e-324"])
+def test_joint_of_tiny_widths_runs(sigma):
+    """Precisions 1/sigma^2 overflow here, the weights of the joint do not."""
+    code, text = run_cli(["joint", "--buyer-mean-price", "1", "--buyer-sigma", sigma,
+                          "--seller-mean-price", "1.1", "--seller-sigma", sigma])
+    assert code == 0
+    joint = normalize_json(text)["results"]["joint"]
+    assert joint["kind"] == "gaussian"
+    assert joint["mu"] == pytest.approx(0.5 * math.log(1.1), rel=1e-11)
+    assert 0.0 < joint["sigma"] <= float(sigma)
 
 
 @pytest.mark.parametrize("value", ["-1e3", "-1e-300", "-.5", "-2.5", "-1E+2"])

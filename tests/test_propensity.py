@@ -8,6 +8,7 @@ from scipy.integrate import simpson
 from scipy.stats import norm
 
 from qprop.propensity import (
+    DENSITY_FLOOR,
     EntropicScale,
     GaussianCurve,
     JointPropensity,
@@ -230,6 +231,16 @@ def test_oscillator_rejects_point_mass():
         oscillator_from_curve(PointMassCurve(0.0))
 
 
+@pytest.mark.parametrize("sigma", [1e-200, 1e200])
+def test_oscillator_quantities_beyond_float_range_name_themselves(sigma):
+    """sigma ** 2 underflows to 0 or overflows: the error names the quotient."""
+    params = OscillatorParams(omega=1.0, sigma=sigma)
+    with pytest.raises(OverflowError, match="^mass does not fit in a float$"):
+        params.mass  # noqa: B018
+    with pytest.raises(OverflowError, match="^force_constant does not fit in a float$"):
+        params.force_constant  # noqa: B018
+
+
 def test_oscillator_params_validation():
     with pytest.raises(ValueError):
         OscillatorParams(omega=0.0, sigma=1.0)
@@ -288,6 +299,22 @@ def test_joint_normalized_product_is_the_joint_curve():
     raw = density(buyer, x) * density(seller, x)
     assert np.allclose(raw / joint.scale, density(joint.joint, x),
                        rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("narrow, wide", [(1e-160, 1e-160), (5e-324, 4.0),
+                                          (1e-268, 1e224), (0.1, 1e200)])
+@pytest.mark.parametrize("narrow_side", ["buyer", "seller"])
+def test_joint_of_extreme_widths_is_a_gaussian_curve(narrow, wide, narrow_side):
+    """Widths whose precisions 1/sigma^2 leave the float range still give the
+    joint: equal widths meet halfway, and a far narrower side dominates."""
+    narrow_curve, wide_curve = GaussianCurve(0.0, narrow), GaussianCurve(0.1, wide)
+    joint = (joint_propensity(narrow_curve, wide_curve) if narrow_side == "buyer"
+             else joint_propensity(wide_curve, narrow_curve)).joint
+    if narrow == wide:
+        assert joint.mu == pytest.approx(0.05, rel=1e-15)
+        assert joint.sigma == pytest.approx(narrow / math.sqrt(2.0), rel=1e-15)
+    else:
+        assert (joint.mu, joint.sigma) == (0.0, narrow)
 
 
 def test_joint_rejects_point_mass_inputs():
@@ -483,3 +510,30 @@ def test_force_sign_restores_toward_mean(params, offset):
         assert f >= 0
     else:
         assert f == 0
+
+
+@given(st.tuples(st.floats(-3.0, 3.0), st.floats(0.05, 3.0)),
+       st.one_of(st.floats(-150.0, 150.0), st.integers(-150, 150)))
+@settings(max_examples=250, deadline=None)
+def test_scalar_and_one_point_array_routes_agree(params, x):
+    """A Python number goes through math, a one-element array through numpy.
+    math.exp and np.exp may differ in the last bit, so values agree to
+    1e-15, and both routes accept or refuse the same points at the floor."""
+    curve = GaussianCurve(*params)
+    point = np.array([x], dtype=np.float64)
+    density_scalar, density_array = density(curve, x), density(curve, point)[0]
+    assert (density_scalar < DENSITY_FLOOR) == (density_array < DENSITY_FLOOR)
+    if density_scalar >= DENSITY_FLOOR:
+        assert math.isclose(density_scalar, density_array, rel_tol=1e-15)
+    assert math.isclose(log_density(curve, x), log_density(curve, point)[0],
+                        rel_tol=1e-15)
+    forces = []
+    for where in (x, point):
+        try:
+            forces.append(float(np.ravel(entropic_force(curve, where, UNIT_SCALE))[0]))
+        except ValueError as exc:
+            assert str(exc).startswith("density underflow")
+            forces.append(None)
+    assert (forces[0] is None) == (forces[1] is None) == (density_scalar < DENSITY_FLOOR)
+    if forces[0] is not None:
+        assert math.isclose(forces[0], forces[1], rel_tol=1e-15)

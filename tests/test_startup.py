@@ -85,6 +85,10 @@ def test_size_caps_are_checked_before_anything_is_built(kind, message):
     assert (code, out, err, loaded) == (2, "", message, set())
 
 
+PAIR = ["joint", "--buyer-mean-price", "1", "--buyer-sigma", "0.1",
+        "--seller-mean-price", "1.1", "--seller-sigma", "0.2"]
+
+
 @pytest.mark.parametrize("argv, expected", [
     (["interference", "--theta", "0.3", "--phi", "0.2"], {"qprop.decision"}),
     (["reversal", "--x1", "1", "--x2", "4"], {"qprop.decision"}),
@@ -94,11 +98,19 @@ def test_size_caps_are_checked_before_anything_is_built(kind, message):
     (["force", "--mean-price", "1", "--sigma", "0.3", "--gamma", "1",
       "--grid", "0.5:2.0:5"], {"numpy", "qprop.propensity"}),
     (["force", "--mean-price", "1", "--sigma", "0.3", "--price", "1.1"],
-     {"numpy", "qprop.propensity"}),
+     {"qprop.propensity"}),
     (["equivalence", "--trials", "3", "--seed", "1"],
      {"numpy", "qprop.decision", "qprop.qubits"}),
+    (["work", "--mean-price", "1", "--sigma", "0.3", "--price1", "1.2", "--price2", "1"],
+     {"qprop.propensity"}),
+    (PAIR, {"qprop.propensity"}),
+    (["joint", "--buyer-mean-price", "1", "--buyer-sigma", "0.1",
+      "--seller-fixed-price", "1.1"], {"qprop.propensity"}),
+    ([*PAIR, "--gamma", "1", "--grid", "0.5:2.0:5"], {"numpy", "qprop.propensity"}),
 ])
 def test_call_loads_only_its_model_modules(argv, expected):
+    """numpy is loaded for arrays (a grid, a sweep) only: a one-point force,
+    a work and a scalar joint are closed forms on math."""
     code, out, err, loaded = run_probe(*argv)
     assert code == 0 and err == ""
     assert loaded == expected
