@@ -67,7 +67,7 @@ class ModelError(Exception):
 @dataclass(frozen=True)
 class Param:
     name: str                      # canonical underscore name
-    kind: str                      # float | posfloat | posint | choice | grid | flag
+    kind: str                      # float | posfloat | int | posint | choice | grid | flag
     required: bool = False
     default: object = None
     choices: tuple = ()
@@ -85,7 +85,7 @@ class Param:
     @property
     def convert(self) -> Callable[[str], object]:
         """Text to value: the flag's argparse type and the config key's parser."""
-        return {"float": float, "posfloat": float, "posint": int}.get(self.kind, str)
+        return {"float": float, "posfloat": float, "int": int, "posint": int}.get(self.kind, str)
 
 
 _ANGLES = (Param("theta", "float", required=True, help="basis angle of question A (radians)"),
@@ -101,6 +101,7 @@ _PAIR = tuple(param for side in ("buyer", "seller") for param in (
     Param(f"{side}_sigma", "posfloat", help=f"{side} curve width in log-price units"),
     Param(f"{side}_fixed_price", "posfloat", help=f"fixed, non-negotiable {side} price")))
 _GRID = Param("grid", "grid", help="LO:HI:N price grid for curve output")
+_SEED = Param("seed", "int", help="RNG seed; falls back to QPROP_SEED")
 
 
 # ============================================================
@@ -451,7 +452,6 @@ class Command:
     params: tuple                  # of Param, in flag order
     run: Callable[[dict], CommandResult]
     modules: tuple                 # imported before the timer starts, numpy too for a grid
-    stochastic: bool = False       # takes --seed or QPROP_SEED
 
 
 COMMANDS = {
@@ -466,8 +466,8 @@ COMMANDS = {
     "equivalence": Command(
         "sequential versus entangled circuit check over random gate pairs",
         (Param("trials", "posint", required=True, help="number of random gate pairs"),
-         Param("tol", "float", default=1e-12, help="per-event tolerance")),
-        _exec_equivalence, (".decision", ".qubits", "numpy"), stochastic=True),
+         Param("tol", "float", default=1e-12, help="per-event tolerance"), _SEED),
+        _exec_equivalence, (".decision", ".qubits", "numpy")),
     "reversal": Command(
         "cost-ratio rule for preference reversal",
         (Param("x1", "posfloat", required=True, help="cost of the less attractive option"),
@@ -494,8 +494,8 @@ COMMANDS = {
     "sample": Command(
         "seeded price draws from a joint propensity",
         (Param("trials", "posint", required=True, maximum=MAX_ROWS,
-               help="number of price draws"), *_PAIR),
-        _exec_sample, (".propensity", "numpy"), stochastic=True),
+               help="number of price draws"), *_PAIR, _SEED),
+        _exec_sample, (".propensity", "numpy")),
 }
 
 
@@ -583,8 +583,8 @@ def _line_of(text: str, key: str) -> str:
     return "?"
 
 
-def load_config(path: str) -> tuple[str, dict, str, int | None]:
-    """Parse a key = value config file into (model, params, output, seed).
+def load_config(path: str) -> tuple[str, dict, str]:
+    """Parse a key = value config file into (model, params, output).
 
     The [run] section names the model and output format; the model's own
     section holds its parameters under the flag names (angles in radians,
@@ -621,30 +621,22 @@ def load_config(path: str) -> tuple[str, dict, str, int | None]:
         raise UsageError(f"{path}: missing [{model}] section")
     specs = {s.config_key: s for s in COMMANDS[model].params if s.kind != "flag"}
     given: dict = {}
-    seed: int | None = None
     for key in parser[model]:
         raw = parser[model][key]
         where = f"{path}:{_line_of(text, key)}"
-        if key == "seed":
-            if not COMMANDS[model].stochastic:
-                raise UsageError(f"{where}: unknown key 'seed' for model {model!r}")
-            try:
-                seed = int(raw)
-            except ValueError:
-                raise UsageError(f"{where}: seed must be an integer, got {raw!r}")
-            continue
         if key not in specs:
             raise UsageError(f"{where}: unknown key {key!r} for model {model!r}")
         try:
             given[key] = specs[key].convert(raw.strip())
         except ValueError:
-            raise UsageError(f"{where}: {key} must be a number, got {raw!r}")
+            number = "an integer" if specs[key].convert is int else "a number"
+            raise UsageError(f"{where}: {key} must be {number}, got {raw!r}")
     for key, spec in specs.items():
         if spec.required and key not in given:
             raise UsageError(f"{path}: [{model}] is missing required key {key!r}")
     # In table order, as the flag route has them, so both echo the same JSON.
     params = {spec.name: given.get(key, spec.default) for key, spec in specs.items()}
-    return model, params, output, seed
+    return model, params, output
 
 
 def _json_pieces(value, write: Callable[[str], object], indent: str = "\n") -> None:
@@ -674,7 +666,7 @@ def _json_pieces(value, write: Callable[[str], object], indent: str = "\n") -> N
 
 
 def _write(result: CommandResult, model: str, params: dict, output: str,
-           seed: int | None, elapsed_ms: float, out_path: str | None) -> None:
+           elapsed_ms: float, out_path: str | None) -> None:
     """Format the output straight into out_path or stdout, CHUNK_ROWS rows at a
     time, so the whole text is never held. Any failure to open or write is a
     usage error; what was written before it stays written."""
@@ -688,7 +680,7 @@ def _write(result: CommandResult, model: str, params: dict, output: str,
                         if value is not None and key != "seed"}
                 _json_pieces({"command": model,
                               "config": {"model": model, "parameters": echo, "output": output},
-                              "version": __version__, "seed": seed,
+                              "version": __version__, "seed": params.get("seed"),
                               "wall_time_ms": round(elapsed_ms, 3),
                               "results": result.results}, handle.write)
                 handle.write("\n")
@@ -705,16 +697,14 @@ def _write(result: CommandResult, model: str, params: dict, output: str,
         raise UsageError(f"cannot write output: {exc}")
 
 
-def _run_model(model: str, params: dict, output: str, seed: int | None,
-               out_path: str | None) -> int:
+def _run_model(model: str, params: dict, output: str, out_path: str | None) -> int:
     command = COMMANDS[model]
     _validate_params(model, params)
-    if command.stochastic:
-        if seed is None:
+    if "seed" in params:
+        if params["seed"] is None:
             raise UsageError(f"model {model!r} is stochastic; pass --seed or set QPROP_SEED")
-        if seed < 0:
+        if params["seed"] < 0:
             raise UsageError("seed must be a nonnegative integer")
-        params = dict(params, seed=seed)
     _check_combinations(model, params)
     arrays = ("numpy",) if params.get("grid") is not None else ()
     for name in command.modules + arrays:
@@ -732,7 +722,7 @@ def _run_model(model: str, params: dict, output: str, seed: int | None,
     for name, value in _quantities(result.results):
         if not _is_finite(value):
             raise UsageError(f"parameters out of floating-point range: {name} is not finite")
-    _write(result, model, params, output, seed, elapsed_ms, out_path)
+    _write(result, model, params, output, elapsed_ms, out_path)
     if result.message:
         print(f"qprop: {result.message}", file=sys.stderr)
     return result.exit_code
@@ -757,9 +747,6 @@ def build_parser() -> argparse.ArgumentParser:
                 p.add_argument(spec.flag, type=spec.convert, required=spec.required,
                                default=spec.default, choices=spec.choices or None,
                                help=spec.help)
-        if command.stochastic:
-            p.add_argument("--seed", type=int, default=None,
-                           help="RNG seed; falls back to QPROP_SEED")
         p.add_argument("--output", choices=("json", "csv"), default="json",
                        help="output format")
     runner = sub.add_parser("run", help="run a model described by a config file")
@@ -773,16 +760,16 @@ def _dispatch(args: argparse.Namespace) -> int:
         if isinstance(value, list):
             raise UsageError(f"argument --{name.replace('_', '-')}: expected one argument")
     if args.command == "run":
-        model, params, output, seed = load_config(args.config)
+        model, params, output = load_config(args.config)
     else:
-        model, output, seed = args.command, args.output, getattr(args, "seed", None)
+        model, output = args.command, args.output
         params = {spec.name: getattr(args, spec.name) for spec in COMMANDS[model].params}
         if params.pop("degrees", False):
             for key in ("theta", "phi"):
                 params[key] = math.radians(params[key])
-    if COMMANDS[model].stochastic:
-        seed = _resolve_seed(seed)
-    return _run_model(model, params, output, seed, getattr(args, "out", None))
+    if "seed" in params:
+        params["seed"] = _resolve_seed(params["seed"])
+    return _run_model(model, params, output, getattr(args, "out", None))
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -153,6 +153,8 @@ class ReversalDecision:
 def _check_angles(theta: float, phi: float) -> None:
     if not (math.isfinite(theta) and math.isfinite(phi)):
         raise ValueError("angles must be finite")
+    if not math.isfinite(theta - phi):    # asking B first rotates by theta - phi
+        raise OverflowError("theta - phi does not fit in a float")
 
 
 def _order_effect_events(theta: float, phi: float,
@@ -213,6 +215,7 @@ def order_effect_summary(theta: float, phi: float) -> OrderEffectSummary:
 
 def unmeasured_b_yes(theta: float, phi: float) -> float:
     """P(B yes) when B is decided directly, without settling A first."""
+    _check_angles(theta, phi)
     return math.cos(theta - phi) ** 2
 
 

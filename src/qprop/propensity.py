@@ -25,7 +25,6 @@ oscillator quantities need only ``math``.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Union
@@ -42,14 +41,21 @@ _LOG_ROOT_2PI = 0.5 * math.log(2.0 * math.pi)
 _SCALAR = (int, float)
 
 
-@contextmanager
-def _named(quantity: str):
-    """Turn an arithmetic error (sigma ** 2 beyond the float range, or a
-    division by its underflow to 0) into an OverflowError naming the quantity."""
-    try:
-        yield
-    except ArithmeticError:
-        raise OverflowError(f"{quantity} does not fit in a float") from None
+def _fit(quantity: str, numerator: float, denominator: float = 1.0) -> float:
+    """numerator / denominator, a quantity derived from positive finite floats.
+
+    Where a step leaves the float range the quantity comes out inf or 0 (a
+    zero denominator counts as inf); that raises an OverflowError naming it.
+    """
+    value = numerator / denominator if denominator else math.inf
+    if value == 0.0 or not math.isfinite(value):
+        raise OverflowError(f"{quantity} does not fit in a float")
+    return value
+
+
+def _oscillator_gamma(omega: float, hbar: float) -> float:
+    """gamma = hbar * omega / 2, the energy scale of an oscillator."""
+    return _fit("gamma", 0.5 * hbar * omega)
 
 
 class PointMassError(ValueError):
@@ -109,9 +115,9 @@ class EntropicScale:
     @classmethod
     def from_oscillator(cls, omega: float = 1.0, hbar: float = 1.0) -> "EntropicScale":
         """The oscillator scale gamma = hbar * omega / 2."""
-        if omega <= 0 or hbar <= 0:
-            raise ValueError("omega and hbar must be positive")
-        return cls(0.5 * hbar * omega, Provenance.OSCILLATOR)
+        if not (0 < omega < math.inf and 0 < hbar < math.inf):
+            raise ValueError("omega and hbar must be positive and finite")
+        return cls(_oscillator_gamma(omega, hbar), Provenance.OSCILLATOR)
 
 
 @dataclass(frozen=True)
@@ -130,12 +136,11 @@ class OscillatorParams:
 
     @property
     def mass(self) -> float:
-        with _named("mass"):
-            return self.hbar / (2.0 * self.omega * self.sigma ** 2)
+        return _fit("mass", self.hbar, 2.0 * self.omega * (self.sigma * self.sigma))
 
     @property
     def gamma(self) -> float:
-        return 0.5 * self.hbar * self.omega
+        return _oscillator_gamma(self.omega, self.hbar)
 
     @property
     def force_constant(self) -> float:
@@ -208,8 +213,7 @@ def _require_positive_density(curve: GaussianCurve, x) -> None:
 
 def force_constant(sigma: float, gamma: float) -> float:
     """k = gamma / sigma^2, the spring constant of a curve's force."""
-    with _named("force_constant"):
-        return gamma / sigma ** 2
+    return _fit("force_constant", gamma, sigma * sigma)
 
 
 def entropic_force(curve: PropensityCurve, x, scale: EntropicScale):
@@ -324,9 +328,9 @@ def reversal_energy(omega: float = 1.0, hbar: float = 1.0) -> ReversalEnergy:
     the oscillator base energy hbar omega / 2, reported as ``base_energy``;
     the relative gap is ln 3 - 1, about 9.9 percent.
     """
-    if omega <= 0 or hbar <= 0:
-        raise ValueError("omega and hbar must be positive")
-    base = 0.5 * hbar * omega
+    if not (0 < omega < math.inf and 0 < hbar < math.inf):
+        raise ValueError("omega and hbar must be positive and finite")
+    base = _oscillator_gamma(omega, hbar)
     return ReversalEnergy(base * math.log(3.0), base)
 
 

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -403,6 +404,48 @@ seed = 13
     assert normalize_json(text1) == normalize_json(text2)
 
 
+@pytest.mark.parametrize("model", sorted(cli.COMMANDS))
+def test_seed_is_taken_by_the_stochastic_commands_alone(tmp_path, monkeypatch, capsys, model):
+    """--seed and the config seed key are one parameter of equivalence and
+    sample; the other commands refuse both as unknown. An integer key given
+    a fraction is refused as not an integer."""
+    monkeypatch.delenv("QPROP_SEED", raising=False)
+    stochastic = model in ("equivalence", "sample")
+    flags = dict(zip(DIRECT_CALLS[model][::2], DIRECT_CALLS[model][1::2]))
+    flags.pop("--seed", None)
+    argv = [part for item in flags.items() for part in item]
+
+    code, text = run_cli([model, *argv, "--seed", "3"])
+    err = capsys.readouterr().err
+    if stochastic:
+        assert (code, json.loads(text)["seed"]) == (0, 3)
+    else:
+        assert (code, text) == (2, "")
+        assert err.endswith("error: unrecognized arguments: --seed 3\n")
+
+    def run_config(**changes):
+        keys = {**{flag[2:]: value for flag, value in flags.items()}, **changes}
+        path = write_config(tmp_path, f"[run]\nmodel = {model}\n[{model}]\n"
+                            + "".join(f"{key} = {value}\n" for key, value in keys.items()))
+        code, text = run_cli(["run", path])
+        return code, text, capsys.readouterr().err.replace(path, "CFG")
+
+    code, text, err = run_config(seed=3)
+    if stochastic:
+        assert (code, json.loads(text)["seed"]) == (0, 3)
+    else:
+        assert (code, text) == (2, "")
+        assert err == (f"qprop: error: CFG:{4 + len(flags)}: "
+                       f"unknown key 'seed' for model {model!r}\n")
+
+    code, _, err = run_config(trials="1.5")
+    assert code == 2
+    line = 4 if stochastic else 4 + len(flags)    # trials leads both stochastic calls
+    assert err == f"qprop: error: CFG:{line}: " + (
+        "trials must be an integer, got '1.5'\n" if stochastic
+        else f"unknown key 'trials' for model {model!r}\n")
+
+
 def test_run_out_writes_file(tmp_path):
     path = write_config(tmp_path, """\
 [run]
@@ -492,6 +535,7 @@ NOISE = st.one_of(st.floats().map(repr), st.sampled_from(["", "1e400", "0x10"]),
 CONFIG_VALUES = {
     "float": st.floats(-4.0, 4.0).map(repr),
     "posfloat": st.floats(0.05, 3.0).map(repr),
+    "int": st.integers(-1, 2**32).map(str),
     "posint": st.integers(-1, 1000).map(str),
     "choice": st.sampled_from(["ab", "ba", "xy"]),
     "grid": st.builds("{!r}:{!r}:{}".format, st.floats(-0.5, 2.0), st.floats(0.0, 4.0),
@@ -515,8 +559,6 @@ def config_texts(draw):
         if draw(st.integers(0, 3)):
             value = draw(NOISE if draw(rare) else CONFIG_VALUES[spec.kind])
             lines.append(f"{spec.config_key} = {value}")
-    if command and command.stochastic and draw(st.integers(0, 9)):
-        lines.append(f"seed = {draw(st.integers(-1, 2**32))}")
     if draw(rare):
         lines.append(f"{draw(st.sampled_from(['spin', 'seed', 'mean-price']))} = 1")
     if draw(rare):
@@ -634,7 +676,29 @@ def test_fixed_price_excludes_same_side_curve(capsys):
      "force_constant does not fit in a float"),
     (["work", "--mean-price", "1", "--sigma", "5.84e-18", "--price1", "1.0000000000000002",
       "--price2", "1", "--gamma", "1"], "density_ratio is not finite"),
-], ids=["force", "oscillator-narrow", "oscillator-wide", "joint-grid", "work"])
+    # A quantity that comes out inf or 0 without raising is named the same
+    # way as one whose computation raises.
+    (["force", "--mean-price", "1", "--sigma", "1e-150", "--price", "1", "--gamma", "1e300"],
+     "force_constant does not fit in a float"),
+    (["force", "--mean-price", "1", "--sigma", "1e-160", "--gamma", "1", "--price", "1"],
+     "force_constant does not fit in a float"),
+    (["oscillator", "--sigma", "1e-160"], "mass does not fit in a float"),
+    (["oscillator", "--sigma", "1", "--omega", "1e300", "--hbar", "1e300"],
+     "gamma does not fit in a float"),
+    (["oscillator", "--sigma", "1", "--omega", "1e-300", "--hbar", "1e-300"],
+     "gamma does not fit in a float"),
+    (["force", "--mean-price", "1", "--sigma", "1", "--price", "1",
+      "--omega", "1e300", "--hbar", "1e300"], "gamma does not fit in a float"),
+    (["force", "--mean-price", "1", "--sigma", "1", "--price", "1",
+      "--omega", "1e-300", "--hbar", "1e-300"], "gamma does not fit in a float"),
+    (["interference", "--theta", "1e308", "--phi", "-1e308"],
+     "theta - phi does not fit in a float"),
+    (["order-effect", "--theta", "1e308", "--phi", "-1e308", "--order", "ba"],
+     "theta - phi does not fit in a float"),
+], ids=["force", "oscillator-narrow", "oscillator-wide", "joint-grid", "work",
+        "force-huge-k", "force-subnormal-square", "oscillator-subnormal-square",
+        "oscillator-gamma-inf", "oscillator-gamma-0", "force-gamma-inf", "force-gamma-0",
+        "interference-angle-gap", "order-effect-angle-gap"])
 def test_values_beyond_float_range_exit_2(argv, message):
     """A quantity beyond the float range is named in the one error line."""
     proc = subprocess.run([sys.executable, "-W", "default", "-m", "qprop", *argv],
@@ -736,8 +800,8 @@ def test_far_tail_density_prints_only_the_error_line():
 
 @pytest.mark.parametrize("argv, name", [
     (["reversal", "--x1", "1e-320", "--x2", "1e308"], "ratio"),
-    (["force", "--mean-price", "1", "--sigma", "1e-150", "--price", "1",
-      "--gamma", "1e300"], "force_constant"),
+    (["force", "--mean-price", "1", "--sigma", "10", "--price", "1e130",
+      "--gamma", "1e308"], "force"),
     (["sample", "--trials", "2000", "--buyer-mean-price", "1", "--buyer-sigma", "1000",
       "--seller-mean-price", "1", "--seller-sigma", "1000", "--seed", "1"], "prices"),
 ])
@@ -750,6 +814,95 @@ def test_nonfinite_results_exit_2_with_one_line(argv, name):
     assert proc.stdout == ""
     assert proc.stderr == (
         f"qprop: error: parameters out of floating-point range: {name} is not finite\n")
+
+
+# Magnitudes log-uniform over the float range; angles of either sign. Sizes
+# stay small: at most 16 grid points, 20 gate pairs or 50 draws.
+MAGNITUDES = st.floats(-300.0, 300.0).map(lambda exponent: 10.0 ** exponent)
+ANGLES = st.builds(lambda sign, size: sign * size, st.sampled_from([1.0, -1.0]), MAGNITUDES)
+
+
+@st.composite
+def whole_range_calls(draw, model):
+    """Argv of one call of model, every number drawn over the whole range."""
+    def values(*names, strategy=MAGNITUDES):
+        return [part for name in names for part in (f"--{name}", repr(draw(strategy)))]
+
+    def some(*choices):
+        return values(*draw(st.sampled_from(choices)))
+
+    def grid():
+        lo, hi = sorted(draw(st.lists(MAGNITUDES, min_size=2, max_size=2)))
+        return ["--grid", f"{lo!r}:{hi!r}:{draw(st.integers(2, 16))}"]
+
+    def seed():
+        return ["--seed", str(draw(st.integers(0, 2**32)))]
+
+    angles = values("theta", "phi", strategy=ANGLES) + draw(st.sampled_from([[], ["--degrees"]]))
+    scale = some((), ("gamma",), ("omega",), ("hbar",), ("omega", "hbar"))
+    curve, other = draw(st.permutations(["buyer", "seller"]))
+    pair = values(f"{curve}-mean-price", f"{curve}-sigma") + some(
+        (f"{other}-mean-price", f"{other}-sigma"), (f"{other}-fixed-price",))
+    argv = {
+        "order-effect": lambda: angles + ["--order", draw(st.sampled_from(["ab", "ba"]))],
+        "interference": lambda: angles,
+        "equivalence": lambda: ["--trials", str(draw(st.integers(1, 20))), *values("tol"),
+                                *seed()],
+        "reversal": lambda: values("x1", "x2"),
+        "force": lambda: values("mean-price", "sigma") + scale
+        + (grid() if draw(st.booleans()) else values("price")),
+        "oscillator": lambda: values("sigma") + some((), ("omega",), ("hbar",), ("omega", "hbar")),
+        "joint": lambda: pair + (scale + grid() if draw(st.booleans()) else []),
+        "work": lambda: values("mean-price", "sigma", "price1", "price2") + scale,
+        "sample": lambda: ["--trials", str(draw(st.integers(1, 50))), *pair, *seed()],
+    }[model]()
+    return [model, *argv, "--output", draw(st.sampled_from(["json", "csv"]))]
+
+
+@pytest.mark.parametrize("model", sorted(cli.COMMANDS))
+def test_whole_float_range_keeps_the_exit_contract(model):
+    """Over the whole float range every call exits 0, 1 or 2 without a
+    traceback, a failure prints one qprop line and never a bare math or
+    errno message, JSON output is strict, and the results meet their
+    closed forms."""
+    run, captured = cli.COMMANDS[model].run, {}
+
+    def capture(params):
+        result = run(params)
+        captured["results"] = result.results
+        return result
+
+    @settings(max_examples=20, deadline=None, database=None)
+    @given(argv=whole_range_calls(model))
+    def check(argv):
+        captured.clear()
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        if code == 0:
+            assert err == ""
+            if argv[-1] == "json":
+                strict_json(out)
+        else:
+            assert err.startswith("qprop: ") and err.count("\n") == 1 and err.endswith("\n")
+            assert "math domain error" not in err and "math range error" not in err
+            assert re.search(r"\(\d+, '", err) is None, err       # a raw errno tuple
+        results = captured.get("results")
+        if code == 0 and model == "order-effect":
+            assert abs(math.fsum(results["joint"].values()) - 1.0) <= 1e-12
+        if code == 0 and model == "force" and "force" in results:
+            expected = -results["force_constant"] * (results["x"] - results["mu"])
+            assert math.isclose(results["force"], expected, rel_tol=1e-12)
+        if code == 0 and model in ("force", "oscillator"):
+            # Quantities derived from positive inputs are never printed as 0.
+            assert min(results[key] for key in ("gamma", "force_constant")) > 0.0
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(cli.COMMANDS, model, dataclasses.replace(cli.COMMANDS[model], run=capture))
+        check()
 
 
 def test_failed_cross_check_exits_1(monkeypatch, capsys):

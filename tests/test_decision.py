@@ -134,6 +134,13 @@ def test_circuit_rejects_nonfinite_angles():
         DecisionScenario(math.nan, 0.1, QuestionOrder.A_THEN_B)
     with pytest.raises(ValueError):
         order_effect_summary(0.1, math.inf)
+    # Finite angles whose difference overflows are refused by name, not
+    # passed to cos as an infinity.
+    for call in (lambda: order_effect_summary(1e308, -1e308),
+                 lambda: interference_term(-1e308, 1e308),
+                 lambda: DecisionScenario(1e308, -1e308, QuestionOrder.B_THEN_A)):
+        with pytest.raises(OverflowError, match="^theta - phi does not fit in a float$"):
+            call()
 
 
 # ============================================================

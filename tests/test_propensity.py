@@ -231,14 +231,27 @@ def test_oscillator_rejects_point_mass():
         oscillator_from_curve(PointMassCurve(0.0))
 
 
-@pytest.mark.parametrize("sigma", [1e-200, 1e200])
+@pytest.mark.parametrize("sigma", [1e-200, 1e200, 1e-160])
 def test_oscillator_quantities_beyond_float_range_name_themselves(sigma):
-    """sigma ** 2 underflows to 0 or overflows: the error names the quotient."""
+    """sigma ** 2 underflows to 0, to a subnormal, or overflows: the error
+    names the quotient."""
     params = OscillatorParams(omega=1.0, sigma=sigma)
     with pytest.raises(OverflowError, match="^mass does not fit in a float$"):
         params.mass  # noqa: B018
     with pytest.raises(OverflowError, match="^force_constant does not fit in a float$"):
         params.force_constant  # noqa: B018
+
+
+@pytest.mark.parametrize("scale", [1e300, 1e-300])
+def test_oscillator_gamma_beyond_float_range_names_itself(scale):
+    """hbar * omega / 2 overflows or underflows to 0 on every route to gamma."""
+    params = OscillatorParams(omega=scale, sigma=1.0, hbar=scale)
+    for route in (lambda: params.gamma, params.scale,
+                  lambda: EntropicScale.from_oscillator(scale, scale),
+                  lambda: reversal_energy(scale, scale)):
+        with pytest.raises(OverflowError, match="^gamma does not fit in a float$"):
+            route()
+    assert params.mass == 0.5
 
 
 def test_oscillator_params_validation():
