@@ -39,7 +39,6 @@ _EXPORTS = {
         "OscillatorParams",
         "PointMassCurve",
         "PointMassError",
-        "Provenance",
         "ReversalEnergy",
         "density",
         "entropic_force",
@@ -56,7 +55,6 @@ _EXPORTS = {
     ),
     "qubits": (
         "Gate",
-        "OutcomeDistribution",
         "StateVector",
         "apply",
         "basis_labels",

@@ -310,24 +310,21 @@ def _exec_force(params: dict) -> CommandResult:
 
     curve = propensity.GaussianCurve(math.log(params["mean_price"]), params["sigma"])
     scale = _resolve_scale(params)
-    columns = None
-    if params.get("grid") is not None:   # a grid reports underflow before force_constant
-        x, prices = _grid_columns(params["grid"])
-        columns = {"x": x, "price": prices, "density": propensity.density(curve, x),
-                   "force": propensity.entropic_force(curve, x, scale)}
     results = {
         "mu": curve.mu,
         "sigma": curve.sigma,
         "gamma": scale.gamma,
         "force_constant": propensity.force_constant(curve.sigma, scale.gamma),
     }
-    if columns is not None:
-        results["columns"] = columns
-    else:
+    if params.get("grid") is None:
         x = math.log(params["price"])
         results.update(x=x, price=params["price"], density=propensity.density(curve, x),
                        force=propensity.entropic_force(curve, x, scale))
-    return CommandResult(results, columns)
+        return CommandResult(results)
+    x, prices = _grid_columns(params["grid"])
+    results["columns"] = {"x": x, "price": prices, "density": propensity.density(curve, x),
+                          "force": propensity.entropic_force(curve, x, scale)}
+    return CommandResult(results, results["columns"])
 
 
 def _exec_oscillator(params: dict) -> CommandResult:
@@ -410,7 +407,7 @@ def _exec_work(params: dict) -> CommandResult:
     delta_e = propensity.work(curve, x1, x2, scale)
     try:
         density_ratio = math.exp(delta_e / scale.gamma)
-    except OverflowError:                # refused by _run_model as not finite
+    except OverflowError:                # refused by _run_model's finiteness scan
         density_ratio = math.inf
     results = {
         "mu": curve.mu,
@@ -721,7 +718,8 @@ def _run_model(model: str, params: dict, output: str, out_path: str | None) -> i
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     for name, value in _quantities(result.results):
         if not _is_finite(value):
-            raise UsageError(f"parameters out of floating-point range: {name} is not finite")
+            raise UsageError(
+                f"parameters out of floating-point range: {name} does not fit in a float")
     _write(result, model, params, output, elapsed_ms, out_path)
     if result.message:
         print(f"qprop: {result.message}", file=sys.stderr)

@@ -74,9 +74,10 @@ class EventDistribution:
 
     def __post_init__(self) -> None:
         probs = self.as_tuple()
-        if any(p < -EVENT_SUM_TOL or p > 1.0 + EVENT_SUM_TOL for p in probs):
+        # Written so that a NaN fails both tests.
+        if not all(-EVENT_SUM_TOL <= p <= 1.0 + EVENT_SUM_TOL for p in probs):
             raise ValueError("event probabilities must lie in [0, 1]")
-        if abs(sum(probs) - 1.0) > EVENT_SUM_TOL:
+        if not abs(sum(probs) - 1.0) <= EVENT_SUM_TOL:
             raise ValueError("event probabilities must sum to 1")
 
     def as_tuple(self) -> tuple[float, float, float, float]:

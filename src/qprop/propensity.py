@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import TYPE_CHECKING, Union
 
 if TYPE_CHECKING:
@@ -55,6 +54,8 @@ def _fit(quantity: str, numerator: float, denominator: float = 1.0) -> float:
 
 def _oscillator_gamma(omega: float, hbar: float) -> float:
     """gamma = hbar * omega / 2, the energy scale of an oscillator."""
+    if not (0 < omega < math.inf and 0 < hbar < math.inf):
+        raise ValueError("omega and hbar must be positive and finite")
     return _fit("gamma", 0.5 * hbar * omega)
 
 
@@ -90,19 +91,11 @@ class PointMassCurve:
 PropensityCurve = Union[GaussianCurve, PointMassCurve]
 
 
-class Provenance(Enum):
-    """Where an energy scale gamma came from."""
-
-    OSCILLATOR = "oscillator"
-    DIRECT = "direct"
-
-
 @dataclass(frozen=True)
 class EntropicScale:
     """Energy scale gamma multiplying P'(x)/P(x)."""
 
     gamma: float
-    provenance: Provenance = Provenance.DIRECT
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.gamma) and self.gamma > 0):
@@ -110,14 +103,12 @@ class EntropicScale:
 
     @classmethod
     def direct(cls, gamma: float) -> "EntropicScale":
-        return cls(float(gamma), Provenance.DIRECT)
+        return cls(float(gamma))
 
     @classmethod
     def from_oscillator(cls, omega: float = 1.0, hbar: float = 1.0) -> "EntropicScale":
         """The oscillator scale gamma = hbar * omega / 2."""
-        if not (0 < omega < math.inf and 0 < hbar < math.inf):
-            raise ValueError("omega and hbar must be positive and finite")
-        return cls(_oscillator_gamma(omega, hbar), Provenance.OSCILLATOR)
+        return cls(_oscillator_gamma(omega, hbar))
 
 
 @dataclass(frozen=True)
@@ -147,7 +138,7 @@ class OscillatorParams:
         return force_constant(self.sigma, self.gamma)
 
     def scale(self) -> EntropicScale:
-        return EntropicScale(self.gamma, Provenance.OSCILLATOR)
+        return EntropicScale(self.gamma)
 
 
 @dataclass(frozen=True)
@@ -328,8 +319,6 @@ def reversal_energy(omega: float = 1.0, hbar: float = 1.0) -> ReversalEnergy:
     the oscillator base energy hbar omega / 2, reported as ``base_energy``;
     the relative gap is ln 3 - 1, about 9.9 percent.
     """
-    if not (0 < omega < math.inf and 0 < hbar < math.inf):
-        raise ValueError("omega and hbar must be positive and finite")
     base = _oscillator_gamma(omega, hbar)
     return ReversalEnergy(base * math.log(3.0), base)
 

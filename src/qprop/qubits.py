@@ -7,8 +7,11 @@ index = 2 * (bit of qubit 1) + (bit of qubit 2), with qubit 1 the top wire,
 so the entangling gate ``cnot(control=1)`` swaps the |10> and |11>
 amplitudes and ``cnot(control=2)`` swaps |01> and |11>.
 
-States, gates and distributions are immutable values; gates are checked for
-unitarity at construction. The only mutable object in the module is the
+States and gates are immutable values: a state is checked for its norm and a
+gate for unitarity at construction. ``probabilities`` returns the read-only
+array of |a_i|^2 in basis order, labelled by ``basis_labels``; the state's
+norm check already holds each value between 0 and their sum, and the sum
+within STATE_NORM_TOL of 1. The only mutable object in the module is the
 caller-owned numpy ``Generator`` consumed by ``measure_collapse`` and
 ``random_unitary_2x2``, so thread safety reduces to one generator per
 thread.
@@ -23,7 +26,6 @@ import numpy as np
 
 STATE_NORM_TOL = 1e-12
 GATE_UNITARY_TOL = 1e-10
-PROBABILITY_TOL = 1e-12
 DRAW_BLOCK = 8192            # rows of generator draws taken at a time
 
 
@@ -82,30 +84,6 @@ class Gate:
         if self.dim != other.dim:
             raise ValueError("cannot compose gates of different dimension")
         return Gate(self.entries @ other.entries)
-
-
-@dataclass(frozen=True, eq=False)
-class OutcomeDistribution:
-    """Probabilities over labeled measurement outcomes."""
-
-    labels: tuple[str, ...]
-    probabilities: np.ndarray
-
-    def __post_init__(self) -> None:
-        labels = tuple(self.labels)
-        probs = np.array(self.probabilities, dtype=np.float64)
-        if probs.ndim != 1 or probs.shape[0] != len(labels):
-            raise ValueError("labels and probabilities must align one to one")
-        if np.any(probs < -PROBABILITY_TOL) or np.any(probs > 1.0 + PROBABILITY_TOL):
-            raise ValueError("probabilities must lie in [0, 1]")
-        if abs(float(probs.sum()) - 1.0) > PROBABILITY_TOL:
-            raise ValueError("probabilities must sum to 1")
-        probs.setflags(write=False)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "probabilities", probs)
-
-    def as_dict(self) -> dict[str, float]:
-        return {l: float(p) for l, p in zip(self.labels, self.probabilities)}
 
 
 def basis_labels(n_qubits: int) -> tuple[str, ...]:
@@ -172,11 +150,12 @@ def apply(gate: Gate, state: StateVector) -> StateVector:
     return StateVector(gate.entries @ state.amplitudes)
 
 
-def probabilities(state: StateVector) -> OutcomeDistribution:
-    """2-norm outcome distribution of ``state`` in the computational basis."""
+def probabilities(state: StateVector) -> np.ndarray:
+    """Read-only |a_i|^2 of ``state`` in basis order (labels: ``state.labels``)."""
     amps = state.amplitudes
-    return OutcomeDistribution(basis_labels(state.n_qubits),
-                               amps.real * amps.real + amps.imag * amps.imag)
+    probs = amps.real * amps.real + amps.imag * amps.imag
+    probs.setflags(write=False)
+    return probs
 
 
 @functools.lru_cache(maxsize=None)
@@ -214,8 +193,7 @@ def measure_collapse(state: StateVector, rng: np.random.Generator,
     """
     amps = state.amplitudes
     if qubit is None:
-        probs = amps.real * amps.real + amps.imag * amps.imag
-        idx = _sample_index(probs, rng)
+        idx = _sample_index(probabilities(state), rng)
         return _basis_outcomes(state.n_qubits)[idx]
     if state.n_qubits != 2:
         raise ValueError("partial measurement needs a two-qubit state")

@@ -5,6 +5,9 @@ Run from the repository root:
     python3 tests/make_goldens.py          # rewrite goldens whose output changed
     python3 tests/make_goldens.py --check  # report drift, write nothing
 
+``--check`` also fails when a command of ``qprop.cli.COMMANDS`` has no JSON
+or no CSV case.
+
 Golden files freeze the exact bytes each command prints so the test suite
 can detect any formatting or numerical drift. JSON goldens still contain a
 wall_time_ms field; comparisons mask its value and nothing else.
@@ -16,7 +19,7 @@ import json
 import pathlib
 import re
 
-from qprop.cli import main as qprop_main
+from qprop.cli import COMMANDS, main as qprop_main
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -53,6 +56,9 @@ CASES = {
     "reversal.json": [
         "reversal", "--x1", "1.5", "--x2", "4.0", "--output", "json",
     ],
+    "equivalence.csv": [
+        "equivalence", "--trials", "5", "--seed", "7", "--output", "csv",
+    ],
     "equivalence.json": [
         "equivalence", "--trials", "5", "--seed", "7", "--output", "json",
     ],
@@ -75,9 +81,17 @@ CASES = {
         "force", "--mean-price", "1.0", "--sigma", "0.25", "--gamma", "1.0",
         "--grid", "0.5:2.0:9", "--output", "json",
     ],
+    "force_point.csv": [
+        "force", "--mean-price", "1.0", "--sigma", "0.25", "--gamma", "1.0",
+        "--price", "1.2", "--output", "csv",
+    ],
     "force_point.json": [
         "force", "--mean-price", "1.0", "--sigma", "0.25", "--gamma", "1.0",
         "--price", "1.2", "--output", "json",
+    ],
+    "joint_fixed.csv": [
+        "joint", "--buyer-mean-price", "1.05", "--buyer-sigma", "0.1",
+        "--seller-fixed-price", "0.95", "--output", "csv",
     ],
     "joint_fixed.json": [
         "joint", "--buyer-mean-price", "1.05", "--buyer-sigma", "0.1",
@@ -87,6 +101,11 @@ CASES = {
         "joint", "--buyer-mean-price", "1.05", "--buyer-sigma", "0.1",
         "--seller-mean-price", "0.95", "--seller-sigma", "0.1",
         "--gamma", "1.0", "--grid", "0.8:1.25:11", "--output", "json",
+    ],
+    "work.csv": [
+        "work", "--mean-price", "1.0", "--sigma", "0.25",
+        "--price1", "1.2", "--price2", "1.0", "--gamma", "1.0",
+        "--output", "csv",
     ],
     "work.json": [
         "work", "--mean-price", "1.0", "--sigma", "0.25",
@@ -119,6 +138,13 @@ def strict_json(text: str):
     """Parse a JSON output, refusing the NaN and Infinity that json.loads
     accepts by default."""
     return json.loads(text, parse_constant=_reject_constant)
+
+
+def uncovered() -> list[str]:
+    """Each "<command> <format>" of ``COMMANDS`` that no case pins."""
+    covered = {(argv[0], argv[argv.index("--output") + 1]) for argv in CASES.values()}
+    return [f"{command} {fmt}" for command in COMMANDS for fmt in ("json", "csv")
+            if (command, fmt) not in covered]
 
 
 def emit(argv: list[str]) -> str:
@@ -154,10 +180,13 @@ def main() -> int:
     args = parser.parse_args()
     changed = drifted()
     if args.check:
+        missing = uncovered()
         for name in changed:
             print(f"golden/{name} drifted")
+        for pair in missing:
+            print(f"no golden case for {pair}")
         print(f"{len(CASES) - len(changed)} of {len(CASES)} goldens match")
-        return 1 if changed else 0
+        return 1 if changed or missing else 0
     GOLDEN_DIR.mkdir(exist_ok=True)
     for name, text in changed.items():
         (GOLDEN_DIR / name).write_text(text, encoding="utf-8", newline="")

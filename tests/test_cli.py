@@ -57,6 +57,10 @@ def test_csv_outputs_match_goldens_byte_for_byte(name):
     assert text == golden
 
 
+def test_every_command_has_json_and_csv_goldens():
+    assert make_goldens.uncovered() == []
+
+
 @pytest.mark.parametrize("name", sorted(JSON_CASES))
 def test_json_outputs_match_goldens_up_to_timing(name):
     code, text = run_cli(JSON_CASES[name])
@@ -675,7 +679,7 @@ def test_fixed_price_excludes_same_side_curve(capsys):
       "1.1", "--seller-sigma", "0.1", "--gamma", "1", "--grid", "0.5:2:3"],
      "force_constant does not fit in a float"),
     (["work", "--mean-price", "1", "--sigma", "5.84e-18", "--price1", "1.0000000000000002",
-      "--price2", "1", "--gamma", "1"], "density_ratio is not finite"),
+      "--price2", "1", "--gamma", "1"], "density_ratio does not fit in a float"),
     # A quantity that comes out inf or 0 without raising is named the same
     # way as one whose computation raises.
     (["force", "--mean-price", "1", "--sigma", "1e-150", "--price", "1", "--gamma", "1e300"],
@@ -695,10 +699,13 @@ def test_fixed_price_excludes_same_side_curve(capsys):
      "theta - phi does not fit in a float"),
     (["order-effect", "--theta", "1e308", "--phi", "-1e308", "--order", "ba"],
      "theta - phi does not fit in a float"),
+    # The grid route names the same fault as the --price route above.
+    (["force", "--mean-price", "1.8", "--sigma", "1e-160", "--grid", "1:2:3", "--gamma", "1"],
+     "force_constant does not fit in a float"),
 ], ids=["force", "oscillator-narrow", "oscillator-wide", "joint-grid", "work",
         "force-huge-k", "force-subnormal-square", "oscillator-subnormal-square",
         "oscillator-gamma-inf", "oscillator-gamma-0", "force-gamma-inf", "force-gamma-0",
-        "interference-angle-gap", "order-effect-angle-gap"])
+        "interference-angle-gap", "order-effect-angle-gap", "force-grid-subnormal-square"])
 def test_values_beyond_float_range_exit_2(argv, message):
     """A quantity beyond the float range is named in the one error line."""
     proc = subprocess.run([sys.executable, "-W", "default", "-m", "qprop", *argv],
@@ -813,7 +820,7 @@ def test_nonfinite_results_exit_2_with_one_line(argv, name):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == (
-        f"qprop: error: parameters out of floating-point range: {name} is not finite\n")
+        f"qprop: error: parameters out of floating-point range: {name} does not fit in a float\n")
 
 
 # Magnitudes log-uniform over the float range; angles of either sign. Sizes

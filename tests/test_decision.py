@@ -96,9 +96,13 @@ def test_event_distribution_marginals():
     assert dist.b_no == pytest.approx(0.4)
 
 
-def test_event_distribution_rejects_bad_sum():
+@pytest.mark.parametrize("probs", [(0.5, 0.5, 0.5, 0.5), (math.nan, 0.0, 0.0, 0.0),
+                                   (math.nan, 1.0, 0.0, 0.0)],
+                         ids=["sum-2", "nan", "nan-beside-1"])
+def test_event_distribution_rejects_bad_sum(probs):
+    """A NaN compares false both ways; it must fail the checks, not slip past."""
     with pytest.raises(ValueError):
-        EventDistribution(0.5, 0.5, 0.5, 0.5)
+        EventDistribution(*probs)
 
 
 def test_event_distribution_as_dict_order():
@@ -185,7 +189,7 @@ def test_interference_against_basis_rotation():
         for phi in GRID[::3]:
             rotated = apply(rotation_gate(-phi),
                             apply(rotation_gate(theta), initial_state(1)))
-            unmeasured = float(probabilities(rotated).probabilities[0])
+            unmeasured = float(probabilities(rotated)[0])
             summary = order_effect_summary(theta, phi)
             measured = summary.a_then_b.b_yes
             assert interference_term(theta, phi) == pytest.approx(

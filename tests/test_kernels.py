@@ -68,7 +68,7 @@ def oracle_sequential(a, b):
 
 def oracle_entangled(a, b):
     final = apply(cnot(control=1), apply(tensor(a, b), initial_state(2)))
-    return tuple(float(p) for p in probabilities(final).probabilities)
+    return tuple(float(p) for p in probabilities(final))
 
 
 def oracle_order_effect(theta, phi, order):
@@ -79,7 +79,7 @@ def oracle_order_effect(theta, phi, order):
         rotations = tensor(rotation_gate(phi), rotation_gate(theta - phi))
         entangler = cnot(control=2)
     final = apply(entangler, apply(rotations, initial_state(2)))
-    return tuple(float(p) for p in probabilities(final).probabilities)
+    return tuple(float(p) for p in probabilities(final))
 
 
 def oracle_sampled(a, b, trials, rng):

@@ -15,7 +15,6 @@ from qprop.propensity import (
     OscillatorParams,
     PointMassCurve,
     PointMassError,
-    Provenance,
     density,
     entropic_force,
     fixed_price_joint,
@@ -31,6 +30,7 @@ from qprop.propensity import (
 
 STANDARD = GaussianCurve(0.0, 1.0)
 UNIT_SCALE = EntropicScale.direct(1.0)
+OMEGA_HBAR = "^omega and hbar must be positive and finite$"
 
 
 def linspace_window(curve, points=4001, width=8.0):
@@ -168,13 +168,12 @@ def test_force_underflow_raises():
 
 
 def test_scale_constructors():
-    assert UNIT_SCALE.provenance is Provenance.DIRECT
+    assert UNIT_SCALE.gamma == 1.0
     osc = EntropicScale.from_oscillator(omega=3.0, hbar=2.0)
     assert osc.gamma == pytest.approx(3.0)
-    assert osc.provenance is Provenance.OSCILLATOR
     with pytest.raises(ValueError):
         EntropicScale.direct(0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=OMEGA_HBAR):
         EntropicScale.from_oscillator(omega=-1.0)
 
 
@@ -450,9 +449,9 @@ def test_reversal_energy_equals_factor_three_work():
 
 
 def test_reversal_energy_rejects_bad_inputs():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=OMEGA_HBAR):
         reversal_energy(omega=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=OMEGA_HBAR):
         reversal_energy(hbar=-1.0)
 
 

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qprop.qubits import (
+    STATE_NORM_TOL,
     Gate,
-    OutcomeDistribution,
     StateVector,
     apply,
     basis_labels,
@@ -117,7 +117,7 @@ def test_hadamard_entries():
 
 def test_hadamard_equal_superposition():
     probs = probabilities(apply(hadamard(), initial_state(1)))
-    assert np.allclose(probs.probabilities, [0.5, 0.5], atol=1e-12)
+    assert np.allclose(probs, [0.5, 0.5], atol=1e-12)
 
 
 def test_hadamard_self_inverse_interference():
@@ -236,15 +236,15 @@ def test_apply_preserves_norm_over_random_unitaries():
 
 
 def test_probabilities_basis_state():
-    probs = probabilities(initial_state(2))
-    assert probs.labels == ("00", "01", "10", "11")
-    assert np.array_equal(probs.probabilities, [1.0, 0.0, 0.0, 0.0])
+    state = initial_state(2)
+    assert state.labels == ("00", "01", "10", "11")
+    assert np.array_equal(probabilities(state), [1.0, 0.0, 0.0, 0.0])
 
 
 def test_probabilities_two_norm_rule():
     state = StateVector(np.array([0.6, 0.8j]))
     probs = probabilities(state)
-    assert np.allclose(probs.probabilities, [0.36, 0.64], atol=1e-15)
+    assert np.allclose(probs, [0.36, 0.64], atol=1e-15)
 
 
 def test_probabilities_rotated_circuit():
@@ -253,24 +253,36 @@ def test_probabilities_rotated_circuit():
                                         rotation_gate(math.pi / 4)),
                                  initial_state(2)))
     expected = [0.375, 0.375, 0.125, 0.125]
-    assert np.allclose(probabilities(state).probabilities, expected, atol=1e-12)
+    assert np.allclose(probabilities(state), expected, atol=1e-12)
 
 
 def test_entanglement_marker():
     """cnot(1).(H x I)|00> puts all mass on |00> and |11>."""
     state = apply(cnot(1), apply(tensor(hadamard(), rotation_gate(0.0)),
                                  initial_state(2)))
-    assert np.allclose(probabilities(state).probabilities,
-                       [0.5, 0.0, 0.0, 0.5], atol=1e-12)
+    assert np.allclose(probabilities(state), [0.5, 0.0, 0.0, 0.5], atol=1e-12)
 
 
-def test_outcome_distribution_validates():
+@given(st.integers(0, 2**32 - 1), st.sampled_from([None, 1, 2]))
+@settings(max_examples=100, deadline=None)
+def test_probabilities_of_a_state_form_a_distribution(seed, control):
+    """The state's norm check is the whole guarantee: every p_i lies in
+    [0, 1] and they sum to 1, both within STATE_NORM_TOL, and the array is
+    read-only.
+    ``control`` None draws a one-qubit state, else a two-qubit one through
+    cnot(control)."""
+    rng = np.random.default_rng(seed)
+    if control is None:
+        state = apply(random_unitary_2x2(rng), initial_state(1))
+    else:
+        gate = tensor(random_unitary_2x2(rng), random_unitary_2x2(rng))
+        state = apply(cnot(control), apply(gate, initial_state(2)))
+    probs = probabilities(state)
+    assert probs.shape == (len(state.labels),)
+    assert np.all((probs >= 0.0) & (probs <= 1.0 + STATE_NORM_TOL))
+    assert abs(float(probs.sum()) - 1.0) <= STATE_NORM_TOL
     with pytest.raises(ValueError):
-        OutcomeDistribution(("0", "1"), np.array([0.7, 0.7]))
-    with pytest.raises(ValueError):
-        OutcomeDistribution(("0", "1"), np.array([1.5, -0.5]))
-    with pytest.raises(ValueError):
-        OutcomeDistribution(("0",), np.array([0.5, 0.5]))
+        probs[0] = 0.5
 
 
 # ============================================================
@@ -406,7 +418,7 @@ def test_rotation_gate_is_always_unitary(angle):
 def test_tensor_probabilities_factorize(theta, phi):
     """P(joint) of a product state is the product of single-qubit P's."""
     joint = probabilities(apply(tensor(rotation_gate(theta), rotation_gate(phi)),
-                                initial_state(2))).probabilities
-    p1 = probabilities(apply(rotation_gate(theta), initial_state(1))).probabilities
-    p2 = probabilities(apply(rotation_gate(phi), initial_state(1))).probabilities
+                                initial_state(2)))
+    p1 = probabilities(apply(rotation_gate(theta), initial_state(1)))
+    p2 = probabilities(apply(rotation_gate(phi), initial_state(1)))
     assert np.allclose(joint, np.kron(p1, p2), atol=1e-12)
