@@ -16,13 +16,13 @@ written, included).
 
 A call imports only what it computes with: every usage error is decided
 before a model module is loaded, and a command loads its own model module
-(decision or propensity) alone, numpy only when it computes over arrays (a
---grid, a sample, a sweep of random gates).
+(decision or propensity) alone, numpy only for random draws (a sample, a
+sweep of random gates). A --grid is computed with math into array('d')
+columns.
 """
 from __future__ import annotations
 
 import argparse
-import configparser
 import contextlib
 import importlib
 import json
@@ -32,19 +32,19 @@ import os
 import re
 import sys
 import time
+from array import array
 from dataclasses import dataclass
+from itertools import chain
 from typing import TYPE_CHECKING, Callable
 
 from . import __version__
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from . import decision, propensity
 
 # Largest grid (N of LO:HI:N) and largest number of sample draws: both are
 # output rows. Their text is written in chunks, so what grows is the computed
-# columns: a 1e6-row force grid peaks at about 75 MB, JSON or CSV.
+# columns: a 1e6-row force grid peaks at about 60 MB, a joint grid at 90 MB.
 MAX_ROWS = 2_000_000
 
 # Rows (or array values) formatted and written at a time: one chunk's text is
@@ -119,30 +119,34 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _cells(column) -> list[str]:
-    """The CSV cells of one column: _fmt of each value, numeric arrays in bulk.
+def _column_format(column) -> str | None:
+    """The %-format of a numeric column's cells: %.12g for a float column (an
+    array('d'), as grids and samples are), %d for a row index (a range)."""
+    return "%.12g" if isinstance(column, array) else "%d" if isinstance(column, range) else None
 
-    One %-format over a whole float column is about a fifth faster than a
-    format call per value, and gives the same text; an integer column is
-    printed as Python ints print.
+
+def _csv_rows(row: str, columns: list) -> str:
+    """The CSV lines of equal-length numeric columns, row a %-template of one
+    line: one %-format over their interleaved values gives _fmt's text."""
+    values = tuple(chain.from_iterable(zip(*columns)))
+    if 0.0 in values:                     # -0.0 == 0.0, and _fmt prints it as 0
+        values = tuple(0.0 if value == 0 else value for value in values)
+    return row * len(columns[0]) % values
+
+
+def _json_numbers(values, sep: str) -> str:
+    """json.dumps of each float at 12 digits, joined by sep.
+
+    One %-format over the chunk gives the tokens when each cell has a decimal
+    point and none an exponent, nan or inf: the cells of a grid all but
+    always. Otherwise only the failing cells are settled by _json_token.
     """
-    kind = getattr(getattr(column, "dtype", None), "kind", None)
-    if kind == "f":
-        values = (column + 0.0).tolist()
-        return ("%.12g\n" * len(values) % tuple(values)).split("\n")[:-1]
-    if kind in ("i", "u"):
-        return list(map(str, column.tolist()))
-    return [_fmt(value) for value in column]
-
-
-def _json_tokens(column: np.ndarray | list[float]) -> list[str]:
-    """JSON numbers of a float column: json.dumps of each value at 12 digits.
-
-    A 12-digit cell is already the token unless it lacks a decimal point
-    or has an exponent; _json_token settles those few.
-    """
-    return [cell if "." in cell and "e" not in cell else _json_token(cell)
-            for cell in _cells(column)]
+    text = (("%.12g" + sep) * len(values))[:-len(sep)] % tuple(values)
+    if text.count(".") == len(values) and "e" not in text and "n" not in text:
+        return text
+    return sep.join(cell if "." in cell and "e" not in cell
+                    else _json_token(format(value + 0.0, ".12g"))
+                    for cell, value in zip(text.split(sep), values))
 
 
 def _json_token(cell: str) -> str:
@@ -156,12 +160,12 @@ def _json_token(cell: str) -> str:
 
 
 def _is_finite(value) -> bool:
-    """False for a float, or a float array, holding a nan or an infinity."""
-    if getattr(getattr(value, "dtype", None), "kind", None) == "f":
-        import numpy as np
-
-        return bool(np.isfinite(value).all())
-    return not isinstance(value, float) or math.isfinite(value)
+    """False for a float, or a float column, holding a nan or an infinity."""
+    if not isinstance(value, array):
+        return not isinstance(value, float) or math.isfinite(value)
+    # A finite sum holds no nan or inf; a sum that overflows is read value
+    # by value.
+    return math.isfinite(sum(value)) or all(map(math.isfinite, value))
 
 
 def _quantities(results: dict, prefix: str = ""):
@@ -219,13 +223,20 @@ def _grid_bounds(spec: str) -> tuple[float, float, int]:
     return lo, hi, n
 
 
-def _grid_columns(spec: str) -> tuple[np.ndarray, np.ndarray]:
-    """The log-price and price columns of a checked LO:HI:N grid."""
-    import numpy as np
+def _grid_columns(spec: str) -> tuple[array, array]:
+    """The log-price and price columns of a checked LO:HI:N grid.
 
+    x_i = i * step + log(LO), with the last point log(HI): the points of
+    np.linspace(log(LO), log(HI), N), bit for bit.
+    """
     lo, hi, n = _grid_bounds(spec)
-    x = np.linspace(math.log(lo), math.log(hi), n)
-    return x, np.exp(x)
+    start, stop = math.log(lo), math.log(hi)
+    step = (stop - start) / (n - 1)
+    x = array("d")
+    for i in range(0, n, CHUNK_ROWS):
+        x.fromlist([j * step + start for j in range(i, min(i + CHUNK_ROWS, n))])
+    x[-1] = stop
+    return x, array("d", map(math.exp, x))
 
 
 def _marginals_dict(m: decision.EventDistribution) -> dict[str, float]:
@@ -382,7 +393,8 @@ def _exec_joint(params: dict) -> CommandResult:
             "price": prices,
             "buyer_density": propensity.density(pair.buyer, x),
             "seller_density": propensity.density(pair.seller, x),
-            "joint_density": pair.scale * propensity.density(pair.joint, x),
+            "joint_density": array("d", (pair.scale * value for value in
+                                         propensity.density(pair.joint, x))),
             "buyer_force": propensity.entropic_force(pair.buyer, x, scale),
             "seller_force": propensity.entropic_force(pair.seller, x, scale),
             "joint_force": propensity.entropic_force(pair.joint, x, scale),
@@ -431,16 +443,19 @@ def _exec_sample(params: dict) -> CommandResult:
     pair = _build_pair(params)
     rng = np.random.default_rng(params["seed"])
     draws = propensity.sample_prices(pair, params["trials"], rng)
+    # The output columns are array('d'), as a grid's are; numpy fills them.
+    x, prices = array("d", [0.0]) * len(draws), array("d", [0.0]) * len(draws)
+    np.frombuffer(x)[:] = draws
     with np.errstate(over="ignore"):     # an infinite price is refused by _run_model
-        prices = np.exp(draws)
+        np.exp(draws, out=np.frombuffer(prices))
     results = {
         "trials": params["trials"],
         "joint": _curve_dict(pair.joint),
         "scale": pair.scale,
-        "log_prices": draws,
+        "log_prices": x,
         "prices": prices,
     }
-    return CommandResult(results, {"index": np.arange(len(draws)), "x": draws, "price": prices})
+    return CommandResult(results, {"index": range(len(x)), "x": x, "price": prices})
 
 
 @dataclass(frozen=True)
@@ -448,7 +463,7 @@ class Command:
     help: str
     params: tuple                  # of Param, in flag order
     run: Callable[[dict], CommandResult]
-    modules: tuple                 # imported before the timer starts, numpy too for a grid
+    modules: tuple                 # imported before the timer starts
 
 
 COMMANDS = {
@@ -587,6 +602,8 @@ def load_config(path: str) -> tuple[str, dict, str]:
     section holds its parameters under the flag names (angles in radians,
     prices in currency units). Unknown sections or keys are fatal.
     """
+    import configparser
+
     parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -639,8 +656,8 @@ def load_config(path: str) -> tuple[str, dict, str]:
 def _json_pieces(value, write: Callable[[str], object], indent: str = "\n") -> None:
     """Write json.dumps(value, indent=2) in pieces, floats at 12 digits.
 
-    Every float, alone or in an array, is printed by _json_tokens, and each
-    float array as a list, CHUNK_ROWS values to a piece. Arrays are never
+    Every float, alone or in a column, is printed by _json_numbers, and each
+    float column as a list, CHUNK_ROWS values to a piece. Columns are never
     empty: grids have two points or more, samples one draw.
     """
     inner = indent + "  "
@@ -652,11 +669,11 @@ def _json_pieces(value, write: Callable[[str], object], indent: str = "\n") -> N
             opening = ","
         write(indent + "}")
     elif isinstance(value, float):
-        write(_json_tokens([value])[0])
-    elif hasattr(value, "dtype"):
+        write(_json_numbers([value], ","))
+    elif isinstance(value, array):
         for i in range(0, len(value), CHUNK_ROWS):
             write(("," if i else "[") + inner
-                  + ("," + inner).join(_json_tokens(value[i:i + CHUNK_ROWS])))
+                  + _json_numbers(value[i:i + CHUNK_ROWS], "," + inner))
         write(indent + "]")
     else:
         write(json.dumps(value))
@@ -686,9 +703,12 @@ def _write(result: CommandResult, model: str, params: dict, output: str,
                                                  zip(*_quantities(result.results))))
                 handle.write(",".join(table) + "\n")
                 columns = list(table.values())
+                formats = list(map(_column_format, columns))
+                row = None if None in formats else ",".join(formats) + "\n"
                 for i in range(0, len(columns[0]), CHUNK_ROWS):
-                    handle.write("\n".join(map(",".join, zip(*(
-                        _cells(column[i:i + CHUNK_ROWS]) for column in columns)))) + "\n")
+                    chunk = [column[i:i + CHUNK_ROWS] for column in columns]
+                    handle.write(_csv_rows(row, chunk) if row else "".join(
+                        ",".join(map(_fmt, cells)) + "\n" for cells in zip(*chunk)))
             handle.flush()
     except OSError as exc:
         raise UsageError(f"cannot write output: {exc}")
@@ -703,8 +723,7 @@ def _run_model(model: str, params: dict, output: str, out_path: str | None) -> i
         if params["seed"] < 0:
             raise UsageError("seed must be a nonnegative integer")
     _check_combinations(model, params)
-    arrays = ("numpy",) if params.get("grid") is not None else ()
-    for name in command.modules + arrays:
+    for name in command.modules:
         importlib.import_module(name, __package__)
     start = time.perf_counter()
     try:

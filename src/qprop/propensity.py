@@ -17,15 +17,18 @@ factor (the overlap mass), and its force is the sum of the two parties'
 forces. When one side fixes its price the joint collapses to a point mass
 and the transaction force is the flexible party's alone.
 
-Densities and forces at one point (a Python float or int) are evaluated
-with ``math``; numpy is imported, when first needed, only to evaluate them
-over arrays and to draw prices. The curve types, joint curves, work and
-oscillator quantities need only ``math``.
+Densities and forces at one point (a Python float or int) and over an
+``array('d')`` are evaluated with ``math``, point by point, each point with
+the one-point expression. numpy is imported, when first needed, only to
+evaluate them over numpy arrays and to draw prices. The curve types, joint
+curves, work and oscillator quantities need only ``math``.
 """
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
+from itertools import chain
 from typing import TYPE_CHECKING, Union
 
 if TYPE_CHECKING:
@@ -36,8 +39,21 @@ _ROOT_2PI = math.sqrt(2.0 * math.pi)
 _LOG_ROOT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
-# One point of a density or force: evaluated with math, no numpy.
-_SCALAR = (int, float)
+# One point of a density or force (an int or float), or an array('d') of
+# points: evaluated with math, no numpy.
+_MATH = (int, float, array)
+_BLOCK = 8192     # points per list, so no list holds a whole large grid
+
+
+def _on_math(x, values):
+    """values(points), a list of floats, at one point (a number) or over an
+    array('d') block by block (an array('d'))."""
+    if not isinstance(x, array):
+        return values((x,))[0]
+    out = array("d")
+    for i in range(0, len(x), _BLOCK):
+        out.fromlist(values(x[i:i + _BLOCK]))
+    return out
 
 
 def _fit(quantity: str, numerator: float, denominator: float = 1.0) -> float:
@@ -164,14 +180,16 @@ class ReversalEnergy:
 
 
 def density(curve: PropensityCurve, x):
-    """Density of ``curve`` at log-price ``x`` (scalar or array)."""
+    """Density of ``curve`` at log-price ``x``: a number, an array('d') or a
+    numpy array, returned in kind."""
     if isinstance(curve, PointMassCurve):
         raise PointMassError("a point mass has no finite density")
     # Far tails overflow z * z to inf and the density to 0, which is the
     # right value; callers that need a positive density check for it.
-    if isinstance(x, _SCALAR):
-        z = (x - curve.mu) / curve.sigma
-        return math.exp(-0.5 * z * z) / (curve.sigma * _ROOT_2PI)
+    if isinstance(x, _MATH):
+        mu, sigma, norm, exp = curve.mu, curve.sigma, curve.sigma * _ROOT_2PI, math.exp
+        return _on_math(x, lambda points: [exp(-0.5 * (z := (v - mu) / sigma) * z) / norm
+                                           for v in points])
     import numpy as np
 
     with np.errstate(over="ignore", under="ignore"):
@@ -184,9 +202,10 @@ def log_density(curve: PropensityCurve, x):
     """Natural log of ``density``; stays finite far into the tails."""
     if isinstance(curve, PointMassCurve):
         raise PointMassError("a point mass has no finite density")
-    if isinstance(x, _SCALAR):
-        z = (x - curve.mu) / curve.sigma
-        return -0.5 * z * z - math.log(curve.sigma) - _LOG_ROOT_2PI
+    if isinstance(x, _MATH):
+        mu, sigma, log_sigma = curve.mu, curve.sigma, math.log(curve.sigma)
+        return _on_math(x, lambda points: [-0.5 * (z := (v - mu) / sigma) * z - log_sigma
+                                           - _LOG_ROOT_2PI for v in points])
     import numpy as np
 
     with np.errstate(over="ignore", under="ignore"):
@@ -196,7 +215,13 @@ def log_density(curve: PropensityCurve, x):
 
 
 def _require_positive_density(curve: GaussianCurve, x) -> None:
-    below = density(curve, x) < DENSITY_FLOOR
+    if isinstance(x, array):
+        # The density falls with |x - mu|: its lowest lies at the least or the
+        # greatest point. nan points are passed over, as numpy's < passes them.
+        lo, hi = min(chain((math.inf,), x)), max(chain((-math.inf,), x))
+        below = lo <= hi and min(density(curve, lo), density(curve, hi)) < DENSITY_FLOOR
+    else:
+        below = density(curve, x) < DENSITY_FLOOR
     if below if isinstance(below, bool) else below.any():
         raise ValueError(
             "density underflow: the point lies too far from the curve to carry meaning")
@@ -218,14 +243,14 @@ def entropic_force(curve: PropensityCurve, x, scale: EntropicScale):
         raise PointMassError(
             "a point mass exerts no entropic force; use fixed_price_joint")
     _require_positive_density(curve, x)
-    k = force_constant(curve.sigma, scale.gamma)
-    if isinstance(x, _SCALAR):
-        return -k * (x - curve.mu)
+    minus_k, mu = -force_constant(curve.sigma, scale.gamma), curve.mu
+    if isinstance(x, _MATH):
+        return _on_math(x, lambda points: [minus_k * (v - mu) for v in points])
     import numpy as np
 
     # A product beyond the float range is inf; the caller sees the inf.
     with np.errstate(over="ignore", invalid="ignore"):
-        out = -k * (np.asarray(x, dtype=np.float64) - curve.mu)
+        out = minus_k * (np.asarray(x, dtype=np.float64) - mu)
     return out if out.ndim else float(out)
 
 

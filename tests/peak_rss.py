@@ -1,9 +1,10 @@
 """Peak memory of million-row outputs, which are written in chunks.
 
-Runs a 1e6-point `qprop force --grid` and a 1e6-draw `qprop sample` as child
-processes, in JSON and in CSV, with their output discarded, and reads each
-child's peak resident set size with os.wait4 (Linux, where ru_maxrss is in
-KiB). Exits 1 if a call fails or peaks above LIMIT_MB.
+Runs a 1e6-point `qprop force --grid`, a 1e6-point `qprop joint --grid` (the
+widest table) and a 1e6-draw `qprop sample` as child processes, in JSON and
+in CSV, with their output discarded, and reads each child's peak resident set
+size with os.wait4 (Linux, where ru_maxrss is in KiB). Exits 1 if a call fails
+or peaks above LIMIT_MB.
 
     PYTHONPATH=src python3 tests/peak_rss.py
 """
@@ -19,6 +20,9 @@ LIMIT_MB = 120
 CALLS = {
     "force": ["force", "--mean-price", "1.0", "--sigma", "0.25", "--gamma", "1.0",
               "--grid", "0.5:2.0:1000000"],
+    "joint": ["joint", "--buyer-mean-price", "0.95", "--buyer-sigma", "0.2",
+              "--seller-mean-price", "1.1", "--seller-sigma", "0.3", "--gamma", "1.0",
+              "--grid", "0.8:1.25:1000000"],
     "sample": ["sample", "--trials", "1000000", "--buyer-mean-price", "1.05",
                "--buyer-sigma", "0.1", "--seller-mean-price", "0.95",
                "--seller-sigma", "0.1", "--seed", "3"],

@@ -8,14 +8,15 @@ import pathlib
 import re
 import subprocess
 import sys
+from array import array
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qprop import __version__, cli, decision
-from qprop.cli import CHUNK_ROWS, MAX_ROWS, _cells, _fmt, _json_pieces, _json_tokens, main
+from qprop import __version__, cli, decision, propensity
+from qprop.cli import CHUNK_ROWS, MAX_ROWS, _csv_rows, _fmt, _json_numbers, _json_pieces, main
 
 import make_goldens
 from make_goldens import CASES, GOLDEN_DIR, mask_timing, strict_json
@@ -985,26 +986,141 @@ def test_version_flag():
 @example(np.array([1e-5, -1e-4, 1.5e-35, 2.5e-300]))
 @example(np.array([5e-324, -1e-310, 2.2250738585072014e-308, 2.225073858507e-308]))
 def test_column_formatter_matches_per_value_route(values):
-    assert _cells(values) == [_fmt(v) for v in values]
-    assert _json_tokens(values) == [json.dumps(float(format(v + 0.0, ".12g")))
-                                    for v in values]
+    column = array("d", values)
+    assert _csv_rows("%.12g\n", [column]) == "".join(_fmt(v) + "\n" for v in values)
+    assert _json_numbers(column, ",") == ",".join(
+        json.dumps(float(format(v + 0.0, ".12g"))) for v in values)
 
 
-@given(st.one_of(
-    arrays(np.int64, st.integers(0, 30)),
-    arrays(np.uint64, st.integers(0, 30)),
-    arrays(np.int8, st.integers(0, 30))))
-@example(np.arange(12))
-@example(np.array([np.iinfo(np.int64).min, -1, 0, np.iinfo(np.int64).max]))
-@example(np.array([np.iinfo(np.uint64).max], dtype=np.uint64))
-def test_integer_column_formatter_matches_per_value_route(values):
-    assert _cells(values) == [_fmt(v) for v in values]
+@given(st.integers(-2**64, 2**64), st.integers(1, 2**62), st.integers(0, 30))
+@example(0, 1, 12)
+@example(-2**63, 2**62, 4)
+@example(2**64 - 1, 1, 1)
+def test_integer_column_formatter_matches_per_value_route(start, step, n):
+    index = range(start, start + n * step, step)
+    assert _csv_rows("%d\n", [index]) == "".join(_fmt(v) + "\n" for v in index)
 
 
 def test_column_formatter_spells_nonfinite_as_json_does():
-    values = np.array([np.nan, np.inf, -np.inf])
-    assert _cells(values) == ["nan", "inf", "-inf"]
-    assert _json_tokens(values) == ["NaN", "Infinity", "-Infinity"]
+    column = array("d", [math.nan, math.inf, -math.inf])
+    assert _csv_rows("%.12g\n", [column]) == "nan\ninf\n-inf\n"
+    assert _json_numbers(column, ",") == "NaN,Infinity,-Infinity"
+
+
+def test_float_column_finiteness_survives_an_overflowing_sum():
+    """A column is finite when each value is, even where their sum is not."""
+    assert cli._is_finite(array("d", [1e308, 1e308, -0.0]))
+    assert not cli._is_finite(array("d", [1e308, 1e308, math.inf]))
+    assert not cli._is_finite(array("d", [1.0, math.nan, 2.0]))
+
+
+# Chunks that mix every kind of cell the one-template routes must settle:
+# integer values, exponents of both signs, 1e12-1e16 (positional in JSON),
+# subnormals, both zeros, nan and the infinities.
+CHUNK_FLOATS = st.one_of(
+    st.floats(-3.0, 3.0),
+    st.integers(-2**53, 2**53).map(float),
+    st.floats(1e-7, 1e-4), st.floats(-1e-4, -1e-7),
+    st.floats(1e12, 1e16), st.floats(-1e16, -1e12),
+    st.floats(-2.3e-308, 2.3e-308),
+    st.sampled_from([-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16]),
+    st.floats())
+
+
+@settings(max_examples=75, deadline=None)
+@given(st.lists(CHUNK_FLOATS, min_size=1, max_size=24), st.integers(1, 3),
+       st.one_of(st.none(), st.integers(-2**63, 2**63)))
+@example([0.5, 1.25, -3.0625], 1, None)
+@example([-0.0, 2.0, 1e-5, 1e15], 2, 0)
+@example([math.nan, math.inf, -math.inf, 5e-324], 1, 7)
+@example([5e-324, 0.5, 2.5], 1, None)
+def test_chunk_templates_match_per_cell_route(values, width, start):
+    """The whole-chunk JSON test and the CSV row template give the text of
+    the per-cell route, whether a chunk is accepted whole or fixed cell by
+    cell; a CSV table may lead with an integer index column."""
+    column = array("d", values)
+    sep = ",\n      "
+    assert _json_numbers(column, sep) == sep.join(
+        json.dumps(float(format(v + 0.0, ".12g"))) for v in values)
+    columns = [column[j::width] for j in range(width)]
+    columns = [c[:len(columns[-1])] for c in columns]
+    formats = ["%.12g"] * width
+    if start is not None:
+        columns.insert(0, range(start, start + len(columns[0])))
+        formats.insert(0, "%d")
+    assert _csv_rows(",".join(formats) + "\n", columns) == "".join(
+        ",".join(map(_fmt, row)) + "\n" for row in zip(*columns))
+
+
+# ============================================================
+# Grid columns against the one-point route
+# ============================================================
+
+def ulps_above(value, count):
+    for _ in range(count):
+        value = math.nextafter(value, math.inf)
+    return value
+
+
+GRIDS = st.one_of(
+    st.tuples(st.floats(0.01, 10.0), st.floats(1.001, 100.0), st.integers(2, 40)).map(
+        lambda t: (t[0], t[0] * t[1], t[2])),
+    st.tuples(st.floats(1e-300, 1e300), st.integers(1, 8), st.integers(2, 40)).map(
+        lambda t: (t[0], ulps_above(t[0], t[1]), t[2])),
+    st.tuples(st.floats(1e-300, 1e-10), st.floats(1e10, 1e300), st.integers(2, 40)))
+UNIT = st.floats(0.0, 1.0)
+
+
+def grid_curve(lo, hi, where, width):
+    """A curve centred inside [log LO, log HI], wide enough that no grid
+    point lies below the density floor."""
+    start, stop = math.log(lo), math.log(hi)
+    return (math.exp(start + where * (stop - start)),
+            (stop - start + 1e-3) * (0.05 + 2.0 * width))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["force", "joint"]), GRIDS, UNIT, UNIT, UNIT, UNIT,
+       st.floats(0.5, 2.0))
+@example("force", (0.5, 2.0, 2), 0.5, 0.5, 0.5, 0.5, 1.0)
+@example("force", (0.8, 1.25, 11), 0.5, 0.5, 0.5, 0.5, 1.0)
+@example("joint", (1.0, 1.0000000000000002, 3), 0.0, 0.1, 1.0, 0.9, 1.5)
+@example("joint", (1e-300, 1e300, 25), 0.25, 0.3, 0.75, 0.2, 0.7)
+def test_grid_cells_equal_the_one_point_route(model, grid, b_where, b_width,
+                                              s_where, s_width, gamma):
+    """x is np.linspace over log-price bit for bit, and every other cell is
+    the one-point math route at that x, bit for bit."""
+    lo, hi, n = grid
+    params = {spec.name: None for spec in cli.COMMANDS[model].params}
+    params.update(gamma=gamma, grid=f"{lo!r}:{hi!r}:{n}")
+    buyer = grid_curve(lo, hi, b_where, b_width)
+    if model == "force":
+        params.update(mean_price=buyer[0], sigma=buyer[1])
+    else:
+        seller = grid_curve(lo, hi, s_where, s_width)
+        params.update(buyer_mean_price=buyer[0], buyer_sigma=buyer[1],
+                      seller_mean_price=seller[0], seller_sigma=seller[1])
+    columns = getattr(cli, f"_exec_{model}")(params).table
+    x = columns["x"]
+    assert x.tobytes() == np.linspace(math.log(lo), math.log(hi), n).tobytes()
+    scale = propensity.EntropicScale.direct(gamma)
+    if model == "force":
+        curve = propensity.GaussianCurve(math.log(buyer[0]), buyer[1])
+        expected = {"density": lambda v: propensity.density(curve, v),
+                    "force": lambda v: propensity.entropic_force(curve, v, scale)}
+    else:
+        pair = cli._build_pair(params)
+        expected = {"joint_density": lambda v: pair.scale * propensity.density(pair.joint, v)}
+        for side in ("buyer", "seller", "joint"):
+            curve = getattr(pair, side)
+            expected[f"{side}_force"] = (
+                lambda v, c=curve: propensity.entropic_force(c, v, scale))
+            if side != "joint":
+                expected[f"{side}_density"] = lambda v, c=curve: propensity.density(c, v)
+    expected["price"] = math.exp
+    assert set(columns) == {"x", *expected}
+    for name, at in expected.items():
+        assert columns[name].tobytes() == array("d", map(at, x)).tobytes(), name
 
 
 # ============================================================
@@ -1018,18 +1134,19 @@ FLOATS = st.one_of(
     st.floats(-2.3e-308, 2.3e-308),
     st.sampled_from([-0.0, 5e-324, 1e16, 999999999999.6]))
 LEAVES = st.one_of(FLOATS, st.integers(), st.booleans(), st.none(), st.text(max_size=8),
-                   arrays(np.float64, st.integers(1, 6), elements=FLOATS))
+                   st.lists(FLOATS, min_size=1, max_size=6).map(lambda v: array("d", v)))
 RECORDS = st.dictionaries(st.text(max_size=8), st.recursive(
     LEAVES, lambda children: st.dictionaries(st.text(max_size=8), children, max_size=4),
     max_leaves=12), min_size=1, max_size=5)
 
 
 def rounded(value):
-    """The value with every float at 12 significant digits, arrays as lists."""
+    """The value with every float at 12 significant digits, float columns
+    (array('d')) as lists."""
     if isinstance(value, dict):
         return {key: rounded(item) for key, item in value.items()}
-    if isinstance(value, np.ndarray):
-        return [rounded(float(v)) for v in value]
+    if isinstance(value, array):
+        return [rounded(v) for v in value]
     if isinstance(value, float):
         return float(format(value + 0.0, ".12g"))
     return value
@@ -1037,7 +1154,7 @@ def rounded(value):
 
 @settings(max_examples=100, deadline=None)
 @given(RECORDS)
-@example({"a": {"b": np.array([1e12, -0.0, 5e-324]), "c": 2.0}, "d": True, "e": None})
+@example({"a": {"b": array("d", [1e12, -0.0, 5e-324]), "c": 2.0}, "d": True, "e": None})
 def test_json_writer_matches_json_dumps(record):
     out = []
     _json_pieces(record, out.append)

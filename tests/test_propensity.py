@@ -1,8 +1,9 @@
 import math
+from array import array
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import simpson
 from scipy.stats import norm
@@ -549,3 +550,39 @@ def test_scalar_and_one_point_array_routes_agree(params, x):
     assert (forces[0] is None) == (forces[1] is None) == (density_scalar < DENSITY_FLOOR)
     if forces[0] is not None:
         assert math.isclose(forces[0], forces[1], rel_tol=1e-15)
+
+
+def refuses(call):
+    """True where call raises the density-underflow ValueError."""
+    try:
+        call()
+    except ValueError as exc:
+        assert str(exc).startswith("density underflow")
+        return True
+    return False
+
+
+@given(st.tuples(st.floats(-3.0, 3.0), st.floats(0.05, 3.0)),
+       st.lists(st.one_of(st.floats(-200.0, 200.0),
+                          st.sampled_from([math.nan, math.inf, -math.inf, -0.0])),
+                max_size=12))
+@settings(max_examples=100, deadline=None)
+@example((0.0, 1.0), [math.nan, 100.0, 0.5])
+@example((0.0, 1.0), [0.5, 100.0, -1.0])
+def test_array_d_route_is_the_one_point_route(params, points):
+    """An array('d') is evaluated point by point with the one-point
+    expression, bit for bit, and its force is refused exactly where numpy's
+    is: where any point, in any order and among nan points, lies below the
+    density floor."""
+    curve = GaussianCurve(*params)
+    x = array("d", points)
+    for f in (density, log_density):
+        out = f(curve, x)
+        assert isinstance(out, array)
+        assert out.tobytes() == array("d", [f(curve, v) for v in points]).tobytes()
+    refused = refuses(lambda: entropic_force(curve, x, UNIT_SCALE))
+    assert refused == refuses(
+        lambda: entropic_force(curve, np.array(points, dtype=np.float64), UNIT_SCALE))
+    if not refused:
+        assert entropic_force(curve, x, UNIT_SCALE).tobytes() == array(
+            "d", [entropic_force(curve, v, UNIT_SCALE) for v in points]).tobytes()

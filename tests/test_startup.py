@@ -1,5 +1,5 @@
 """What a call imports: the package, the CLI and each kind of call load only
-the modules they compute with.
+the modules they compute with. configparser is loaded by `run` alone.
 
 Each probe runs ``python -m qprop`` in a fresh interpreter and reports the
 names in ``sys.modules`` as the interpreter exits.
@@ -14,6 +14,7 @@ import qprop
 from qprop.cli import MAX_ROWS
 
 MODEL_MODULES = {"numpy", "qprop.decision", "qprop.propensity", "qprop.qubits"}
+TRACKED = MODEL_MODULES | {"configparser"}
 
 PROBE = """\
 import atexit, runpy, sys
@@ -23,11 +24,11 @@ runpy.run_module("qprop", run_name="__main__", alter_sys=True)
 
 
 def run_probe(*argv):
-    """(exit code, stdout, stderr, model modules loaded) of one qprop call."""
+    """(exit code, stdout, stderr, tracked modules loaded) of one qprop call."""
     proc = subprocess.run([sys.executable, "-c", PROBE, *argv],
                           capture_output=True, text=True)
     err, _, modules = proc.stderr.rpartition("\nMODULES ")
-    return proc.returncode, proc.stdout, err, MODEL_MODULES & set(modules.split())
+    return proc.returncode, proc.stdout, err, TRACKED & set(modules.split())
 
 
 def test_importing_the_package_and_cli_loads_no_model_module():
@@ -35,7 +36,7 @@ def test_importing_the_package_and_cli_loads_no_model_module():
         [sys.executable, "-c",
          "import sys, qprop, qprop.cli; print(' '.join(sorted(sys.modules)))"],
         capture_output=True, text=True, check=True)
-    assert MODEL_MODULES & set(proc.stdout.split()) == set()
+    assert TRACKED & set(proc.stdout.split()) == set()
 
 
 BAD_CONFIG = "[run]\nmodel = oscillator\n\n[oscillator]\nsigma = 0.3\nspin = 1\n"
@@ -72,7 +73,22 @@ def test_rejected_config_loads_no_numpy(tmp_path):
     code, out, err, loaded = run_probe("run", str(path))
     assert code == 2
     assert "unknown key 'spin'" in err
-    assert loaded == set()
+    assert loaded == {"configparser"}
+
+
+GRID_CONFIG = ("[run]\nmodel = joint\noutput = csv\n\n[joint]\nbuyer-mean-price = 1\n"
+               "buyer-sigma = 0.1\nseller-mean-price = 1.1\nseller-sigma = 0.2\n"
+               "gamma = 1\ngrid = 0.5:2.0:5\n")
+
+
+def test_grid_config_loads_no_numpy(tmp_path):
+    """A grid by config is computed with math, as a grid by flag is."""
+    path = tmp_path / "grid.cfg"
+    path.write_text(GRID_CONFIG, encoding="utf-8")
+    code, out, err, loaded = run_probe("run", str(path))
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 6
+    assert loaded == {"configparser", "qprop.propensity"}
 
 
 @pytest.mark.parametrize("kind, message", [
@@ -96,7 +112,7 @@ PAIR = ["joint", "--buyer-mean-price", "1", "--buyer-sigma", "0.1",
      {"qprop.decision"}),
     (["oscillator", "--sigma", "0.3", "--output", "csv"], {"qprop.propensity"}),
     (["force", "--mean-price", "1", "--sigma", "0.3", "--gamma", "1",
-      "--grid", "0.5:2.0:5"], {"numpy", "qprop.propensity"}),
+      "--grid", "0.5:2.0:5"], {"qprop.propensity"}),
     (["force", "--mean-price", "1", "--sigma", "0.3", "--price", "1.1"],
      {"qprop.propensity"}),
     (["equivalence", "--trials", "3", "--seed", "1"],
@@ -106,11 +122,15 @@ PAIR = ["joint", "--buyer-mean-price", "1", "--buyer-sigma", "0.1",
     (PAIR, {"qprop.propensity"}),
     (["joint", "--buyer-mean-price", "1", "--buyer-sigma", "0.1",
       "--seller-fixed-price", "1.1"], {"qprop.propensity"}),
-    ([*PAIR, "--gamma", "1", "--grid", "0.5:2.0:5"], {"numpy", "qprop.propensity"}),
+    ([*PAIR, "--gamma", "1", "--grid", "0.5:2.0:5"], {"qprop.propensity"}),
+    (["sample", "--trials", "3", "--buyer-mean-price", "1", "--buyer-sigma", "0.1",
+      "--seller-fixed-price", "1.1", "--seed", "1", "--output", "csv"],
+     {"numpy", "qprop.propensity"}),
 ])
 def test_call_loads_only_its_model_modules(argv, expected):
-    """numpy is loaded for arrays (a grid, a sweep) only: a one-point force,
-    a work and a scalar joint are closed forms on math."""
+    """numpy is loaded for random draws (a sample, a sweep) only: one-point
+    curves are closed forms on math, and grids are computed with math too.
+    A call by flags loads no configparser."""
     code, out, err, loaded = run_probe(*argv)
     assert code == 0 and err == ""
     assert loaded == expected
