@@ -27,7 +27,6 @@ import contextlib
 import importlib
 import json
 import math
-import numbers
 import os
 import re
 import sys
@@ -112,22 +111,24 @@ def _fmt(value) -> str:
     """One CSV cell, floats at 12 significant digits."""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, numbers.Integral):
+    if isinstance(value, int):
         return str(int(value))
-    if isinstance(value, numbers.Real):
+    if isinstance(value, float):
         return format(float(value) + 0.0, ".12g")
     return str(value)
 
 
-def _column_format(column) -> str | None:
-    """The %-format of a numeric column's cells: %.12g for a float column (an
-    array('d'), as grids and samples are), %d for a row index (a range)."""
-    return "%.12g" if isinstance(column, array) else "%d" if isinstance(column, range) else None
+def _column_format(column) -> str:
+    """The %-format of a column's cells: %.12g for a float column (an
+    array('d'), as grids and samples are), %d for a row index (a range), and
+    %s for any other column, whose cells _write has turned into _fmt text."""
+    return "%.12g" if isinstance(column, array) else "%d" if isinstance(column, range) else "%s"
 
 
 def _csv_rows(row: str, columns: list) -> str:
-    """The CSV lines of equal-length numeric columns, row a %-template of one
-    line: one %-format over their interleaved values gives _fmt's text."""
+    """The CSV lines of equal-length columns, row a %-template of one line
+    (see _column_format): one %-format over their interleaved values gives
+    _fmt's text."""
     values = tuple(chain.from_iterable(zip(*columns)))
     if 0.0 in values:                     # -0.0 == 0.0, and _fmt prints it as 0
         values = tuple(0.0 if value == 0 else value for value in values)
@@ -702,13 +703,11 @@ def _write(result: CommandResult, model: str, params: dict, output: str,
                 table = result.table or dict(zip(("quantity", "value"),
                                                  zip(*_quantities(result.results))))
                 handle.write(",".join(table) + "\n")
-                columns = list(table.values())
-                formats = list(map(_column_format, columns))
-                row = None if None in formats else ",".join(formats) + "\n"
+                columns = [column if isinstance(column, (array, range))
+                           else list(map(_fmt, column)) for column in table.values()]
+                row = ",".join(map(_column_format, columns)) + "\n"
                 for i in range(0, len(columns[0]), CHUNK_ROWS):
-                    chunk = [column[i:i + CHUNK_ROWS] for column in columns]
-                    handle.write(_csv_rows(row, chunk) if row else "".join(
-                        ",".join(map(_fmt, cells)) + "\n" for cells in zip(*chunk)))
+                    handle.write(_csv_rows(row, [column[i:i + CHUNK_ROWS] for column in columns]))
             handle.flush()
     except OSError as exc:
         raise UsageError(f"cannot write output: {exc}")

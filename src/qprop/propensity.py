@@ -17,10 +17,12 @@ factor (the overlap mass), and its force is the sum of the two parties'
 forces. When one side fixes its price the joint collapses to a point mass
 and the transaction force is the flexible party's alone.
 
-Densities and forces at one point (a Python float or int) and over an
-``array('d')`` are evaluated with ``math``, point by point, each point with
-the one-point expression. numpy is imported, when first needed, only to
-evaluate them over numpy arrays and to draw prices. The curve types, joint
+Densities and forces are evaluated with ``math``, each point with the
+one-point expression, whatever the input: a Python float or int gives a
+float, an ``array('d')`` an ``array('d')``, and any other array-like (a
+numpy array of any shape, a list, a numpy scalar) a float64 ndarray of its
+shape, or a float where it is 0-d. numpy is imported, when first needed,
+only to read such an input and to draw prices. The curve types, joint
 curves, work and oscillator quantities need only ``math``.
 """
 from __future__ import annotations
@@ -39,10 +41,26 @@ _ROOT_2PI = math.sqrt(2.0 * math.pi)
 _LOG_ROOT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
-# One point of a density or force (an int or float), or an array('d') of
-# points: evaluated with math, no numpy.
-_MATH = (int, float, array)
 _BLOCK = 8192     # points per list, so no list holds a whole large grid
+
+
+def _pointwise(f):
+    """f(curve, x, ...), which takes x as a number or an array('d'), made to
+    take any array-like x too: its points are read into an array('d') in C
+    order, and f's result comes back as a writable float64 ndarray of x's
+    shape, or as a float where x is 0-d."""
+    def over(curve, x, *args, **kwargs):
+        if isinstance(x, (int, float, array)):
+            return f(curve, x, *args, **kwargs)
+        import numpy as np
+
+        x = np.asarray(x, dtype=np.float64)
+        out = f(curve, array("d", x.tobytes()), *args, **kwargs)
+        return np.frombuffer(out).reshape(x.shape) if x.ndim else out[0]
+
+    over.__name__, over.__qualname__, over.__doc__ = f.__name__, f.__qualname__, f.__doc__
+    over.__wrapped__ = f
+    return over
 
 
 def _on_math(x, values):
@@ -179,50 +197,36 @@ class ReversalEnergy:
         return self.exact / self.base_energy - 1.0
 
 
+@_pointwise
 def density(curve: PropensityCurve, x):
-    """Density of ``curve`` at log-price ``x``: a number, an array('d') or a
-    numpy array, returned in kind."""
+    """Density of ``curve`` at log-price ``x``: a number, an array('d') or
+    any array-like, returned as the module docstring says."""
     if isinstance(curve, PointMassCurve):
         raise PointMassError("a point mass has no finite density")
     # Far tails overflow z * z to inf and the density to 0, which is the
     # right value; callers that need a positive density check for it.
-    if isinstance(x, _MATH):
-        mu, sigma, norm, exp = curve.mu, curve.sigma, curve.sigma * _ROOT_2PI, math.exp
-        return _on_math(x, lambda points: [exp(-0.5 * (z := (v - mu) / sigma) * z) / norm
-                                           for v in points])
-    import numpy as np
-
-    with np.errstate(over="ignore", under="ignore"):
-        z = (np.asarray(x, dtype=np.float64) - curve.mu) / curve.sigma
-        out = np.exp(-0.5 * z * z) / (curve.sigma * _ROOT_2PI)
-    return out if out.ndim else float(out)
+    mu, sigma, norm, exp = curve.mu, curve.sigma, curve.sigma * _ROOT_2PI, math.exp
+    return _on_math(x, lambda points: [exp(-0.5 * (z := (v - mu) / sigma) * z) / norm
+                                       for v in points])
 
 
+@_pointwise
 def log_density(curve: PropensityCurve, x):
     """Natural log of ``density``; stays finite far into the tails."""
     if isinstance(curve, PointMassCurve):
         raise PointMassError("a point mass has no finite density")
-    if isinstance(x, _MATH):
-        mu, sigma, log_sigma = curve.mu, curve.sigma, math.log(curve.sigma)
-        return _on_math(x, lambda points: [-0.5 * (z := (v - mu) / sigma) * z - log_sigma
-                                           - _LOG_ROOT_2PI for v in points])
-    import numpy as np
-
-    with np.errstate(over="ignore", under="ignore"):
-        z = (np.asarray(x, dtype=np.float64) - curve.mu) / curve.sigma
-        out = -0.5 * z * z - math.log(curve.sigma) - _LOG_ROOT_2PI
-    return out if out.ndim else float(out)
+    mu, sigma, log_sigma = curve.mu, curve.sigma, math.log(curve.sigma)
+    return _on_math(x, lambda points: [-0.5 * (z := (v - mu) / sigma) * z - log_sigma
+                                       - _LOG_ROOT_2PI for v in points])
 
 
-def _require_positive_density(curve: GaussianCurve, x) -> None:
-    if isinstance(x, array):
-        # The density falls with |x - mu|: its lowest lies at the least or the
-        # greatest point. nan points are passed over, as numpy's < passes them.
-        lo, hi = min(chain((math.inf,), x)), max(chain((-math.inf,), x))
-        below = lo <= hi and min(density(curve, lo), density(curve, hi)) < DENSITY_FLOOR
-    else:
-        below = density(curve, x) < DENSITY_FLOOR
-    if below if isinstance(below, bool) else below.any():
+def _require_positive_density(curve: GaussianCurve, points) -> None:
+    """Refuse points (an array('d') or a tuple of numbers) where the density
+    at any of them has underflowed below DENSITY_FLOOR."""
+    # The density falls with |x - mu|: its lowest lies at the least or the
+    # greatest point. nan points are passed over, as a lone nan is.
+    lo, hi = min(chain((math.inf,), points)), max(chain((-math.inf,), points))
+    if lo <= hi and min(density(curve, lo), density(curve, hi)) < DENSITY_FLOOR:
         raise ValueError(
             "density underflow: the point lies too far from the curve to carry meaning")
 
@@ -232,6 +236,7 @@ def force_constant(sigma: float, gamma: float) -> float:
     return _fit("force_constant", gamma, sigma * sigma)
 
 
+@_pointwise
 def entropic_force(curve: PropensityCurve, x, scale: EntropicScale):
     """gamma * P'(x)/P(x); for a Gaussian curve exactly -k (x - mu).
 
@@ -242,16 +247,10 @@ def entropic_force(curve: PropensityCurve, x, scale: EntropicScale):
     if isinstance(curve, PointMassCurve):
         raise PointMassError(
             "a point mass exerts no entropic force; use fixed_price_joint")
-    _require_positive_density(curve, x)
+    _require_positive_density(curve, x if isinstance(x, array) else (x,))
     minus_k, mu = -force_constant(curve.sigma, scale.gamma), curve.mu
-    if isinstance(x, _MATH):
-        return _on_math(x, lambda points: [minus_k * (v - mu) for v in points])
-    import numpy as np
-
     # A product beyond the float range is inf; the caller sees the inf.
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = minus_k * (np.asarray(x, dtype=np.float64) - mu)
-    return out if out.ndim else float(out)
+    return _on_math(x, lambda points: [minus_k * (v - mu) for v in points])
 
 
 def oscillator_from_curve(curve: GaussianCurve, omega: float = 1.0,
@@ -331,8 +330,7 @@ def work(curve: GaussianCurve, x1: float, x2: float, scale: EntropicScale) -> fl
     """
     if isinstance(curve, PointMassCurve):
         raise PointMassError("work along a point mass is undefined")
-    _require_positive_density(curve, x1)
-    _require_positive_density(curve, x2)
+    _require_positive_density(curve, (x1, x2))
     return scale.gamma * (log_density(curve, x2) - log_density(curve, x1))
 
 

@@ -525,21 +525,22 @@ def test_force_sign_restores_toward_mean(params, offset):
         assert f == 0
 
 
+def bits(value) -> bytes:
+    """The eight bytes of a float, so that -0.0 and 0.0 differ and nan equals nan."""
+    return array("d", [value]).tobytes()
+
+
 @given(st.tuples(st.floats(-3.0, 3.0), st.floats(0.05, 3.0)),
        st.one_of(st.floats(-150.0, 150.0), st.integers(-150, 150)))
 @settings(max_examples=250, deadline=None)
 def test_scalar_and_one_point_array_routes_agree(params, x):
-    """A Python number goes through math, a one-element array through numpy.
-    math.exp and np.exp may differ in the last bit, so values agree to
-    1e-15, and both routes accept or refuse the same points at the floor."""
+    """A Python number and a one-element numpy array take the same math
+    expression: values agree bit for bit, and both routes accept or refuse
+    the same points at the density floor."""
     curve = GaussianCurve(*params)
     point = np.array([x], dtype=np.float64)
-    density_scalar, density_array = density(curve, x), density(curve, point)[0]
-    assert (density_scalar < DENSITY_FLOOR) == (density_array < DENSITY_FLOOR)
-    if density_scalar >= DENSITY_FLOOR:
-        assert math.isclose(density_scalar, density_array, rel_tol=1e-15)
-    assert math.isclose(log_density(curve, x), log_density(curve, point)[0],
-                        rel_tol=1e-15)
+    for f in (density, log_density):
+        assert bits(f(curve, x)) == bits(f(curve, point)[0])
     forces = []
     for where in (x, point):
         try:
@@ -547,9 +548,9 @@ def test_scalar_and_one_point_array_routes_agree(params, x):
         except ValueError as exc:
             assert str(exc).startswith("density underflow")
             forces.append(None)
-    assert (forces[0] is None) == (forces[1] is None) == (density_scalar < DENSITY_FLOOR)
+    assert (forces[0] is None) == (forces[1] is None) == (density(curve, x) < DENSITY_FLOOR)
     if forces[0] is not None:
-        assert math.isclose(forces[0], forces[1], rel_tol=1e-15)
+        assert bits(forces[0]) == bits(forces[1])
 
 
 def refuses(call):
@@ -571,9 +572,14 @@ def refuses(call):
 @example((0.0, 1.0), [0.5, 100.0, -1.0])
 def test_array_d_route_is_the_one_point_route(params, points):
     """An array('d') is evaluated point by point with the one-point
-    expression, bit for bit, and its force is refused exactly where numpy's
-    is: where any point, in any order and among nan points, lies below the
-    density floor."""
+    expression, bit for bit, and its force is refused exactly where the
+    one-point route refuses a point, in any order and among nan points.
+
+    Any other input (a list, a 0-d, 1-D, 2-D or empty numpy array, a numpy
+    int64 or float32 scalar) is read into an array('d') in C order: it gives
+    the array('d') route's bytes as a writable float64 ndarray of its shape,
+    or a float where it is 0-d, and is refused exactly where that route is.
+    """
     curve = GaussianCurve(*params)
     x = array("d", points)
     for f in (density, log_density):
@@ -581,8 +587,29 @@ def test_array_d_route_is_the_one_point_route(params, points):
         assert isinstance(out, array)
         assert out.tobytes() == array("d", [f(curve, v) for v in points]).tobytes()
     refused = refuses(lambda: entropic_force(curve, x, UNIT_SCALE))
-    assert refused == refuses(
-        lambda: entropic_force(curve, np.array(points, dtype=np.float64), UNIT_SCALE))
+    assert refused == any(refuses(lambda: entropic_force(curve, v, UNIT_SCALE))
+                          for v in points)
     if not refused:
         assert entropic_force(curve, x, UNIT_SCALE).tobytes() == array(
             "d", [entropic_force(curve, v, UNIT_SCALE) for v in points]).tobytes()
+
+    one = points[0] if points else 0.5
+    others = [points, np.array(points), np.array(one), np.array([points, points[::-1]]).T,
+              np.empty((0, 3)), np.int64(one if math.isfinite(one) else -7),
+              np.float32(one)]
+    for given_x in others:
+        reference = np.asarray(given_x, dtype=np.float64)
+        x = array("d", reference.ravel())
+        functions = [density, log_density]
+        if refuses(lambda: entropic_force(curve, x, UNIT_SCALE)):
+            assert refuses(lambda: entropic_force(curve, given_x, UNIT_SCALE))
+        else:
+            functions.append(lambda c, v: entropic_force(c, v, UNIT_SCALE))
+        for f in functions:
+            out, want = f(curve, given_x), f(curve, x)
+            if reference.ndim == 0:
+                assert type(out) is float and bits(out) == want.tobytes()
+            else:
+                assert type(out) is np.ndarray and out.dtype == np.float64
+                assert out.shape == reference.shape and out.flags.writeable
+                assert out.tobytes() == want.tobytes()
