@@ -17,26 +17,25 @@ written, included).
 A call imports only what it computes with: every usage error is decided
 before a model module is loaded, and a command loads its own model module
 (decision or propensity) alone, numpy only for random draws (a sample, a
-sweep of random gates). A --grid is computed with math into array('d')
-columns.
+sweep of random gates), and json only to write JSON. A --grid is computed
+with math into array('d') columns.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
 import importlib
-import json
 import math
 import os
 import re
 import sys
 import time
 from array import array
-from dataclasses import dataclass
 from itertools import chain
 from typing import TYPE_CHECKING, Callable
 
 from . import __version__
+from ._record import record
 
 if TYPE_CHECKING:
     from . import decision, propensity
@@ -63,7 +62,7 @@ class ModelError(Exception):
 # Parameter schema shared by command-line flags and config files
 # ============================================================
 
-@dataclass(frozen=True)
+@record
 class Param:
     name: str                      # canonical underscore name
     kind: str                      # float | posfloat | int | posint | choice | grid | flag
@@ -157,6 +156,8 @@ def _json_token(cell: str) -> str:
         return cell                       # a normal |v| < 1e-4 prints alike
     # 1e12 <= |v| < 1e16 prints positionally in JSON, a subnormal's shortest
     # form has fewer digits, and nan and inf are spelled NaN and Infinity.
+    import json
+
     return json.dumps(float(cell))
 
 
@@ -179,7 +180,7 @@ def _quantities(results: dict, prefix: str = ""):
             yield prefix + key, value
 
 
-@dataclass
+@record
 class CommandResult:
     results: dict                # numbers, strings, nested dicts and float arrays
     table: dict | None = None    # CSV columns by header; None: results as quantity,value
@@ -459,7 +460,7 @@ def _exec_sample(params: dict) -> CommandResult:
     return CommandResult(results, {"index": range(len(x)), "x": x, "price": prices})
 
 
-@dataclass(frozen=True)
+@record
 class Command:
     help: str
     params: tuple                  # of Param, in flag order
@@ -610,7 +611,7 @@ def load_config(path: str) -> tuple[str, dict, str]:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
         parser.read_string(text, source=path)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config: {exc}")
     except configparser.Error as exc:
         raise UsageError(f"config parse error: {exc}")
@@ -659,8 +660,11 @@ def _json_pieces(value, write: Callable[[str], object], indent: str = "\n") -> N
 
     Every float, alone or in a column, is printed by _json_numbers, and each
     float column as a list, CHUNK_ROWS values to a piece. Columns are never
-    empty: grids have two points or more, samples one draw.
+    empty: grids have two points or more, samples one draw. json is imported
+    here, so only a call that writes JSON loads it.
     """
+    import json
+
     inner = indent + "  "
     if isinstance(value, dict) and value:
         opening = "{"

@@ -28,9 +28,10 @@ closed forms run on ``math`` alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
+
+from ._record import record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -48,7 +49,7 @@ class QuestionOrder(Enum):
     B_THEN_A = "ba"
 
 
-@dataclass(frozen=True)
+@record
 class DecisionScenario:
     """Angles of the two measurement bases plus the asking order."""
 
@@ -62,7 +63,7 @@ class DecisionScenario:
             raise ValueError("order must be a QuestionOrder")
 
 
-@dataclass(frozen=True)
+@record
 class EventDistribution:
     """Joint probabilities of the four answer pairs, "yes" outcomes first,
     with the single-question marginals they sum to."""
@@ -103,7 +104,7 @@ class EventDistribution:
         return self.p_yes_no + self.p_no_no
 
 
-@dataclass(frozen=True)
+@record
 class OrderEffectSummary:
     """The answer events of both asking orders at one (theta, phi); each
     carries its yes/no marginals as properties."""
@@ -114,7 +115,7 @@ class OrderEffectSummary:
     b_then_a: EventDistribution
 
 
-@dataclass(frozen=True)
+@record
 class EquivalenceReport:
     """Event-by-event comparison of the sequential and entangled routes."""
 
@@ -125,7 +126,7 @@ class EquivalenceReport:
     passed: bool
 
 
-@dataclass(frozen=True)
+@record
 class EquivalenceSweep:
     """The sequential/entangled comparison over a run of random gate pairs.
 
@@ -141,7 +142,7 @@ class EquivalenceSweep:
     failures: int
 
 
-@dataclass(frozen=True)
+@record
 class ReversalDecision:
     """Outcome of the cost-ratio switching rule."""
 

@@ -29,9 +29,10 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
 from itertools import chain
 from typing import TYPE_CHECKING, Union
+
+from ._record import record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -97,7 +98,7 @@ class PointMassError(ValueError):
     """An operation that needs a finite density met a point-mass curve."""
 
 
-@dataclass(frozen=True)
+@record
 class GaussianCurve:
     """Normal propensity over log-price."""
 
@@ -111,7 +112,7 @@ class GaussianCurve:
             raise ValueError("sigma must be positive")
 
 
-@dataclass(frozen=True)
+@record
 class PointMassCurve:
     """Infinitely thin propensity pinned at one log-price."""
 
@@ -125,7 +126,7 @@ class PointMassCurve:
 PropensityCurve = Union[GaussianCurve, PointMassCurve]
 
 
-@dataclass(frozen=True)
+@record
 class EntropicScale:
     """Energy scale gamma multiplying P'(x)/P(x)."""
 
@@ -145,7 +146,7 @@ class EntropicScale:
         return cls(_oscillator_gamma(omega, hbar))
 
 
-@dataclass(frozen=True)
+@record
 class OscillatorParams:
     """Oscillator (hbar, omega, sigma) with its derived spring quantities."""
 
@@ -175,7 +176,7 @@ class OscillatorParams:
         return EntropicScale(self.gamma)
 
 
-@dataclass(frozen=True)
+@record
 class JointPropensity:
     """Two parties' curves with their normalized product and overlap mass."""
 
@@ -185,7 +186,7 @@ class JointPropensity:
     scale: float
 
 
-@dataclass(frozen=True)
+@record
 class ReversalEnergy:
     """Energy of a preference reversal, the factor-3 propensity change."""
 

@@ -20,9 +20,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
+
+from ._record import record
 
 STATE_NORM_TOL = 1e-12
 GATE_UNITARY_TOL = 1e-10
@@ -39,7 +40,7 @@ def _as_complex_array(values, name: str, shapes: tuple) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class StateVector:
     """Normalized amplitudes over the computational basis of 1 or 2 qubits."""
 
@@ -61,7 +62,7 @@ class StateVector:
         return basis_labels(self.n_qubits)
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class Gate:
     """Unitary transformation on one or two qubits."""
 

@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import io
 import json
 import math
@@ -573,17 +572,28 @@ def config_texts(draw):
 
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(text=config_texts())
-def test_config_fuzz_exits_cleanly(tmp_path, text):
+@given(text=config_texts(), encoding=st.sampled_from(["utf-8", "utf-16", "stray 0xff"]),
+       at=st.integers(0, 10**6))
+def test_config_fuzz_exits_cleanly(tmp_path, text, encoding, at):
     """Any config text ends in exit 0, 1 or 2 with qprop's own message, never
-    an exception or a traceback."""
-    path = write_config(tmp_path, text)
+    an exception or a traceback. Text that is not UTF-8 (UTF-16, or a stray
+    0xff byte at any place) cannot be read, which is a usage error."""
+    data = text.encode("utf-16" if encoding == "utf-16" else "utf-8")
+    if encoding == "stray 0xff":
+        at %= len(data) + 1
+        data = data[:at] + b"\xff" + data[at:]
+    path = tmp_path / "model.cfg"
+    path.write_bytes(data)
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
-        code, _ = run_cli(["run", path])
+        code, _ = run_cli(["run", str(path)])
+    err = err.getvalue()
     assert code in (0, 1, 2)
-    assert "Traceback" not in err.getvalue()
-    assert err.getvalue() == "" or err.getvalue().startswith("qprop: ")
+    assert "Traceback" not in err
+    assert err == "" or err.startswith("qprop: ")
+    if encoding != "utf-8":
+        assert code == 2
+        assert err.startswith("qprop: error: cannot read config: ") and err.count("\n") == 1
 
 
 def test_run_missing_config_file(capsys):
@@ -908,8 +918,10 @@ def test_whole_float_range_keeps_the_exit_contract(model):
             # Quantities derived from positive inputs are never printed as 0.
             assert min(results[key] for key in ("gamma", "force_constant")) > 0.0
 
+    command = cli.COMMANDS[model]
     with pytest.MonkeyPatch.context() as patch:
-        patch.setitem(cli.COMMANDS, model, dataclasses.replace(cli.COMMANDS[model], run=capture))
+        patch.setitem(cli.COMMANDS, model,
+                      cli.Command(command.help, command.params, capture, command.modules))
         check()
 
 
@@ -929,8 +941,9 @@ def test_out_of_memory_exits_2(monkeypatch, capsys):
     def too_large(params):
         raise MemoryError()
 
+    command = cli.COMMANDS["equivalence"]
     monkeypatch.setitem(cli.COMMANDS, "equivalence",
-                        dataclasses.replace(cli.COMMANDS["equivalence"], run=too_large))
+                        cli.Command(command.help, command.params, too_large, command.modules))
     code, text = run_cli(["equivalence", "--trials", "5", "--seed", "1"])
     assert code == 2
     assert text == ""

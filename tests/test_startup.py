@@ -1,5 +1,7 @@
 """What a call imports: the package, the CLI and each kind of call load only
-the modules they compute with. configparser is loaded by `run` alone.
+the modules they compute with. configparser is loaded by `run` alone, json
+only by a call that writes JSON, and no qprop module loads dataclasses: a
+call without numpy loads neither dataclasses nor inspect (numpy loads inspect).
 
 Each probe runs ``python -m qprop`` in a fresh interpreter and reports the
 names in ``sys.modules`` as the interpreter exits.
@@ -14,7 +16,7 @@ import qprop
 from qprop.cli import MAX_ROWS
 
 MODEL_MODULES = {"numpy", "qprop.decision", "qprop.propensity", "qprop.qubits"}
-TRACKED = MODEL_MODULES | {"configparser"}
+TRACKED = MODEL_MODULES | {"configparser", "dataclasses", "inspect", "json"}
 
 PROBE = """\
 import atexit, runpy, sys
@@ -68,12 +70,16 @@ def test_rejected_call_loads_no_numpy(kind):
 
 
 def test_rejected_config_loads_no_numpy(tmp_path):
-    path = tmp_path / "bad.cfg"
-    path.write_text(BAD_CONFIG, encoding="utf-8")
-    code, out, err, loaded = run_probe("run", str(path))
-    assert code == 2
-    assert "unknown key 'spin'" in err
-    assert loaded == {"configparser"}
+    """A config with an unknown key, and one that is not UTF-8."""
+    for data, message in ((BAD_CONFIG.encode("utf-8"), "unknown key 'spin'"),
+                          (BAD_CONFIG.replace("0.3", "\xff").encode("latin-1"),
+                           "cannot read config: ")):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(data)
+        code, out, err, loaded = run_probe("run", str(path))
+        assert code == 2
+        assert message in err and err.count("\n") == 1
+        assert loaded == {"configparser"}
 
 
 GRID_CONFIG = ("[run]\nmodel = joint\noutput = csv\n\n[joint]\nbuyer-mean-price = 1\n"
@@ -106,34 +112,40 @@ PAIR = ["joint", "--buyer-mean-price", "1", "--buyer-sigma", "0.1",
 
 
 @pytest.mark.parametrize("argv, expected", [
-    (["interference", "--theta", "0.3", "--phi", "0.2"], {"qprop.decision"}),
-    (["reversal", "--x1", "1", "--x2", "4"], {"qprop.decision"}),
+    (["interference", "--theta", "0.3", "--phi", "0.2"], {"qprop.decision", "json"}),
+    (["reversal", "--x1", "1", "--x2", "4"], {"qprop.decision", "json"}),
     (["order-effect", "--theta", "0.3", "--phi", "0.2", "--order", "ba"],
-     {"qprop.decision"}),
+     {"qprop.decision", "json"}),
     (["oscillator", "--sigma", "0.3", "--output", "csv"], {"qprop.propensity"}),
     (["force", "--mean-price", "1", "--sigma", "0.3", "--gamma", "1",
-      "--grid", "0.5:2.0:5"], {"qprop.propensity"}),
+      "--grid", "0.5:2.0:5"], {"qprop.propensity", "json"}),
     (["force", "--mean-price", "1", "--sigma", "0.3", "--price", "1.1"],
-     {"qprop.propensity"}),
+     {"qprop.propensity", "json"}),
     (["equivalence", "--trials", "3", "--seed", "1"],
-     {"numpy", "qprop.decision", "qprop.qubits"}),
+     {"numpy", "inspect", "json", "qprop.decision", "qprop.qubits"}),
     (["work", "--mean-price", "1", "--sigma", "0.3", "--price1", "1.2", "--price2", "1"],
-     {"qprop.propensity"}),
-    (PAIR, {"qprop.propensity"}),
+     {"qprop.propensity", "json"}),
+    (PAIR, {"qprop.propensity", "json"}),
     (["joint", "--buyer-mean-price", "1", "--buyer-sigma", "0.1",
-      "--seller-fixed-price", "1.1"], {"qprop.propensity"}),
-    ([*PAIR, "--gamma", "1", "--grid", "0.5:2.0:5"], {"qprop.propensity"}),
+      "--seller-fixed-price", "1.1"], {"qprop.propensity", "json"}),
+    ([*PAIR, "--gamma", "1", "--grid", "0.5:2.0:5"], {"qprop.propensity", "json"}),
     (["sample", "--trials", "3", "--buyer-mean-price", "1", "--buyer-sigma", "0.1",
       "--seller-fixed-price", "1.1", "--seed", "1", "--output", "csv"],
-     {"numpy", "qprop.propensity"}),
+     {"numpy", "inspect", "qprop.propensity"}),
+    (["force", "--mean-price", "1", "--sigma", "0.3", "--price", "1.1", "--output", "csv"],
+     {"qprop.propensity"}),
 ])
 def test_call_loads_only_its_model_modules(argv, expected):
     """numpy is loaded for random draws (a sample, a sweep) only: one-point
     curves are closed forms on math, and grids are computed with math too.
-    A call by flags loads no configparser."""
+    A call by flags loads no configparser, a CSV call no json, and a call
+    without numpy neither dataclasses nor inspect."""
     code, out, err, loaded = run_probe(*argv)
     assert code == 0 and err == ""
     assert loaded == expected
+    assert ("json" in loaded) == ("csv" not in argv)
+    assert "dataclasses" not in loaded
+    assert "inspect" not in loaded or "numpy" in loaded
 
 
 def test_every_export_resolves_to_its_home_module_object():
