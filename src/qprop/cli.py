@@ -16,9 +16,10 @@ written, included).
 
 A call imports only what it computes with: every usage error is decided
 before a model module is loaded, and a command loads its own model module
-(decision or propensity) alone, numpy only for random draws (a sample, a
-sweep of random gates), and json only to write JSON. A --grid is computed
-with math into array('d') columns.
+(decision or propensity) alone, numpy only for a sample's price draws, and
+json only to write JSON. A --grid is computed with math into array('d')
+columns, and equivalence draws its gates from qprop._draws, numpy's PCG64
+stream on the standard library.
 """
 from __future__ import annotations
 
@@ -43,6 +44,7 @@ if TYPE_CHECKING:
 # Largest grid (N of LO:HI:N) and largest number of sample draws: both are
 # output rows. Their text is written in chunks, so what grows is the computed
 # columns: a 1e6-row force grid peaks at about 60 MB, a joint grid at 90 MB.
+# It caps equivalence's gate pairs too, which hold no memory but CPU time.
 MAX_ROWS = 2_000_000
 
 # Rows (or array values) formatted and written at a time: one chunk's text is
@@ -283,16 +285,15 @@ def _exec_interference(params: dict) -> CommandResult:
 
 
 def _exec_equivalence(params: dict) -> CommandResult:
-    import numpy as np
-
     from . import decision
+    from ._draws import PCG64
 
     trials, tol = params["trials"], params["tol"]
     if tol == 0.0:
         raise ModelError(
             "tolerance 0 demands exact floating-point equality, which the circuits "
             "do not promise; the routes agree to about 1e-15, so pass a positive tolerance")
-    sweep = decision.equivalence_sweep(np.random.default_rng(params["seed"]), trials, tol)
+    sweep = decision.equivalence_sweep(PCG64(params["seed"]), trials, tol)
     max_dev, failures = sweep.max_abs_deviation, sweep.failures
     results = {
         "trials": trials,
@@ -479,9 +480,10 @@ COMMANDS = {
         (*_ANGLES, _DEGREES), _exec_interference, (".decision",)),
     "equivalence": Command(
         "sequential versus entangled circuit check over random gate pairs",
-        (Param("trials", "posint", required=True, help="number of random gate pairs"),
+        (Param("trials", "posint", required=True, maximum=MAX_ROWS,
+               help="number of random gate pairs"),
          Param("tol", "float", default=1e-12, help="per-event tolerance"), _SEED),
-        _exec_equivalence, (".decision", ".qubits", "numpy")),
+        _exec_equivalence, (".decision", "._draws")),
     "reversal": Command(
         "cost-ratio rule for preference reversal",
         (Param("x1", "posfloat", required=True, help="cost of the less attractive option"),

@@ -16,14 +16,15 @@ entangled circuit agree event by event for any unitary pair, because
 unitarity forces |b12|^2 = |b21|^2 and |b11|^2 = |b22|^2; the intermediate
 amplitudes differ, the final probabilities do not.
 
-The circuits are evaluated in closed-form arithmetic over stacks of gates
-rather than by building gates and states step by step. Gates and angles
-passed in by the caller are checked once; products of checked unitaries are
-unitary and are not checked again. The arithmetic repeats, operation for
-operation, what the step-by-step route computes, so both give the same
-bits. Only those gate kernels need numpy and the qubit engine, and they
-import them when first called: the order-effect, interference and reversal
-closed forms run on ``math`` alone.
+The circuits are evaluated in closed-form arithmetic, one gate pair at a
+time, rather than by building gates and states step by step. Gates and
+angles passed in by the caller are checked once; products of checked
+unitaries are unitary and are not checked again. One event function serves
+both routes: each probability is a product of two gate entries, and each
+modulus square is re * re + im * im of a Python complex number. Only a
+caller's gate needs numpy and the qubit engine, imported when first called;
+the order-effect, interference and reversal closed forms and the
+equivalence sweep run on ``math`` alone.
 """
 from __future__ import annotations
 
@@ -34,8 +35,11 @@ from typing import TYPE_CHECKING
 from ._record import record
 
 if TYPE_CHECKING:
+    from collections.abc import Sequence
+
     import numpy as np
 
+    from ._draws import PCG64
     from .qubits import Gate
 
 EVENT_LABELS = ("A+B+", "A+B-", "A-B+", "A-B-")
@@ -258,41 +262,27 @@ def _gate_entries(gate: Gate | np.ndarray) -> np.ndarray:
     return gate.entries
 
 
-def _squares(values: np.ndarray) -> np.ndarray:
-    # math.pow, as numpy's scalar ``** 2`` computes it; array squaring rounds
-    # differently in a few values per thousand.
-    import numpy as np
+def _events(a: Sequence[complex],
+            b: Sequence[complex]) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Sequential and entangled event probabilities of one gate pair, each
+    gate given as its entries (u11, u12, u21, u22).
 
-    return np.array([math.pow(v, 2) for v in values.ravel().tolist()]).reshape(values.shape)
-
-
-def _sequential_events(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(n, 4) events of the measure-then-continue protocol for gate stacks.
-
-    Collapsing after gate A leaves a basis state, so every path probability
-    is a squared product of entries: |a11 b11|^2, |a11 b21|^2, |a21 b12|^2
-    and |a21 b22|^2. Each is computed as ``abs(x * y) ** 2`` of numpy
-    scalars computes it: the product in real arithmetic, the modulus by
-    hypot and the square by pow.
+    Collapsing after gate A leaves a basis state, so the sequential paths are
+    |a11 b11|^2, |a11 b21|^2, |a21 b12|^2 and |a21 b22|^2. (A x B)|00> holds
+    the products of the first columns, a_i1 b_j1, and cnot(1) swaps the last
+    two: |a11 b11|^2, |a11 b21|^2, |a21 b21|^2 and |a21 b11|^2. The routes
+    share their first two events; unitarity equates the other two.
     """
-    import numpy as np
-
-    x = a[:, (0, 0, 1, 1), 0]
-    y = b[:, (0, 1, 0, 1), (0, 0, 1, 1)]
-    re = x.real * y.real - x.imag * y.imag
-    im = x.real * y.imag + x.imag * y.real
-    return _squares(np.hypot(re, im))
+    a11, _, a21, _ = a
+    b11, b12, b21, b22 = b
+    p = [z.real * z.real + z.imag * z.imag
+         for z in (a11 * b11, a11 * b21, a21 * b12, a21 * b22, a21 * b21, a21 * b11)]
+    return (p[0], p[1], p[2], p[3]), (p[0], p[1], p[4], p[5])
 
 
-def _entangled_events(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(n, 4) events of cnot(1) . (A x B) |00> for gate stacks.
-
-    (A x B)|00> holds the products of the first columns, a_i1 b_j1, formed
-    by numpy's array product as the Kronecker product forms them; cnot(1)
-    swaps the last two. Probabilities are re^2 + im^2.
-    """
-    amps = a[:, (0, 0, 1, 1), 0] * b[:, (0, 1, 1, 0), 0]
-    return amps.real * amps.real + amps.imag * amps.imag
+def _pair_entries(a_gate: Gate | np.ndarray,
+                  b_gate: Gate | np.ndarray) -> tuple[list[complex], list[complex]]:
+    return _gate_entries(a_gate).ravel().tolist(), _gate_entries(b_gate).ravel().tolist()
 
 
 def sequential_measurement(a_gate: Gate | np.ndarray,
@@ -303,8 +293,7 @@ def sequential_measurement(a_gate: Gate | np.ndarray,
     is a product of squared entries: |a11 b11|^2, |a11 b21|^2, |a21 b12|^2
     and |a21 b22|^2.
     """
-    a, b = _gate_entries(a_gate), _gate_entries(b_gate)
-    return EventDistribution(*_sequential_events(a[None], b[None])[0].tolist())
+    return EventDistribution(*_events(*_pair_entries(a_gate, b_gate))[0])
 
 
 def _column_probabilities(column: np.ndarray) -> list[float]:
@@ -353,8 +342,7 @@ def sequential_measurement_sampled(a_gate: Gate | np.ndarray,
 def entangled_circuit(a_gate: Gate | np.ndarray,
                       b_gate: Gate | np.ndarray) -> EventDistribution:
     """Event probabilities of the two-qubit circuit cnot(1) . (A x B) |00>."""
-    a, b = _gate_entries(a_gate), _gate_entries(b_gate)
-    return EventDistribution(*_entangled_events(a[None], b[None])[0].tolist())
+    return EventDistribution(*_events(*_pair_entries(a_gate, b_gate))[1])
 
 
 def equivalence_check(a_gate: Gate | np.ndarray,
@@ -367,41 +355,42 @@ def equivalence_check(a_gate: Gate | np.ndarray,
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    seq = sequential_measurement(a_gate, b_gate)
-    ent = entangled_circuit(a_gate, b_gate)
-    dev = max(abs(x - y) for x, y in zip(seq.as_tuple(), ent.as_tuple()))
-    return EquivalenceReport(seq, ent, dev, tol, dev <= tol)
+    seq, ent = _events(*_pair_entries(a_gate, b_gate))
+    dev = max(abs(x - y) for x, y in zip(seq, ent))
+    return EquivalenceReport(EventDistribution(*seq), EventDistribution(*ent),
+                             dev, tol, dev <= tol)
 
 
-def equivalence_sweep(rng: np.random.Generator, trials: int,
+def equivalence_sweep(rng: np.random.Generator | PCG64, trials: int,
                       tol: float = 1e-12) -> EquivalenceSweep:
     """``equivalence_check`` over ``trials`` random gate pairs.
 
-    Pair k is the (2k)th and (2k+1)th draw of ``random_unitary_2x2`` from
-    ``rng``. Pairs are drawn and compared one block of DRAW_BLOCK gates at a
-    time, so memory does not grow with ``trials``.
+    ``rng`` is any object whose ``random()`` returns uniform doubles: a
+    numpy ``Generator``, or the standard-library ``_draws.PCG64``, which
+    gives the same stream from the same seed. Pair k is the (2k)th and
+    (2k+1)th draw of ``random_unitary_2x2``. Pairs are drawn and compared
+    one at a time, so memory does not grow with ``trials``.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    import numpy as np
+    from ._draws import unitary
 
-    from .qubits import DRAW_BLOCK, random_unitaries
-
+    random = rng.random
     max_dev = moduli_dev = 0.0
     failures = 0
-    pairs_per_block = DRAW_BLOCK // 2
-    for start in range(0, trials, pairs_per_block):
-        gates = random_unitaries(rng, 2 * min(pairs_per_block, trials - start))
-        a, b = gates[0::2], gates[1::2]
-        dev = np.abs(_sequential_events(a, b) - _entangled_events(a, b)).max(axis=1)
-        max_dev = max(max_dev, float(dev.max()))
-        failures += int(np.count_nonzero(~(dev <= tol)))
-        moduli = _squares(np.hypot(gates.real, gates.imag))
-        moduli_dev = max(moduli_dev,
-                         float(np.abs(moduli[:, 0, 1] - moduli[:, 1, 0]).max()),
-                         float(np.abs(moduli[:, 0, 0] - moduli[:, 1, 1]).max()))
+    for _ in range(trials):
+        a, b = unitary(random), unitary(random)
+        seq, ent = _events(a, b)
+        dev = max(abs(seq[2] - ent[2]), abs(seq[3] - ent[3]))    # the first two are shared
+        if dev > max_dev:
+            max_dev = dev
+        if not dev <= tol:
+            failures += 1
+        m = [z.real * z.real + z.imag * z.imag for z in a + b]
+        moduli_dev = max(moduli_dev, abs(m[1] - m[2]), abs(m[0] - m[3]),
+                         abs(m[5] - m[6]), abs(m[4] - m[7]))
     return EquivalenceSweep(trials, tol, max_dev, moduli_dev, failures)
 
 

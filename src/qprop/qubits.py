@@ -23,6 +23,7 @@ import math
 
 import numpy as np
 
+from ._draws import unitary
 from ._record import record
 
 STATE_NORM_TOL = 1e-12
@@ -232,31 +233,13 @@ def random_unitaries(rng: np.random.Generator, n: int) -> np.ndarray:
 
     Each is exp(i d) * diag(exp(i a), 1) @ R_theta @ diag(exp(i b), 1) with
     theta = arcsin(sqrt(u)), u uniform on [0, 1) and phases uniform on
-    [0, 2 pi). Each gate draws (u, a, b, d) in that order, so one generator
-    state maps to exactly one stack, and n gates drawn one at a time equal
-    one stack of n. The draws are taken DRAW_BLOCK gates at a time.
+    [0, 2 pi), built by ``_draws.unitary`` from scalar ``rng.random()``
+    draws (u, a, b, d) in that order. So one generator state maps to exactly
+    one stack, n gates drawn one at a time equal one stack of n, and a
+    stack holds the gates that ``decision.equivalence_sweep`` draws from the
+    same generator.
     """
     if n < 0:
         raise ValueError("number of unitaries must not be negative")
-    out = np.empty((n, 2, 2), dtype=np.complex128)
-    for start in range(0, n, DRAW_BLOCK):
-        draws = rng.random((min(DRAW_BLOCK, n - start), 4))
-        out[start:start + len(draws)] = _unitaries_from_draws(draws)
-    return out
-
-
-def _unitaries_from_draws(draws: np.ndarray) -> np.ndarray:
-    # The angle goes through math.asin, math.cos and math.sin one value at a
-    # time: numpy's vectorised trigonometry may differ from libm in the last
-    # bit, and the gates are meant to be the same on every build.
-    theta = [math.asin(math.sqrt(u)) for u in draws[:, 0].tolist()]
-    cos = np.array([math.cos(t) for t in theta])
-    sin = np.array([math.sin(t) for t in theta])
-    rot = np.stack([cos, -sin, sin, cos], axis=1).reshape(-1, 2, 2)
-    phases = np.exp(1j * (2.0 * math.pi * draws[:, 1:]))
-    left = np.zeros((len(draws), 2, 2), dtype=np.complex128)
-    left[:, 0, 0] = phases[:, 0]
-    left[:, 1, 1] = 1.0
-    right = left.copy()
-    right[:, 0, 0] = phases[:, 1]
-    return phases[:, 2, None, None] * (left @ rot @ right)
+    random = rng.random
+    return np.array([unitary(random) for _ in range(n)], dtype=np.complex128).reshape(n, 2, 2)

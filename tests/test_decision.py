@@ -14,12 +14,14 @@ from qprop.decision import (
     entangled_circuit,
     equivalence_check,
     interference_term,
+    measured_b_yes,
     order_effect_circuit,
     order_effect_magnitude,
     order_effect_summary,
     preference_reversal_switch,
     sequential_measurement,
     sequential_measurement_sampled,
+    unmeasured_b_yes,
 )
 from qprop.qubits import (
     apply,
@@ -376,3 +378,58 @@ def test_conditional_answers_are_reciprocal(theta, phi):
     b_given_a = first_a.p_yes_yes / first_a.a_yes
     a_given_b = first_b.p_yes_yes / first_b.b_yes
     assert a_given_b == pytest.approx(b_given_a, rel=0, abs=1e-12)
+
+
+# ============================================================
+# The disjunction effect (Tversky & Shafir 1992, Psychological Science 3(5))
+# ============================================================
+
+def conditionals(theta, phi):
+    """P(A+), P(B+|A+) and P(B+|A-) of the circuit that asks A first."""
+    dist = order_effect_circuit(DecisionScenario(theta, phi, QuestionOrder.A_THEN_B))
+    return dist.a_yes, dist.p_yes_yes / dist.a_yes, dist.p_no_yes / dist.a_no
+
+
+@given(angles, angles)
+@settings(max_examples=200, deadline=None)
+def test_measured_b_yes_obeys_the_law_of_total_probability(theta, phi):
+    """Settling A first makes P(B+) the average of the conditionals
+    cos^2(phi) and sin^2(phi), weighted by P(A+) = cos^2(theta); deciding B
+    directly differs from it by the interference term."""
+    c_t, s_t = math.cos(theta) ** 2, math.sin(theta) ** 2
+    c_p, s_p = math.cos(phi) ** 2, math.sin(phi) ** 2
+    measured = measured_b_yes(theta, phi)
+    assert measured == pytest.approx(c_t * c_p + s_t * s_p, rel=0, abs=1e-12)
+    assert unmeasured_b_yes(theta, phi) - measured == interference_term(theta, phi)
+    assume(1e-3 < c_t < 1.0 - 1e-3)
+    a_yes, b_given_yes, b_given_no = conditionals(theta, phi)
+    assert (b_given_yes, b_given_no) == pytest.approx((c_p, s_p), rel=0, abs=1e-12)
+    total = a_yes * b_given_yes + (1.0 - a_yes) * b_given_no
+    assert measured == pytest.approx(total, rel=0, abs=1e-12)
+
+
+def disjunction_closed_form(theta, phi):
+    """cos^2(theta - phi) - min(cos^2 phi, sin^2 phi): negative where deciding
+    B directly is less likely than after either answer to A."""
+    return math.cos(theta - phi) ** 2 - min(math.cos(phi) ** 2, math.sin(phi) ** 2)
+
+
+def test_disjunction_effect_region():
+    """The sure-thing principle fails: B is less likely decided directly than
+    after either answer to A. The region is not empty, and a scan of the
+    model's own probabilities finds it where the closed form puts it."""
+    _, b_given_yes, b_given_no = conditionals(3 * math.pi / 4, math.pi / 4)
+    assert unmeasured_b_yes(3 * math.pi / 4, math.pi / 4) < min(b_given_yes, b_given_no)
+    assert disjunction_closed_form(3 * math.pi / 4, math.pi / 4) == pytest.approx(-0.5)
+    inside = 0
+    scan = [k * math.pi / 48 for k in range(1, 48) if k != 24]   # A is never certain
+    for theta in scan:
+        for phi in scan:
+            gap = disjunction_closed_form(theta, phi)
+            if abs(gap) < 1e-9:
+                continue
+            _, b_given_yes, b_given_no = conditionals(theta, phi)
+            model = unmeasured_b_yes(theta, phi) < min(b_given_yes, b_given_no)
+            assert model == (gap < 0), (theta, phi)
+            inside += model
+    assert 0 < inside < len(scan) ** 2

@@ -1,10 +1,13 @@
-"""The batched decision kernels against the step-by-step route they replace.
+"""The decision kernels against the step-by-step route they replace.
 
-The oracle below builds a Gate and a StateVector per step, as the circuits
-were first written: tensor, apply and probabilities for the closed tables,
-and a ``measure_collapse`` loop for the sampled protocol. The kernels must
-reproduce its floats bit for bit and leave the generator where it leaves
-it, across the block boundaries at which they draw.
+The oracle below builds every gate, state and product step by step: the
+documented gate construction as three matrices multiplied out, tensor,
+apply and cnot for the entangled circuit, and a ``measure_collapse`` loop
+for the sampled protocol. Gates, event tables and the sweep are checked bit
+for bit against matrices of Python complex numbers, the arithmetic the
+kernels use; numpy's vectorised complex product may fuse a multiply and an
+add, so the numpy state-vector engine is checked to a tolerance. The
+kernels must leave the generator where the oracle leaves it.
 """
 import math
 
@@ -39,34 +42,62 @@ from qprop.qubits import (
     tensor,
 )
 
-# More gates or trials than one block of draws holds, and more gate pairs
-# than one block of gates holds, so every check crosses a block boundary.
+# More trials than one block of draws holds, so the sampled protocol crosses
+# a block boundary; the gate and sweep checks run streams of similar length.
 ACROSS_BLOCKS = DRAW_BLOCK + 1808
 PAIRS_ACROSS_BLOCKS = DRAW_BLOCK // 2 + 404
+
+# Four units in the last place of 1: numpy's complex product may fuse a
+# multiply and an add that the kernels round one at a time.
+ENGINE_TOL = 4 * np.finfo(np.float64).eps
 
 
 # ============================================================
 # The step-by-step oracle
 # ============================================================
 
+def product(x, y):
+    """Matrix product of nested lists of Python numbers."""
+    return [[sum(row[k] * y[k][j] for k in range(len(y))) for j in range(len(y[0]))]
+            for row in x]
+
+
+def modulus_square(z):
+    return z.real * z.real + z.imag * z.imag
+
+
+def phase(t):
+    return complex(math.cos(t), math.sin(t))
+
+
 def oracle_unitary(rng):
+    """exp(i d) diag(exp(i a), 1) R diag(exp(i b), 1), R = (cos, -sin; sin, cos),
+    sin = sqrt(u) and cos = sqrt(1 - u)."""
     u = rng.random()
     a, b, d = rng.uniform(0.0, 2.0 * math.pi, size=3)
-    theta = math.asin(math.sqrt(u))
-    rot = np.array([[math.cos(theta), -math.sin(theta)],
-                    [math.sin(theta), math.cos(theta)]])
-    left = np.diag([np.exp(1j * a), 1.0])
-    right = np.diag([np.exp(1j * b), 1.0])
-    return Gate(np.exp(1j * d) * (left @ rot @ right))
+    sin, cos = math.sqrt(u), math.sqrt(1.0 - u)
+    rot = [[cos, -sin], [sin, cos]]
+    m = product(product([[phase(a), 0], [0, 1]], rot), [[phase(b), 0], [0, 1]])
+    return Gate(np.array([[phase(d) * z for z in row] for row in m]))
 
 
 def oracle_sequential(a, b):
-    am, bm = a.entries, b.entries
-    return (abs(am[0, 0] * bm[0, 0]) ** 2, abs(am[0, 0] * bm[1, 0]) ** 2,
-            abs(am[1, 0] * bm[0, 1]) ** 2, abs(am[1, 0] * bm[1, 1]) ** 2)
+    am, bm = a.entries.tolist(), b.entries.tolist()
+    return (modulus_square(am[0][0] * bm[0][0]), modulus_square(am[0][0] * bm[1][0]),
+            modulus_square(am[1][0] * bm[0][1]), modulus_square(am[1][0] * bm[1][1]))
 
 
 def oracle_entangled(a, b):
+    """cnot(1) . (A x B) |00>, each step a matrix product."""
+    am, bm = a.entries.tolist(), b.entries.tolist()
+    kron = [[am[i][j] * bm[k][l] for j in range(2) for l in range(2)]
+            for i in range(2) for k in range(2)]
+    swap_last_two = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
+    final = product(swap_last_two, product(kron, [[1], [0], [0], [0]]))
+    return tuple(modulus_square(amp) for (amp,) in final)
+
+
+def engine_entangled(a, b):
     final = apply(cnot(control=1), apply(tensor(a, b), initial_state(2)))
     return tuple(float(p) for p in probabilities(final))
 
@@ -101,10 +132,10 @@ def oracle_sweep(rng, trials, tol):
                                               oracle_entangled(a, b)))
         max_dev = max(max_dev, dev)
         failures += not dev <= tol
-        for m in (a.entries, b.entries):
+        for m in (a.entries.tolist(), b.entries.tolist()):
             moduli_dev = max(moduli_dev,
-                             abs(abs(m[0, 1]) ** 2 - abs(m[1, 0]) ** 2),
-                             abs(abs(m[0, 0]) ** 2 - abs(m[1, 1]) ** 2))
+                             abs(modulus_square(m[0][1]) - modulus_square(m[1][0])),
+                             abs(modulus_square(m[0][0]) - modulus_square(m[1][1])))
     return max_dev, moduli_dev, failures
 
 
@@ -155,6 +186,8 @@ def test_event_tables_equal_the_oracle_bit_for_bit(seed):
                               bits(oracle_sequential(a, b)))
         assert np.array_equal(bits(entangled_circuit(a, b).as_tuple()),
                               bits(oracle_entangled(a, b)))
+        assert np.allclose(entangled_circuit(a, b).as_tuple(), engine_entangled(a, b),
+                           rtol=0.0, atol=ENGINE_TOL)
 
 
 @pytest.mark.parametrize("seed,trials,tol", [

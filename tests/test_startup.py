@@ -15,7 +15,7 @@ import pytest
 import qprop
 from qprop.cli import MAX_ROWS
 
-MODEL_MODULES = {"numpy", "qprop.decision", "qprop.propensity", "qprop.qubits"}
+MODEL_MODULES = {"numpy", "qprop._draws", "qprop.decision", "qprop.propensity", "qprop.qubits"}
 TRACKED = MODEL_MODULES | {"configparser", "dataclasses", "inspect", "json"}
 
 PROBE = """\
@@ -57,6 +57,7 @@ REJECTED = {
     "trials cap": ["sample", "--trials", str(MAX_ROWS + 1), "--buyer-mean-price", "1",
                    "--buyer-sigma", "0.1", "--seller-mean-price", "1",
                    "--seller-sigma", "0.1", "--seed", "1"],
+    "pairs cap": ["equivalence", "--trials", str(MAX_ROWS + 1), "--seed", "1"],
 }
 
 
@@ -100,6 +101,7 @@ def test_grid_config_loads_no_numpy(tmp_path):
 @pytest.mark.parametrize("kind, message", [
     ("grid cap", f"qprop: error: grid needs at most {MAX_ROWS} points\n"),
     ("trials cap", f"qprop: error: trials must be at most {MAX_ROWS}\n"),
+    ("pairs cap", f"qprop: error: trials must be at most {MAX_ROWS}\n"),
 ])
 def test_size_caps_are_checked_before_anything_is_built(kind, message):
     """One past a cap exits 2 before numpy is loaded, so nothing was allocated."""
@@ -121,8 +123,7 @@ PAIR = ["joint", "--buyer-mean-price", "1", "--buyer-sigma", "0.1",
       "--grid", "0.5:2.0:5"], {"qprop.propensity", "json"}),
     (["force", "--mean-price", "1", "--sigma", "0.3", "--price", "1.1"],
      {"qprop.propensity", "json"}),
-    (["equivalence", "--trials", "3", "--seed", "1"],
-     {"numpy", "inspect", "json", "qprop.decision", "qprop.qubits"}),
+    (["equivalence", "--trials", "3", "--seed", "1"], {"json", "qprop.decision", "qprop._draws"}),
     (["work", "--mean-price", "1", "--sigma", "0.3", "--price1", "1.2", "--price2", "1"],
      {"qprop.propensity", "json"}),
     (PAIR, {"qprop.propensity", "json"}),
@@ -136,8 +137,9 @@ PAIR = ["joint", "--buyer-mean-price", "1", "--buyer-sigma", "0.1",
      {"qprop.propensity"}),
 ])
 def test_call_loads_only_its_model_modules(argv, expected):
-    """numpy is loaded for random draws (a sample, a sweep) only: one-point
-    curves are closed forms on math, and grids are computed with math too.
+    """numpy is loaded for a sample's price draws only: one-point curves are
+    closed forms on math, grids are computed with math too, and the
+    equivalence sweep draws its gates from qprop._draws, not the qubit engine.
     A call by flags loads no configparser, a CSV call no json, and a call
     without numpy neither dataclasses nor inspect."""
     code, out, err, loaded = run_probe(*argv)
