@@ -140,27 +140,18 @@ def _json_numbers(values, sep: str) -> str:
     """json.dumps of each float at 12 digits, joined by sep.
 
     One %-format over the chunk gives the tokens when each cell has a decimal
-    point and none an exponent, nan or inf: the cells of a grid all but
-    always. Otherwise only the failing cells are settled by _json_token.
+    point and no exponent: the cells of a grid all but always (a nan or an inf
+    cell has no point). Such a cell is already its float's shortest repr, as
+    json prints a finite float. Any other cell becomes json.dumps of the float
+    it reads, plus 0.0 so that -0 prints as 0.0.
     """
     text = (("%.12g" + sep) * len(values))[:-len(sep)] % tuple(values)
-    if text.count(".") == len(values) and "e" not in text and "n" not in text:
+    if text.count(".") == len(values) and "e" not in text:
         return text
-    return sep.join(cell if "." in cell and "e" not in cell
-                    else _json_token(format(value + 0.0, ".12g"))
-                    for cell, value in zip(text.split(sep), values))
-
-
-def _json_token(cell: str) -> str:
-    if "e" not in cell and "n" not in cell:
-        return cell + ".0"                # integer value: json prints 2.0
-    if "e-" in cell and "e-3" not in cell:
-        return cell                       # a normal |v| < 1e-4 prints alike
-    # 1e12 <= |v| < 1e16 prints positionally in JSON, a subnormal's shortest
-    # form has fewer digits, and nan and inf are spelled NaN and Infinity.
     import json
 
-    return json.dumps(float(cell))
+    return sep.join(cell if "." in cell and "e" not in cell else json.dumps(float(cell) + 0.0)
+                    for cell in text.split(sep))
 
 
 def _is_finite(value) -> bool:
@@ -186,8 +177,7 @@ def _quantities(results: dict, prefix: str = ""):
 class CommandResult:
     results: dict                # numbers, strings, nested dicts and float arrays
     table: dict | None = None    # CSV columns by header; None: results as quantity,value
-    exit_code: int = 0
-    message: str | None = None
+    message: str | None = None   # a model failure, written after the output; exit status 1
 
 
 # ============================================================
@@ -304,7 +294,6 @@ def _exec_equivalence(params: dict) -> CommandResult:
         "all_passed": failures == 0,
     }
     return CommandResult(results, {key: [value] for key, value in results.items()},
-                         exit_code=0 if failures == 0 else 1,
                          message=None if failures == 0 else
                          f"{failures} of {trials} gate pairs deviated beyond {tol:g} "
                          f"(max deviation {max_dev:.3e})")
@@ -747,7 +736,8 @@ def _run_model(model: str, params: dict, output: str, out_path: str | None) -> i
     _write(result, model, params, output, elapsed_ms, out_path)
     if result.message:
         print(f"qprop: {result.message}", file=sys.stderr)
-    return result.exit_code
+        return 1
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -46,6 +46,7 @@ EVENT_LABELS = ("A+B+", "A+B-", "A-B+", "A-B-")
 EVENT_SUM_TOL = 1e-12
 CLOSED_FORM_TOL = 1e-12
 REVERSAL_COST_RATIO = 3.0
+DRAW_BLOCK = 8192            # trials of generator draws taken at a time
 
 
 class QuestionOrder(Enum):
@@ -323,8 +324,6 @@ def sequential_measurement_sampled(a_gate: Gate | np.ndarray,
     if trials < 1:
         raise ValueError("trials must be at least 1")
     import numpy as np
-
-    from .qubits import DRAW_BLOCK
 
     a, b = _gate_entries(a_gate), _gate_entries(b_gate)
     first_probs = _column_probabilities(a[:, 0])

@@ -17,13 +17,16 @@ factor (the overlap mass), and its force is the sum of the two parties'
 forces. When one side fixes its price the joint collapses to a point mass
 and the transaction force is the flexible party's alone.
 
-Densities and forces are evaluated with ``math``, each point with the
-one-point expression, whatever the input: a Python float or int gives a
-float, an ``array('d')`` an ``array('d')``, and any other array-like (a
-numpy array of any shape, a list, a numpy scalar) a float64 ndarray of its
-shape, or a float where it is 0-d. numpy is imported, when first needed,
-only to read such an input and to draw prices. The curve types, joint
-curves, work and oscillator quantities need only ``math``.
+Densities and forces are evaluated with ``math`` by one evaluator, each
+point with the one-point expression, whatever the input: a Python float or
+int gives a float, an ``array('d')`` an ``array('d')``, and any other
+array-like (a numpy array of any shape, a list, a numpy scalar) a float64
+ndarray of its shape, or a float where it is 0-d. The force checks each
+block of points for an underflowed density, then works out its constant k,
+then takes the products; so an empty input returns empty, whatever k is.
+numpy is imported, when first needed, only to read such an input and to
+draw prices. The curve types, joint curves, work and oscillator quantities
+need only ``math``.
 """
 from __future__ import annotations
 
@@ -45,34 +48,26 @@ _LOG_ROOT_2PI = 0.5 * math.log(2.0 * math.pi)
 _BLOCK = 8192     # points per list, so no list holds a whole large grid
 
 
-def _pointwise(f):
-    """f(curve, x, ...), which takes x as a number or an array('d'), made to
-    take any array-like x too: its points are read into an array('d') in C
-    order, and f's result comes back as a writable float64 ndarray of x's
-    shape, or as a float where x is 0-d."""
-    def over(curve, x, *args, **kwargs):
-        if isinstance(x, (int, float, array)):
-            return f(curve, x, *args, **kwargs)
+def _on_math(x, values):
+    """values at every point of x, where values maps a tuple or an
+    array('d') of points to a list of floats. A number gives a float; an
+    array('d') an array('d'), computed _BLOCK points at a time; any other
+    array-like is read into an array('d') in C order and comes back as a
+    writable float64 ndarray of its shape, or as a float where it is 0-d."""
+    if isinstance(x, (int, float)):
+        return values((x,))[0]
+    shape = None
+    if not isinstance(x, array):
         import numpy as np
 
         x = np.asarray(x, dtype=np.float64)
-        out = f(curve, array("d", x.tobytes()), *args, **kwargs)
-        return np.frombuffer(out).reshape(x.shape) if x.ndim else out[0]
-
-    over.__name__, over.__qualname__, over.__doc__ = f.__name__, f.__qualname__, f.__doc__
-    over.__wrapped__ = f
-    return over
-
-
-def _on_math(x, values):
-    """values(points), a list of floats, at one point (a number) or over an
-    array('d') block by block (an array('d'))."""
-    if not isinstance(x, array):
-        return values((x,))[0]
+        shape, x = x.shape, array("d", x.tobytes())
     out = array("d")
     for i in range(0, len(x), _BLOCK):
         out.fromlist(values(x[i:i + _BLOCK]))
-    return out
+    if shape is None:
+        return out
+    return np.frombuffer(out).reshape(shape) if shape else out[0]
 
 
 def _fit(quantity: str, numerator: float, denominator: float = 1.0) -> float:
@@ -198,7 +193,6 @@ class ReversalEnergy:
         return self.exact / self.base_energy - 1.0
 
 
-@_pointwise
 def density(curve: PropensityCurve, x):
     """Density of ``curve`` at log-price ``x``: a number, an array('d') or
     any array-like, returned as the module docstring says."""
@@ -211,7 +205,6 @@ def density(curve: PropensityCurve, x):
                                        for v in points])
 
 
-@_pointwise
 def log_density(curve: PropensityCurve, x):
     """Natural log of ``density``; stays finite far into the tails."""
     if isinstance(curve, PointMassCurve):
@@ -237,7 +230,6 @@ def force_constant(sigma: float, gamma: float) -> float:
     return _fit("force_constant", gamma, sigma * sigma)
 
 
-@_pointwise
 def entropic_force(curve: PropensityCurve, x, scale: EntropicScale):
     """gamma * P'(x)/P(x); for a Gaussian curve exactly -k (x - mu).
 
@@ -248,10 +240,15 @@ def entropic_force(curve: PropensityCurve, x, scale: EntropicScale):
     if isinstance(curve, PointMassCurve):
         raise PointMassError(
             "a point mass exerts no entropic force; use fixed_price_joint")
-    _require_positive_density(curve, x if isinstance(x, array) else (x,))
-    minus_k, mu = -force_constant(curve.sigma, scale.gamma), curve.mu
-    # A product beyond the float range is inf; the caller sees the inf.
-    return _on_math(x, lambda points: [minus_k * (v - mu) for v in points])
+    mu = curve.mu
+
+    def forces(points):
+        _require_positive_density(curve, points)
+        minus_k = -force_constant(curve.sigma, scale.gamma)
+        # A product beyond the float range is inf; the caller sees the inf.
+        return [minus_k * (v - mu) for v in points]
+
+    return _on_math(x, forces)
 
 
 def oscillator_from_curve(curve: GaussianCurve, omega: float = 1.0,

@@ -28,7 +28,6 @@ from ._record import record
 
 STATE_NORM_TOL = 1e-12
 GATE_UNITARY_TOL = 1e-10
-DRAW_BLOCK = 8192            # rows of generator draws taken at a time
 
 
 def _as_complex_array(values, name: str, shapes: tuple) -> np.ndarray:
@@ -191,20 +190,21 @@ def measure_collapse(state: StateVector, rng: np.random.Generator,
     sampled basis state and the returned state has amplitude 1 on it. With
     ``qubit`` given (1-based, two-qubit states only) only that wire is read;
     the label is its bit and the returned state is the renormalized
-    one-qubit remainder on the other wire.
+    one-qubit remainder on the other wire. Both reads weigh the outcomes by
+    ``probabilities(state)``; a wire's branch mass is the sum of two of them.
     """
-    amps = state.amplitudes
+    probs = probabilities(state)
     if qubit is None:
-        idx = _sample_index(probabilities(state), rng)
+        idx = _sample_index(probs, rng)
         return _basis_outcomes(state.n_qubits)[idx]
     if state.n_qubits != 2:
         raise ValueError("partial measurement needs a two-qubit state")
     if qubit not in (1, 2):
         raise ValueError("qubit index must be 1 or 2")
     groups = ((0, 1), (2, 3)) if qubit == 1 else ((0, 2), (1, 3))
-    branch = [sum(abs(amps[i]) ** 2 for i in g) for g in groups]
+    branch = [probs[i] + probs[j] for i, j in groups]
     bit = _sample_index(branch, rng)
-    remainder = amps[list(groups[bit])] / math.sqrt(branch[bit])
+    remainder = state.amplitudes[list(groups[bit])] / math.sqrt(branch[bit])
     return str(bit), StateVector(remainder)
 
 

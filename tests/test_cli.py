@@ -937,6 +937,22 @@ def test_failed_cross_check_exits_1(monkeypatch, capsys):
         "qprop: circuit marginals deviate from closed forms by 0.1\n")
 
 
+@pytest.mark.parametrize("output", ["json", "csv"])
+def test_failed_sweep_writes_its_record_and_exits_1(output, capsys):
+    """A sweep that finds deviations still writes its whole record; the one
+    stderr line that follows it sets the exit status to 1."""
+    code, text = run_cli(["equivalence", "--trials", "20", "--seed", "7",
+                          "--tol", "1e-300", "--output", output])
+    assert code == 1
+    if output == "json":
+        results = normalize_json(text)["results"]
+        assert results["all_passed"] is False and results["failures"] == 19
+    else:
+        assert text.splitlines()[1:] == ["20,1e-300,3.33066907388e-16,3.33066907388e-16,19,false"]
+    assert capsys.readouterr().err == (
+        "qprop: 19 of 20 gate pairs deviated beyond 1e-300 (max deviation 3.331e-16)\n")
+
+
 def test_out_of_memory_exits_2(monkeypatch, capsys):
     def too_large(params):
         raise MemoryError()

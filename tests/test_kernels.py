@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from qprop import decision, qubits
 from qprop.decision import (
+    DRAW_BLOCK,
     DecisionScenario,
     QuestionOrder,
     entangled_circuit,
@@ -28,7 +29,6 @@ from qprop.decision import (
     sequential_measurement_sampled,
 )
 from qprop.qubits import (
-    DRAW_BLOCK,
     Gate,
     apply,
     cnot,

@@ -9,6 +9,7 @@ from scipy.integrate import simpson
 from scipy.stats import norm
 
 from qprop.propensity import (
+    _BLOCK,
     DENSITY_FLOOR,
     EntropicScale,
     GaussianCurve,
@@ -224,6 +225,37 @@ def test_ground_state_is_normalized():
     x = np.linspace(-8 * 0.6, 8 * 0.6, 4001)
     mass = simpson(ground_state_density(params, 0.0, x), x=x)
     assert mass == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("lead", [0.5, math.nan])
+def test_force_guard_reaches_the_second_block(lead):
+    """A point whose density underflows is refused where it lies past the
+    first _BLOCK points, and also after a nan that opens its block."""
+    points = array("d", [0.5]) * (_BLOCK + 5)
+    points[_BLOCK], points[_BLOCK + 3] = lead, 100.0
+    assert not refuses(lambda: entropic_force(STANDARD, points[:_BLOCK], UNIT_SCALE))
+    assert refuses(lambda: entropic_force(STANDARD, points, UNIT_SCALE))
+
+
+def test_nan_opening_the_second_block_is_the_one_point_route():
+    points = array("d", [0.5 - i % 3 for i in range(_BLOCK + 5)])
+    points[_BLOCK] = math.nan
+    assert entropic_force(STANDARD, points, UNIT_SCALE).tobytes() == array(
+        "d", [entropic_force(STANDARD, v, UNIT_SCALE) for v in points]).tobytes()
+
+
+def test_force_of_no_points_needs_no_force_constant():
+    """The force constant is worked out per block, after the density check:
+    an empty input returns empty even where k overflows, a far point is
+    refused for its density first, and any other point for k."""
+    curve, scale = GaussianCurve(0.0, 1e-160), EntropicScale.direct(1.0)
+    assert entropic_force(curve, array("d"), scale) == array("d")
+    out = entropic_force(curve, np.empty((0, 3)), scale)
+    assert type(out) is np.ndarray and out.shape == (0, 3)
+    assert refuses(lambda: entropic_force(curve, array("d", [0.0, 1.0]), scale))
+    for x in (0.0, array("d", [0.0]), np.zeros(2)):
+        with pytest.raises(OverflowError, match="^force_constant does not fit in a float$"):
+            entropic_force(curve, x, scale)
 
 
 def test_oscillator_rejects_point_mass():

@@ -347,6 +347,22 @@ def test_partial_measurement_qubit_2_certain_branch():
     assert np.allclose(remainder.amplitudes, [0.6, 0.8], atol=1e-12)
 
 
+def test_partial_measurement_renormalizes_by_the_probabilities():
+    """A partial read sums the branch's |a_i|^2 as ``probabilities`` gives
+    them, re * re + im * im: the remainder is amps[g] / sqrt(p[i] + p[j]),
+    bit for bit."""
+    rng = np.random.default_rng(29)
+    for _ in range(200):
+        amps = rng.normal(size=4) + 1j * rng.normal(size=4)
+        state = StateVector(amps / np.linalg.norm(amps))
+        p = probabilities(state)
+        for qubit, groups in ((1, ((0, 1), (2, 3))), (2, ((0, 2), (1, 3)))):
+            bit, remainder = measure_collapse(state, rng, qubit=qubit)
+            i, j = groups[int(bit)]
+            want = state.amplitudes[[i, j]] / math.sqrt(p[i] + p[j])
+            assert remainder.amplitudes.tobytes() == want.tobytes()
+
+
 def test_partial_measurement_rejects_single_qubit_state():
     with pytest.raises(ValueError):
         measure_collapse(initial_state(1), np.random.default_rng(0), qubit=1)

@@ -40,7 +40,7 @@ CURVE = propensity.GaussianCurve(0.0, 1.0)
 # __post_init__ refuses.
 SAMPLES = {
     "Command": [("help", (), print, ()), ("other", (), print, ("numpy",))],
-    "CommandResult": [({"a": 1.0},), ({"a": 1.0}, {"x": [1.0]}, 1, "failed")],
+    "CommandResult": [({"a": 1.0},), ({"a": 1.0}, {"x": [1.0]}, "failed")],
     "Param": [("x", "float"), ("x", "posint", True, 1, ("a",), 5, "help")],
     "DecisionScenario": [(0.3, 0.2), (0.3, 0.2, decision.QuestionOrder.B_THEN_A),
                          (math.nan, 0.2), (0.3, 0.2, "ab"), (1e308, -1e308)],
