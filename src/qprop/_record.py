@@ -44,6 +44,13 @@ def _bind(cls, names: tuple, defaults: tuple, args: tuple, kwargs: dict) -> list
     return values
 
 
+def unchecked(cls, *values):
+    """A record of ``cls`` of its fields' values in order, without ``__post_init__``."""
+    obj = object.__new__(cls)
+    object.__setattr__(obj, "__dict__", dict(zip(cls.__match_args__, values)))
+    return obj
+
+
 def record(cls=None, *, eq: bool = True):
     """Class decorator: ``cls`` as a frozen record of its annotated fields."""
     if cls is None:

@@ -41,10 +41,10 @@ from ._record import record
 if TYPE_CHECKING:
     from . import decision, propensity
 
-# Largest grid (N of LO:HI:N) and largest number of sample draws: both are
-# output rows. Their text is written in chunks, so what grows is the computed
-# columns: a 1e6-row force grid peaks at about 60 MB, a joint grid at 90 MB.
-# It caps equivalence's gate pairs too, which hold no memory but CPU time.
+# Largest grid (N of LO:HI:N) and largest posint: sample's draws and
+# equivalence's gate pairs. Grid points and draws are output rows, written in
+# chunks, so what grows is the computed columns: a 1e6-row force grid peaks at
+# about 60 MB, a joint grid at 90 MB. Gate pairs hold no memory but CPU time.
 MAX_ROWS = 2_000_000
 
 # Rows (or array values) formatted and written at a time: one chunk's text is
@@ -71,7 +71,6 @@ class Param:
     required: bool = False
     default: object = None
     choices: tuple = ()
-    maximum: int | None = None     # posint cap, checked before anything is built
     help: str = ""
 
     @property
@@ -469,8 +468,7 @@ COMMANDS = {
         (*_ANGLES, _DEGREES), _exec_interference, (".decision",)),
     "equivalence": Command(
         "sequential versus entangled circuit check over random gate pairs",
-        (Param("trials", "posint", required=True, maximum=MAX_ROWS,
-               help="number of random gate pairs"),
+        (Param("trials", "posint", required=True, help="number of random gate pairs"),
          Param("tol", "float", default=1e-12, help="per-event tolerance"), _SEED),
         _exec_equivalence, (".decision", "._draws")),
     "reversal": Command(
@@ -498,8 +496,8 @@ COMMANDS = {
         _exec_work, (".propensity",)),
     "sample": Command(
         "seeded price draws from a joint propensity",
-        (Param("trials", "posint", required=True, maximum=MAX_ROWS,
-               help="number of price draws"), *_PAIR, _SEED),
+        (Param("trials", "posint", required=True, help="number of price draws"),
+         *_PAIR, _SEED),
         _exec_sample, (".propensity", "numpy")),
 }
 
@@ -521,8 +519,8 @@ def _validate_params(model: str, params: dict) -> None:
         elif spec.kind == "posint":
             if value < 1:
                 raise UsageError(f"{spec.config_key} must be at least 1")
-            if spec.maximum is not None and value > spec.maximum:
-                raise UsageError(f"{spec.config_key} must be at most {spec.maximum}")
+            if value > MAX_ROWS:
+                raise UsageError(f"{spec.config_key} must be at most {MAX_ROWS}")
         elif spec.kind == "choice":
             if value not in spec.choices:
                 raise UsageError(f"{spec.config_key} must be one of {spec.choices}")

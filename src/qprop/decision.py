@@ -17,11 +17,12 @@ unitarity forces |b12|^2 = |b21|^2 and |b11|^2 = |b22|^2; the intermediate
 amplitudes differ, the final probabilities do not.
 
 The circuits are evaluated in closed-form arithmetic, one gate pair at a
-time, rather than by building gates and states step by step. Gates and
-angles passed in by the caller are checked once; products of checked
-unitaries are unitary and are not checked again. One event function serves
-both routes: each probability is a product of two gate entries, and each
-modulus square is re * re + im * im of a Python complex number. Only a
+time, rather than by building gates and states step by step. Gates, angles,
+``trials`` and ``tol`` passed in by the caller are checked once; what is
+computed from them, products of unitaries and event tables, is not checked
+again. One event function serves both routes: each probability is a product
+of two gate entries, and each modulus square is re * re + im * im of a
+Python complex number. Only a
 caller's gate needs numpy and the qubit engine, imported when first called;
 the order-effect, interference and reversal closed forms and the
 equivalence sweep run on ``math`` alone.
@@ -32,7 +33,7 @@ import math
 from enum import Enum
 from typing import TYPE_CHECKING
 
-from ._record import record
+from ._record import record, unchecked
 
 if TYPE_CHECKING:
     from collections.abc import Sequence
@@ -183,8 +184,8 @@ def _order_effect_events(theta: float, phi: float,
 
 def order_effect_circuit(scenario: DecisionScenario) -> EventDistribution:
     """Run the two-question circuit and read off the four answer events."""
-    return EventDistribution(
-        *_order_effect_events(scenario.theta, scenario.phi, scenario.order))
+    return unchecked(EventDistribution,
+                     *_order_effect_events(scenario.theta, scenario.phi, scenario.order))
 
 
 def _a_then_b_marginals(theta: float, phi: float) -> tuple[float, ...]:
@@ -210,7 +211,7 @@ def order_effect_summary(theta: float, phi: float) -> OrderEffectSummary:
     dists = []
     for order, expected in ((QuestionOrder.A_THEN_B, _a_then_b_marginals(theta, phi)),
                             (QuestionOrder.B_THEN_A, _b_then_a_marginals(theta, phi))):
-        dist = EventDistribution(*_order_effect_events(theta, phi, order))
+        dist = unchecked(EventDistribution, *_order_effect_events(theta, phi, order))
         got = (dist.a_yes, dist.a_no, dist.b_yes, dist.b_no)
         dev = max(abs(g - e) for g, e in zip(got, expected))
         if dev > CLOSED_FORM_TOL:
@@ -252,12 +253,10 @@ def order_effect_magnitude(theta: float, phi: float) -> float:
 
 def _gate_entries(gate: Gate | np.ndarray) -> np.ndarray:
     """The entries of a caller's single-qubit gate, checked for unitarity."""
-    import numpy as np
-
     from .qubits import Gate
 
     if not isinstance(gate, Gate):
-        gate = Gate(np.asarray(gate, dtype=np.complex128))
+        gate = Gate(gate)
     if gate.dim != 2:
         raise ValueError("decision circuits take single-qubit gates")
     return gate.entries
@@ -294,7 +293,7 @@ def sequential_measurement(a_gate: Gate | np.ndarray,
     is a product of squared entries: |a11 b11|^2, |a11 b21|^2, |a21 b12|^2
     and |a21 b22|^2.
     """
-    return EventDistribution(*_events(*_pair_entries(a_gate, b_gate))[0])
+    return unchecked(EventDistribution, *_events(*_pair_entries(a_gate, b_gate))[0])
 
 
 def _column_probabilities(column: np.ndarray) -> list[float]:
@@ -335,13 +334,13 @@ def sequential_measurement_sampled(a_gate: Gate | np.ndarray,
         second = np.where(first == 0, _sample_indices(second_probs[0], u[:, 1]),
                           _sample_indices(second_probs[1], u[:, 1]))
         counts += np.bincount(2 * first + second, minlength=4)
-    return EventDistribution(*(c / trials for c in counts.tolist()))
+    return unchecked(EventDistribution, *(c / trials for c in counts.tolist()))
 
 
 def entangled_circuit(a_gate: Gate | np.ndarray,
                       b_gate: Gate | np.ndarray) -> EventDistribution:
     """Event probabilities of the two-qubit circuit cnot(1) . (A x B) |00>."""
-    return EventDistribution(*_events(*_pair_entries(a_gate, b_gate))[1])
+    return unchecked(EventDistribution, *_events(*_pair_entries(a_gate, b_gate))[1])
 
 
 def equivalence_check(a_gate: Gate | np.ndarray,
@@ -352,12 +351,12 @@ def equivalence_check(a_gate: Gate | np.ndarray,
     The two distributions agree for any unitary pair, so a failure at a sane
     tolerance indicates a bug rather than physics.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tolerance must be positive")
     seq, ent = _events(*_pair_entries(a_gate, b_gate))
     dev = max(abs(x - y) for x, y in zip(seq, ent))
-    return EquivalenceReport(EventDistribution(*seq), EventDistribution(*ent),
-                             dev, tol, dev <= tol)
+    return EquivalenceReport(unchecked(EventDistribution, *seq),
+                             unchecked(EventDistribution, *ent), dev, tol, dev <= tol)
 
 
 def equivalence_sweep(rng: np.random.Generator | PCG64, trials: int,
@@ -372,7 +371,7 @@ def equivalence_sweep(rng: np.random.Generator | PCG64, trials: int,
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tolerance must be positive")
     from ._draws import unitary
 

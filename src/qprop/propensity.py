@@ -280,7 +280,8 @@ def joint_propensity(buyer: GaussianCurve, seller: GaussianCurve) -> JointPropen
         raise PointMassError("fixed prices go through fixed_price_joint")
     t = buyer.sigma / seller.sigma
     w = 1.0 / (1.0 + t * t)               # the buyer's weight, 0 where t * t is inf
-    mu = w * buyer.mu + (1.0 - w) * seller.mu
+    lo, hi = sorted((buyer.mu, seller.mu))    # the weighted mean may round outside
+    mu = min(max(w * buyer.mu + (1.0 - w) * seller.mu, lo), hi)
     overlap_sigma = math.hypot(buyer.sigma, seller.sigma)
     narrow, wide = sorted((buyer.sigma, seller.sigma))
     sigma = narrow * (wide / overlap_sigma)   # wide / h lies in [1/sqrt(2), 1]

@@ -7,14 +7,15 @@ index = 2 * (bit of qubit 1) + (bit of qubit 2), with qubit 1 the top wire,
 so the entangling gate ``cnot(control=1)`` swaps the |10> and |11>
 amplitudes and ``cnot(control=2)`` swaps |01> and |11>.
 
-States and gates are immutable values: a state is checked for its norm and a
-gate for unitarity at construction. ``probabilities`` returns the read-only
-array of |a_i|^2 in basis order, labelled by ``basis_labels``; the state's
-norm check already holds each value between 0 and their sum, and the sum
+States and gates are immutable values: one that a caller builds is checked
+there, a state for its norm within STATE_NORM_TOL and a gate for unitarity
+within GATE_UNITARY_TOL; what the engine computes from them is not checked
+again and carries their tolerance plus rounding. ``probabilities`` returns
+the read-only array of |a_i|^2 in basis order, labelled by ``basis_labels``;
+for a state a caller built, each lies between 0 and their sum, and the sum
 within STATE_NORM_TOL of 1. The only mutable object in the module is the
 caller-owned numpy ``Generator`` consumed by ``measure_collapse`` and
-``random_unitary_2x2``, so thread safety reduces to one generator per
-thread.
+``random_unitary_2x2``, so thread safety reduces to one generator per thread.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ import math
 import numpy as np
 
 from ._draws import unitary
-from ._record import record
+from ._record import record, unchecked
 
 STATE_NORM_TOL = 1e-12
 GATE_UNITARY_TOL = 1e-10
@@ -38,6 +39,12 @@ def _as_complex_array(values, name: str, shapes: tuple) -> np.ndarray:
         raise ValueError(f"{name} must be finite (no NaN or Inf entries)")
     arr.setflags(write=False)
     return arr
+
+
+def _computed(cls, arr: np.ndarray):
+    """A StateVector or Gate of a computed complex128 array that owns its data."""
+    arr.setflags(write=False)
+    return unchecked(cls, arr)
 
 
 @record(eq=False)
@@ -84,7 +91,7 @@ class Gate:
             return NotImplemented
         if self.dim != other.dim:
             raise ValueError("cannot compose gates of different dimension")
-        return Gate(self.entries @ other.entries)
+        return _computed(Gate, self.entries @ other.entries)
 
 
 def basis_labels(n_qubits: int) -> tuple[str, ...]:
@@ -98,9 +105,7 @@ def initial_state(n_qubits: int) -> StateVector:
     """The all-zeros register |0> or |00>."""
     if n_qubits not in (1, 2):
         raise ValueError(f"supported register sizes are 1 or 2 qubits, got {n_qubits!r}")
-    amps = np.zeros(2 ** n_qubits, dtype=np.complex128)
-    amps[0] = 1.0
-    return StateVector(amps)
+    return _basis_outcomes(n_qubits)[0][1]
 
 
 def rotation_gate(angle: float) -> Gate:
@@ -109,13 +114,13 @@ def rotation_gate(angle: float) -> Gate:
     if not math.isfinite(angle):
         raise ValueError("rotation angle must be finite")
     c, s = math.cos(angle), math.sin(angle)
-    return Gate(np.array([[c, -s], [s, c]]))
+    return _computed(Gate, np.array([[c, -s], [s, c]], dtype=np.complex128))
 
 
 def hadamard() -> Gate:
     """Self-inverse balanced-superposition gate (1, 1; 1, -1)/sqrt(2)."""
     inv = 1.0 / math.sqrt(2.0)
-    return Gate(np.array([[inv, inv], [inv, -inv]]))
+    return _computed(Gate, np.array([[inv, inv], [inv, -inv]], dtype=np.complex128))
 
 
 def cnot(control: int) -> Gate:
@@ -131,16 +136,16 @@ def cnot(control: int) -> Gate:
         perm = (0, 3, 2, 1)
     else:
         raise ValueError("control qubit must be 1 or 2")
-    m = np.zeros((4, 4))
+    m = np.zeros((4, 4), dtype=np.complex128)
     m[np.arange(4), perm] = 1.0
-    return Gate(m)
+    return _computed(Gate, m)
 
 
 def tensor(g1: Gate, g2: Gate) -> Gate:
     """Kronecker product, with g1 acting on qubit 1 (the top wire)."""
     if g1.dim != 2 or g2.dim != 2:
         raise ValueError("tensor expects two single-qubit gates")
-    return Gate(np.kron(g1.entries, g2.entries))
+    return _computed(Gate, np.kron(g1.entries, g2.entries).copy())    # kron gives a view
 
 
 def apply(gate: Gate, state: StateVector) -> StateVector:
@@ -148,7 +153,7 @@ def apply(gate: Gate, state: StateVector) -> StateVector:
     if gate.dim != state.amplitudes.shape[0]:
         raise ValueError(
             f"gate of dimension {gate.dim} does not fit a {state.n_qubits}-qubit state")
-    return StateVector(gate.entries @ state.amplitudes)
+    return _computed(StateVector, gate.entries @ state.amplitudes)
 
 
 def probabilities(state: StateVector) -> np.ndarray:
@@ -165,7 +170,7 @@ def _basis_outcomes(n_qubits: int) -> tuple[tuple[str, StateVector], ...]:
     for i in range(2 ** n_qubits):
         amps = np.zeros(2 ** n_qubits, dtype=np.complex128)
         amps[i] = 1.0
-        out.append((format(i, f"0{n_qubits}b"), StateVector(amps)))
+        out.append((format(i, f"0{n_qubits}b"), _computed(StateVector, amps)))
     return tuple(out)
 
 
@@ -205,7 +210,7 @@ def measure_collapse(state: StateVector, rng: np.random.Generator,
     branch = [probs[i] + probs[j] for i, j in groups]
     bit = _sample_index(branch, rng)
     remainder = state.amplitudes[list(groups[bit])] / math.sqrt(branch[bit])
-    return str(bit), StateVector(remainder)
+    return str(bit), _computed(StateVector, remainder)
 
 
 def is_unitary(gate: Gate | np.ndarray, tol: float) -> bool:
@@ -214,7 +219,7 @@ def is_unitary(gate: Gate | np.ndarray, tol: float) -> bool:
     Accepts a Gate or a raw matrix so that candidates can be screened before
     construction.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tolerance must be positive")
     m = gate.entries if isinstance(gate, Gate) else np.asarray(gate, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -225,7 +230,7 @@ def is_unitary(gate: Gate | np.ndarray, tol: float) -> bool:
 
 def random_unitary_2x2(rng: np.random.Generator) -> Gate:
     """Seeded random single-qubit unitary: one gate of ``random_unitaries``."""
-    return Gate(random_unitaries(rng, 1)[0])
+    return _computed(Gate, random_unitaries(rng, 1)[0].copy())
 
 
 def random_unitaries(rng: np.random.Generator, n: int) -> np.ndarray:

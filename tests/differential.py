@@ -86,7 +86,7 @@ def _value(rng: random.Random, spec, max_rows: int) -> str:
     if spec.kind == "posint":             # trials: kept small, one past a cap refused
         if roll < 0.85:
             return str(rng.randint(1, 40))
-        return rng.choice(["0", "-1", "2.5", "x", str((spec.maximum or 40) + 1)])
+        return rng.choice(["0", "-1", "2.5", "x", str(max_rows + 1)])
     if roll < 0.9:                        # int: the seed
         return str(rng.randrange(2 ** 32))
     return rng.choice(["-1", str(2 ** 70), "1.5", "x"])

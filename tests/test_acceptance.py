@@ -8,7 +8,6 @@ import contextlib
 import io
 import json
 import math
-import re
 import time
 
 import numpy as np
@@ -41,7 +40,7 @@ from qprop.propensity import (
 )
 from qprop.qubits import random_unitary_2x2, rotation_gate
 
-from make_goldens import CASES, GOLDEN_DIR
+from make_goldens import CASES, GOLDEN_DIR, mask_timing
 
 GRID = [k * math.pi / 24 for k in range(24)]
 
@@ -280,10 +279,6 @@ def test_criterion_8_reversal_energy_and_threshold():
               "only above ratio 3", budget)
 
 
-def _normalize_timing(text):
-    return re.sub(r'"wall_time_ms": [0-9.]+', '"wall_time_ms": 0', text)
-
-
 def test_criterion_9_cli_outputs_are_reproducible():
     """Every golden command re-run twice produces byte-identical output
     (JSON compared with the wall-clock field normalized) that matches the
@@ -299,7 +294,7 @@ def test_criterion_9_cli_outputs_are_reproducible():
                 assert code == 0, f"{name}: exit code {code}"
                 runs.append(buffer.getvalue())
             if name.endswith(".json"):
-                normalized = {_normalize_timing(text) for text in
+                normalized = {mask_timing(text) for text in
                               (golden, *runs)}
                 assert len(normalized) == 1, f"{name}: output drifted"
                 assert json.loads(runs[0]) is not None

@@ -917,6 +917,24 @@ def test_whole_float_range_keeps_the_exit_contract(model):
         if code == 0 and model in ("force", "oscillator"):
             # Quantities derived from positive inputs are never printed as 0.
             assert min(results[key] for key in ("gamma", "force_constant")) > 0.0
+        if code == 0 and model == "work":
+            # delta_e = gamma (z1^2 - z2^2) / 2, to rounding on the scale of
+            # its terms and of the ln sigma they cancel.
+            gamma, mu, sigma = results["gamma"], results["mu"], results["sigma"]
+            z1, z2 = ((results[x] - mu) / sigma for x in ("x1", "x2"))
+            size = gamma * (z1 * z1 + z2 * z2 + abs(math.log(sigma)) + 1.0)
+            if math.isfinite(size):
+                expected = gamma * (z1 * z1 - z2 * z2) / 2.0
+                assert abs(results["delta_e"] - expected) <= 1e-12 * size
+        if code == 0 and model == "joint" and results["joint"]["kind"] == "gaussian":
+            # The joint mean lies between the two means and the precisions
+            # add, where each is a normal float: 1/sigma^2 = 1/s_b^2 + 1/s_s^2.
+            curves = [results[side] for side in ("buyer", "seller", "joint")]
+            means = sorted(curve["mu"] for curve in curves[:2])
+            assert means[0] <= curves[2]["mu"] <= means[1]
+            p_b, p_s, p_joint = (1.0 / curve["sigma"] / curve["sigma"] for curve in curves)
+            if all(sys.float_info.min <= p < math.inf for p in (p_b, p_s, p_joint, p_b + p_s)):
+                assert math.isclose(p_joint, p_b + p_s, rel_tol=1e-12)
 
     command = cli.COMMANDS[model]
     with pytest.MonkeyPatch.context() as patch:

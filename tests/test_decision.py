@@ -13,6 +13,7 @@ from qprop.decision import (
     QuestionOrder,
     entangled_circuit,
     equivalence_check,
+    equivalence_sweep,
     interference_term,
     measured_b_yes,
     order_effect_circuit,
@@ -24,9 +25,11 @@ from qprop.decision import (
     unmeasured_b_yes,
 )
 from qprop.qubits import (
+    Gate,
     apply,
     hadamard,
     initial_state,
+    is_unitary,
     probabilities,
     random_unitary_2x2,
     rotation_gate,
@@ -99,8 +102,8 @@ def test_event_distribution_marginals():
 
 
 @pytest.mark.parametrize("probs", [(0.5, 0.5, 0.5, 0.5), (math.nan, 0.0, 0.0, 0.0),
-                                   (math.nan, 1.0, 0.0, 0.0)],
-                         ids=["sum-2", "nan", "nan-beside-1"])
+                                   (math.nan, 1.0, 0.0, 0.0), (math.nan, 0.0, 0.0, 1.0)],
+                         ids=["sum-2", "nan", "nan-beside-1", "nan-then-1"])
 def test_event_distribution_rejects_bad_sum(probs):
     """A NaN compares false both ways; it must fail the checks, not slip past."""
     with pytest.raises(ValueError):
@@ -293,6 +296,38 @@ def test_equivalence_rejects_nonunitary_input():
 def test_equivalence_rejects_zero_tolerance():
     with pytest.raises(ValueError):
         equivalence_check(hadamard(), hadamard(), tol=0.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda tol: is_unitary(hadamard(), tol),
+    lambda tol: equivalence_check(hadamard(), hadamard(), tol=tol),
+    lambda tol: equivalence_sweep(np.random.default_rng(1), 5, tol),
+], ids=["is_unitary", "equivalence_check", "equivalence_sweep"])
+def test_a_nan_tolerance_is_refused(call):
+    with pytest.raises(ValueError, match="tolerance must be positive"):
+        call(math.nan)
+
+
+H10 = 0.7071067812                     # 1/sqrt(2) typed to ten digits
+# Unitary within GATE_UNITARY_TOL (1e-10), but not within EVENT_SUM_TOL.
+ADMITTED = {"ten-digit-hadamard": [[H10, H10], [H10, -H10]],
+            "diag-1+4e-11": np.diag([1 + 4e-11, 1])}
+
+
+@pytest.mark.parametrize("entries", ADMITTED.values(), ids=ADMITTED)
+def test_an_admitted_gate_gives_its_events(entries):
+    """The event tables of a gate admitted within its tolerance are not
+    checked again: each event is |product of two entries|^2, bit for bit,
+    for the gate and for its raw matrix."""
+    a11, a12, a21, a22 = Gate(entries).entries.ravel().tolist()
+    p = [z.real * z.real + z.imag * z.imag
+         for z in (a11 * a11, a11 * a21, a21 * a12, a21 * a22, a21 * a21, a21 * a11)]
+    seq, ent = tuple(p[:4]), (p[0], p[1], p[4], p[5])
+    for gate in (Gate(entries), entries):
+        assert sequential_measurement(gate, gate).as_tuple() == seq
+        assert entangled_circuit(gate, gate).as_tuple() == ent
+        report = equivalence_check(gate, gate)
+        assert (report.sequential.as_tuple(), report.entangled.as_tuple()) == (seq, ent)
 
 
 def test_sampled_sequential_matches_exact():

@@ -312,6 +312,14 @@ def test_joint_identical_curves_scale():
                                         rel=1e-12)
 
 
+def test_joint_of_equal_means_keeps_the_mean():
+    """The weighted mean w mu + (1 - w) mu can round one ulp off mu; the joint
+    mean stays between the two means."""
+    mu = math.log(2.0)
+    joint = joint_propensity(GaussianCurve(mu, 0.5), GaussianCurve(mu, 1e-8))
+    assert joint.joint.mu == mu
+
+
 def test_joint_disjoint_curves_have_tiny_scale():
     joint = joint_propensity(GaussianCurve(0.0, 0.05), GaussianCurve(2.0, 0.05))
     assert joint.scale < 1e-10

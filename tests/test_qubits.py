@@ -286,6 +286,54 @@ def test_probabilities_of_a_state_form_a_distribution(seed, control):
 
 
 # ============================================================
+# Computed values are not checked again
+# ============================================================
+
+H10 = 0.7071067812                     # 1/sqrt(2) typed to ten digits
+# Unitary within GATE_UNITARY_TOL (1e-10), but not within STATE_NORM_TOL.
+ADMITTED = {"ten-digit-hadamard": [[H10, H10], [H10, -H10]],
+            "diag-1+4e-11": np.diag([1 + 4e-11, 1])}
+
+
+@pytest.mark.parametrize("entries", ADMITTED.values(), ids=ADMITTED)
+def test_an_admitted_gate_runs_through_every_step(entries):
+    """A gate admitted within its tolerance is not refused a step later: each
+    result is the arithmetic on the entries, bit for bit."""
+    gate = Gate(entries)
+    m = gate.entries
+    assert np.array_equal(apply(gate, initial_state(1)).amplitudes, m @ [1, 0])
+    assert np.array_equal((gate @ gate).entries, m @ m)
+    two = tensor(gate, gate)
+    assert np.array_equal(two.entries, np.kron(m, m))
+    assert np.array_equal(apply(two, initial_state(2)).amplitudes, np.kron(m, m) @ [1, 0, 0, 0])
+
+
+def test_every_computed_value_is_a_read_only_complex128_array_of_its_shape():
+    """Each also owns its data, so that no view of another array can change it."""
+    rng = np.random.default_rng(3)
+    h, r = hadamard(), rotation_gate(0.3)
+    pair = apply(cnot(1), apply(tensor(h, r), initial_state(2)))
+    values = {
+        "rotation_gate": (r.entries, (2, 2)),
+        "hadamard": (h.entries, (2, 2)),
+        "cnot(1)": (cnot(1).entries, (4, 4)),
+        "cnot(2)": (cnot(2).entries, (4, 4)),
+        "tensor": (tensor(h, r).entries, (4, 4)),
+        "matmul": ((h @ r).entries, (2, 2)),
+        "random_unitary_2x2": (random_unitary_2x2(rng).entries, (2, 2)),
+        "initial_state(1)": (initial_state(1).amplitudes, (2,)),
+        "initial_state(2)": (initial_state(2).amplitudes, (4,)),
+        "apply": (apply(h, initial_state(1)).amplitudes, (2,)),
+        "apply(2)": (pair.amplitudes, (4,)),
+        "full read": (measure_collapse(pair, rng)[1].amplitudes, (4,)),
+        "wire read": (measure_collapse(pair, rng, qubit=2)[1].amplitudes, (2,)),
+    }
+    for name, (arr, shape) in values.items():
+        assert (arr.dtype, arr.shape, arr.flags.writeable, arr.base) == (
+            np.complex128, shape, False, None), name
+
+
+# ============================================================
 # Measurement
 # ============================================================
 

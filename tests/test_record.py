@@ -5,7 +5,8 @@ Each record class is checked against a twin made with
 ``dataclasses.dataclass`` from the same annotations, defaults and methods:
 repr, equality and hash, frozen fields, construction by position, keyword
 and default, ``TypeError`` on a bad call, ``__post_init__`` validation and
-``__match_args__``.
+``__match_args__``. A record built by ``_record.unchecked`` is checked against
+one built by its constructor.
 """
 import dataclasses
 import math
@@ -41,7 +42,7 @@ CURVE = propensity.GaussianCurve(0.0, 1.0)
 SAMPLES = {
     "Command": [("help", (), print, ()), ("other", (), print, ("numpy",))],
     "CommandResult": [({"a": 1.0},), ({"a": 1.0}, {"x": [1.0]}, "failed")],
-    "Param": [("x", "float"), ("x", "posint", True, 1, ("a",), 5, "help")],
+    "Param": [("x", "float"), ("x", "posint", True, 1, ("a",), "help")],
     "DecisionScenario": [(0.3, 0.2), (0.3, 0.2, decision.QuestionOrder.B_THEN_A),
                          (math.nan, 0.2), (0.3, 0.2, "ab"), (1e308, -1e308)],
     "EventDistribution": [(0.25, 0.25, 0.25, 0.25), (1.0, 0.0, 0.0, 0.0),
@@ -172,3 +173,32 @@ def test_post_init_sees_every_field_and_may_set_one():
     assert scenario.order is decision.QuestionOrder.A_THEN_B
     with pytest.raises(ValueError, match="sigma must be positive"):
         propensity.GaussianCurve(0.0, -1.0)
+
+
+def test_unchecked_builds_what_the_constructor_builds(pair, monkeypatch):
+    """``_record.unchecked`` gives, from a record's fields, a record that is
+    frozen and has the constructor's repr, equality and hash; it never calls
+    ``__post_init__``, so it also builds the samples the constructor refuses."""
+    cls, _ = pair
+    names = cls.__match_args__
+    checked = cls(*SAMPLES[cls.__name__][0])
+    fields = [getattr(checked, name) for name in names]
+
+    def refuse(self):
+        raise AssertionError("__post_init__ called")
+
+    monkeypatch.setattr(cls, "__post_init__", refuse, raising=False)
+    built = _record.unchecked(cls, *fields)
+    assert type(built) is cls and repr(built) == repr(checked)
+    with pytest.raises(AttributeError, match=f"cannot assign to field '{names[0]}'"):
+        setattr(built, names[0], None)
+    if "__eq__" in cls.__dict__:
+        assert built == checked and not built != checked
+        assert outcome(lambda: hash(built)) == outcome(lambda: hash(checked))
+    else:                             # identity, as for two constructed records
+        assert built == built and built != checked
+        assert hash(built) == object.__hash__(built)
+    for args in SAMPLES[cls.__name__][2:]:
+        full = (*args, *(getattr(cls, name) for name in names[len(args):]))
+        text = ", ".join(f"{name}={value!r}" for name, value in zip(names, full))
+        assert repr(_record.unchecked(cls, *full)) == f"{cls.__qualname__}({text})"
