@@ -10,9 +10,10 @@ numbers formatted to 12 significant digits either way. The run record's
 wall_time_ms field is the one part of the output that varies between
 otherwise identical runs.
 
-Exit codes: 0 success, 1 model failure, 2 usage or validation error (a
-request too large for the memory available, or output that cannot be
-written, included).
+Exit codes: 0 success; 1 a model failure, reported after the output (an
+equivalence sweep with pairs beyond its tolerance); 2 a usage or validation
+error (a non-positive tolerance, a request too large for the memory
+available, or output that cannot be written, included).
 
 A call imports only what it computes with: every usage error is decided
 before a model module is loaded, and a command loads its own model module
@@ -54,10 +55,6 @@ CHUNK_ROWS = 8192
 
 class UsageError(Exception):
     """Bad flags, config, or parameter values; exits with code 2."""
-
-
-class ModelError(Exception):
-    """The requested computation failed or did not pass; exits with code 1."""
 
 
 # ============================================================
@@ -278,10 +275,6 @@ def _exec_equivalence(params: dict) -> CommandResult:
     from ._draws import PCG64
 
     trials, tol = params["trials"], params["tol"]
-    if tol == 0.0:
-        raise ModelError(
-            "tolerance 0 demands exact floating-point equality, which the circuits "
-            "do not promise; the routes agree to about 1e-15, so pass a positive tolerance")
     sweep = decision.equivalence_sweep(PCG64(params["seed"]), trials, tol)
     max_dev, failures = sweep.max_abs_deviation, sweep.failures
     results = {
@@ -469,7 +462,7 @@ COMMANDS = {
     "equivalence": Command(
         "sequential versus entangled circuit check over random gate pairs",
         (Param("trials", "posint", required=True, help="number of random gate pairs"),
-         Param("tol", "float", default=1e-12, help="per-event tolerance"), _SEED),
+         Param("tol", "posfloat", default=1e-12, help="per-event tolerance"), _SEED),
         _exec_equivalence, (".decision", "._draws")),
     "reversal": Command(
         "cost-ratio rule for preference reversal",
@@ -562,8 +555,6 @@ def _check_combinations(model: str, params: dict) -> None:
         raise UsageError("pass exactly one of price or grid")
     if grid is not None:
         _grid_bounds(grid)
-    if model == "equivalence" and params["tol"] < 0:
-        raise UsageError("tolerance must not be negative")
 
 
 def _resolve_seed(flag_seed: int | None) -> int | None:
@@ -578,12 +569,13 @@ def _resolve_seed(flag_seed: int | None) -> int | None:
     return None
 
 
-def _line_of(text: str, key: str) -> str:
+def _where(path: str, text: str, key: str) -> str:
+    """path:N of the config line that sets key, worked out for an error only."""
     pattern = re.compile(rf"^\s*{re.escape(key)}\s*[=:]", re.IGNORECASE)
     for i, line in enumerate(text.splitlines(), start=1):
         if pattern.match(line):
-            return str(i)
-    return "?"
+            return f"{path}:{i}"
+    return f"{path}:?"
 
 
 def load_config(path: str) -> tuple[str, dict, str]:
@@ -609,7 +601,7 @@ def load_config(path: str) -> tuple[str, dict, str]:
     run = parser["run"]
     for key in run:
         if key not in ("model", "output"):
-            raise UsageError(f"{path}:{_line_of(text, key)}: unknown key {key!r} in [run]")
+            raise UsageError(f"{_where(path, text, key)}: unknown key {key!r} in [run]")
     model = run.get("model")
     if not model:
         raise UsageError(f"{path}: [run] must name a model")
@@ -628,14 +620,15 @@ def load_config(path: str) -> tuple[str, dict, str]:
     given: dict = {}
     for key in parser[model]:
         raw = parser[model][key]
-        where = f"{path}:{_line_of(text, key)}"
         if key not in specs:
-            raise UsageError(f"{where}: unknown key {key!r} for model {model!r}")
+            raise UsageError(f"{_where(path, text, key)}: unknown key {key!r} "
+                             f"for model {model!r}")
         try:
             given[key] = specs[key].convert(raw.strip())
         except ValueError:
             number = "an integer" if specs[key].convert is int else "a number"
-            raise UsageError(f"{where}: {key} must be {number}, got {raw!r}")
+            raise UsageError(f"{_where(path, text, key)}: {key} must be {number}, "
+                             f"got {raw!r}")
     for key, spec in specs.items():
         if spec.required and key not in given:
             raise UsageError(f"{path}: [{model}] is missing required key {key!r}")
@@ -703,6 +696,11 @@ def _write(result: CommandResult, model: str, params: dict, output: str,
                     handle.write(_csv_rows(row, [column[i:i + CHUNK_ROWS] for column in columns]))
             handle.flush()
     except OSError as exc:
+        if out_path is None:
+            # Point fd 1 at os.devnull, or the flush at exit fails again on buffered text.
+            with contextlib.suppress(AttributeError, OSError, ValueError):
+                fd = sys.stdout.fileno()
+                os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
         raise UsageError(f"cannot write output: {exc}")
 
 
@@ -724,8 +722,6 @@ def _run_model(model: str, params: dict, output: str, out_path: str | None) -> i
         raise UsageError(str(exc))
     except ArithmeticError as exc:        # a result beyond the range of a float
         raise UsageError(f"parameters out of floating-point range: {exc}")
-    except RuntimeError as exc:           # a model's self-check failed
-        raise ModelError(str(exc))
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     for name, value in _quantities(result.results):
         if not _is_finite(value):
@@ -795,9 +791,6 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"qprop: error: {exc}", file=sys.stderr)
         return 2
-    except ModelError as exc:
-        print(f"qprop: {exc}", file=sys.stderr)
-        return 1
     except MemoryError:
         print("qprop: error: not enough memory for this request", file=sys.stderr)
         return 2

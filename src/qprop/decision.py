@@ -9,12 +9,11 @@ and substitutes the angles, cnot(2) . (R_phi x R_(theta-phi)). The wire
 assignment is the same in both orders, so |00> is always "yes to A, yes to
 B".
 
-The closed forms used for cross-checks are the squared projections of the
-equivalent one-qubit protocol: measure after the first rotation, feed the
-collapsed state through the second. That sequential protocol and the
-entangled circuit agree event by event for any unitary pair, because
-unitarity forces |b12|^2 = |b21|^2 and |b11|^2 = |b22|^2; the intermediate
-amplitudes differ, the final probabilities do not.
+The entangled circuit agrees event by event with the equivalent one-qubit
+protocol, which measures after the first rotation and feeds the collapsed
+state through the second, for any unitary pair: unitarity forces
+|b12|^2 = |b21|^2 and |b11|^2 = |b22|^2; the intermediate amplitudes
+differ, the final probabilities do not.
 
 The circuits are evaluated in closed-form arithmetic, one gate pair at a
 time, rather than by building gates and states step by step. Gates, angles,
@@ -45,7 +44,6 @@ if TYPE_CHECKING:
 
 EVENT_LABELS = ("A+B+", "A+B-", "A-B+", "A-B-")
 EVENT_SUM_TOL = 1e-12
-CLOSED_FORM_TOL = 1e-12
 REVERSAL_COST_RATIO = 3.0
 DRAW_BLOCK = 8192            # trials of generator draws taken at a time
 
@@ -188,37 +186,15 @@ def order_effect_circuit(scenario: DecisionScenario) -> EventDistribution:
                      *_order_effect_events(scenario.theta, scenario.phi, scenario.order))
 
 
-def _a_then_b_marginals(theta: float, phi: float) -> tuple[float, ...]:
-    ct, st = math.cos(theta) ** 2, math.sin(theta) ** 2
-    cp, sp = math.cos(phi) ** 2, math.sin(phi) ** 2
-    return (ct, st, ct * cp + st * sp, ct * sp + st * cp)
-
-
-def _b_then_a_marginals(theta: float, phi: float) -> tuple[float, ...]:
-    cd, sd = math.cos(theta - phi) ** 2, math.sin(theta - phi) ** 2
-    cp, sp = math.cos(phi) ** 2, math.sin(phi) ** 2
-    return (cd * cp + sd * sp, cd * sp + sd * cp, cd, sd)
-
-
 def order_effect_summary(theta: float, phi: float) -> OrderEffectSummary:
-    """Answer events and yes/no marginals for both asking orders.
-
-    Values come from the circuit and its marginals are cross-checked against
-    the closed forms; a disagreement beyond 1e-12 means the engine is broken
-    and raises RuntimeError.
-    """
+    """Answer events and yes/no marginals of the circuit for both asking
+    orders. The marginals meet their closed forms, such as cos^2 theta for A
+    asked first, to a few ulps; the tests hold them there, not a run-time
+    check."""
     _check_angles(theta, phi)
-    dists = []
-    for order, expected in ((QuestionOrder.A_THEN_B, _a_then_b_marginals(theta, phi)),
-                            (QuestionOrder.B_THEN_A, _b_then_a_marginals(theta, phi))):
-        dist = unchecked(EventDistribution, *_order_effect_events(theta, phi, order))
-        got = (dist.a_yes, dist.a_no, dist.b_yes, dist.b_no)
-        dev = max(abs(g - e) for g, e in zip(got, expected))
-        if dev > CLOSED_FORM_TOL:
-            raise RuntimeError(
-                f"circuit marginals deviate from closed forms by {dev:g}")
-        dists.append(dist)
-    return OrderEffectSummary(theta, phi, *dists)
+    return OrderEffectSummary(theta, phi, *(
+        unchecked(EventDistribution, *_order_effect_events(theta, phi, order))
+        for order in QuestionOrder))
 
 
 def unmeasured_b_yes(theta: float, phi: float) -> float:

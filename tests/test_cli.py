@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qprop import __version__, cli, decision, propensity
+from qprop import __version__, cli, propensity
 from qprop.cli import CHUNK_ROWS, MAX_ROWS, _csv_rows, _fmt, _json_numbers, _json_pieces, main
 
 import make_goldens
@@ -621,18 +621,23 @@ def test_nonpositive_cost_exits_2(capsys):
     assert "x1" in capsys.readouterr().err
 
 
-def test_zero_tolerance_is_model_error(capsys):
-    code, _ = run_cli(["equivalence", "--trials", "2", "--tol", "0",
-                       "--seed", "1"])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert "tol" in err
-
-
-def test_negative_tolerance_exits_2(capsys):
-    code, _ = run_cli(["equivalence", "--trials", "2", "--tol", "-1e-9",
-                       "--seed", "1"])
-    assert code == 2
+@pytest.mark.parametrize("tol", ["0", "-0.0", "-1e-9", "5e-324"])
+def test_tolerance_must_be_positive(tmp_path, capsys, tol):
+    """A tolerance of zero or less is a usage error, by flag and by config;
+    the smallest positive one runs the sweep, which fails through its
+    message, after writing its record."""
+    path = write_config(tmp_path, f"[run]\nmodel = equivalence\noutput = csv\n\n"
+                        f"[equivalence]\ntrials = 2\ntol = {tol}\nseed = 1\n")
+    for argv in (["equivalence", "--trials", "2", "--tol", tol, "--seed", "1",
+                  "--output", "csv"], ["run", path]):
+        code, text = run_cli(argv)
+        err = capsys.readouterr().err
+        if float(tol) > 0:
+            assert code == 1
+            assert text.splitlines()[1].startswith("2,4.94065645841e-324,")
+            assert err.startswith("qprop: 2 of 2 gate pairs deviated beyond 4.94066e-324 ")
+        else:
+            assert (code, text, err) == (2, "", "qprop: error: tol must be positive\n")
 
 
 def test_single_point_grid_exits_2(capsys):
@@ -877,12 +882,21 @@ def whole_range_calls(draw, model):
     return [model, *argv, "--output", draw(st.sampled_from(["json", "csv"]))]
 
 
+def closed_form_marginals(theta, phi):
+    """A yes, A no, B yes and B no asking A first, then asking B first."""
+    ct, st = math.cos(theta) ** 2, math.sin(theta) ** 2
+    cp, sp = math.cos(phi) ** 2, math.sin(phi) ** 2
+    cd, sd = math.cos(theta - phi) ** 2, math.sin(theta - phi) ** 2
+    return (ct, st, ct * cp + st * sp, ct * sp + st * cp,
+            cd * cp + sd * sp, cd * sp + sd * cp, cd, sd)
+
+
 @pytest.mark.parametrize("model", sorted(cli.COMMANDS))
 def test_whole_float_range_keeps_the_exit_contract(model):
     """Over the whole float range every call exits 0, 1 or 2 without a
     traceback, a failure prints one qprop line and never a bare math or
     errno message, JSON output is strict, and the results meet their
-    closed forms."""
+    closed forms: the eight order-effect marginals to 1e-12."""
     run, captured = cli.COMMANDS[model].run, {}
 
     def capture(params):
@@ -911,6 +925,10 @@ def test_whole_float_range_keeps_the_exit_contract(model):
         results = captured.get("results")
         if code == 0 and model == "order-effect":
             assert abs(math.fsum(results["joint"].values()) - 1.0) <= 1e-12
+            marginals = [value for order in results["marginals"].values()
+                         for value in order.values()]
+            expected = closed_form_marginals(results["theta"], results["phi"])
+            assert max(abs(g - e) for g, e in zip(marginals, expected)) <= 1e-12
         if code == 0 and model == "force" and "force" in results:
             expected = -results["force_constant"] * (results["x"] - results["mu"])
             assert math.isclose(results["force"], expected, rel_tol=1e-12)
@@ -943,18 +961,6 @@ def test_whole_float_range_keeps_the_exit_contract(model):
         check()
 
 
-def test_failed_cross_check_exits_1(monkeypatch, capsys):
-    def broken(theta, phi):
-        raise RuntimeError("circuit marginals deviate from closed forms by 0.1")
-
-    monkeypatch.setattr(decision, "order_effect_summary", broken)
-    code, text = run_cli(["order-effect", "--theta", "0.3", "--phi", "0.2"])
-    assert code == 1
-    assert text == ""
-    assert capsys.readouterr().err == (
-        "qprop: circuit marginals deviate from closed forms by 0.1\n")
-
-
 @pytest.mark.parametrize("output", ["json", "csv"])
 def test_failed_sweep_writes_its_record_and_exits_1(output, capsys):
     """A sweep that finds deviations still writes its whole record; the one
@@ -984,33 +990,45 @@ def test_out_of_memory_exits_2(monkeypatch, capsys):
     assert capsys.readouterr().err == "qprop: error: not enough memory for this request\n"
 
 
+def stdout_envs():
+    """The environment twice, without PYTHONUNBUFFERED and with it set: a
+    failed write to stdout exits 2 whether the child buffers stdout or not."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    return [env, {**env, "PYTHONUNBUFFERED": "1"}]
+
+
+OSCILLATOR = [sys.executable, "-m", "qprop", "oscillator", "--sigma", "0.3"]
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
 def test_stdout_write_failure_exits_2():
-    with open("/dev/full", "w") as full:
-        proc = subprocess.run([sys.executable, "-m", "qprop", "oscillator", "--sigma", "0.3"],
-                              stdout=full, stderr=subprocess.PIPE, text=True)
-    assert proc.returncode == 2
-    assert proc.stderr == (
-        "qprop: error: cannot write output: [Errno 28] No space left on device\n")
+    for env in stdout_envs():
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(OSCILLATOR, stdout=full, stderr=subprocess.PIPE,
+                                  text=True, env=env)
+        assert (proc.returncode, proc.stderr) == (
+            2, "qprop: error: cannot write output: [Errno 28] No space left on device\n")
 
 
 @pytest.mark.skipif(os.name != "posix", reason="closes a file descriptor in the child")
 def test_closed_stdout_exits_2():
-    proc = subprocess.run([sys.executable, "-m", "qprop", "oscillator", "--sigma", "0.3"],
-                          stderr=subprocess.PIPE, text=True, preexec_fn=lambda: os.close(1))
-    assert proc.returncode == 2
-    assert proc.stderr == "qprop: error: cannot write output: standard output is closed\n"
+    for env in stdout_envs():
+        proc = subprocess.run(OSCILLATOR, stderr=subprocess.PIPE, text=True, env=env,
+                              preexec_fn=lambda: os.close(1))
+        assert (proc.returncode, proc.stderr) == (
+            2, "qprop: error: cannot write output: standard output is closed\n")
 
 
 @pytest.mark.skipif(os.name != "posix", reason="POSIX pipe semantics")
 def test_pipe_without_reader_exits_2():
-    proc = subprocess.Popen([sys.executable, "-m", "qprop", "oscillator", "--sigma", "0.3"],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-    proc.stdout.close()                   # long before the child starts writing
-    err = proc.stderr.read()
-    proc.stderr.close()
-    assert proc.wait(timeout=60) == 2
-    assert err == "qprop: error: cannot write output: [Errno 32] Broken pipe\n"
+    for env in stdout_envs():
+        proc = subprocess.Popen(OSCILLATOR, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                text=True, env=env)
+        proc.stdout.close()               # long before the child starts writing
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 2
+        assert err == "qprop: error: cannot write output: [Errno 32] Broken pipe\n"
 
 
 def test_version_flag():

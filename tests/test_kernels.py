@@ -245,13 +245,6 @@ def test_order_effect_equals_the_oracle_bit_for_bit():
                 bits((yy + yn, ny + nn, yy + ny, yn + nn)))
 
 
-def test_order_effect_summary_raises_when_the_cross_check_fails(monkeypatch):
-    monkeypatch.setattr(decision, "_a_then_b_marginals",
-                        lambda theta, phi: (0.5, 0.5, 0.5, 0.5))
-    with pytest.raises(RuntimeError, match="closed forms"):
-        order_effect_summary(0.3, 0.2)
-
-
 # ============================================================
 # The sampled protocol
 # ============================================================

@@ -58,6 +58,7 @@ REJECTED = {
                    "--buyer-sigma", "0.1", "--seller-mean-price", "1",
                    "--seller-sigma", "0.1", "--seed", "1"],
     "pairs cap": ["equivalence", "--trials", str(MAX_ROWS + 1), "--seed", "1"],
+    "tolerance": ["equivalence", "--trials", "5", "--tol", "0", "--seed", "1"],
 }
 
 
