@@ -21,6 +21,12 @@ before a model module is loaded, and a command loads its own model module
 json only to write JSON. A --grid is computed with math into array('d')
 columns, and equivalence draws its gates from qprop._draws, numpy's PCG64
 stream on the standard library.
+
+Output is formatted and written CHUNK_ROWS rows at a time. An output of more
+than CHUNK_ROWS rows is formatted on two cores: once every check has passed,
+the call forks once, the child formats every second chunk into a pipe, and
+this process formats the others and writes all of them in order. The bytes
+are those a single process writes, and the child never outlives the call.
 """
 from __future__ import annotations
 
@@ -32,6 +38,7 @@ import os
 import re
 import sys
 import time
+import warnings
 from array import array
 from itertools import chain
 from typing import TYPE_CHECKING, Callable
@@ -637,11 +644,11 @@ def load_config(path: str) -> tuple[str, dict, str]:
     return model, params, output
 
 
-def _json_pieces(value, write: Callable[[str], object], indent: str = "\n") -> None:
-    """Write json.dumps(value, indent=2) in pieces, floats at 12 digits.
+def _json_pieces(value, indent: str = "\n"):
+    """The pieces of json.dumps(value, indent=2), floats at 12 digits, for _emit.
 
     Every float, alone or in a column, is printed by _json_numbers, and each
-    float column as a list, CHUNK_ROWS values to a piece. Columns are never
+    float column as a list, CHUNK_ROWS values to a chunk. Columns are never
     empty: grids have two points or more, samples one draw. json is imported
     here, so only a call that writes JSON loads it.
     """
@@ -651,19 +658,102 @@ def _json_pieces(value, write: Callable[[str], object], indent: str = "\n") -> N
     if isinstance(value, dict) and value:
         opening = "{"
         for key, item in value.items():
-            write(opening + inner + json.dumps(key) + ": ")
-            _json_pieces(item, write, inner)
+            yield opening + inner + json.dumps(key) + ": "
+            yield from _json_pieces(item, inner)
             opening = ","
-        write(indent + "}")
+        yield indent + "}"
     elif isinstance(value, float):
-        write(_json_numbers([value], ","))
+        yield _json_numbers([value], ",")
     elif isinstance(value, array):
         for i in range(0, len(value), CHUNK_ROWS):
-            write(("," if i else "[") + inner
-                  + _json_numbers(value[i:i + CHUNK_ROWS], "," + inner))
-        write(indent + "]")
+            yield lambda i=i: (("," if i else "[") + inner
+                               + _json_numbers(value[i:i + CHUNK_ROWS], "," + inner))
+        yield indent + "]"
     else:
-        write(json.dumps(value))
+        yield json.dumps(value)
+
+
+def _send(fd: int, data: bytes) -> None:
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _fork_formatter(chunks: list):
+    """(pid, stream) of a forked child that formats chunks in order and sends
+    each text down a pipe, length-prefixed; (0, None) where no child starts.
+
+    The child does nothing else: it touches no output handle and leaves by
+    os._exit on every path, so no buffer is flushed and no atexit hook runs
+    twice. A write to a parent that is gone fails with EPIPE and ends it.
+    """
+    try:
+        read_fd, write_fd = os.pipe()
+    except OSError:
+        return 0, None
+    try:
+        with warnings.catch_warnings():    # Python 3.12+ warns of numpy's threads
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return 0, None
+    if pid == 0:
+        try:
+            import gc
+
+            gc.disable()                   # no finalizer of the parent's garbage runs here
+            os.close(read_fd)
+            for chunk in chunks:
+                data = chunk().encode()
+                _send(write_fd, len(data).to_bytes(8, "big"))
+                _send(write_fd, data)
+        finally:
+            os._exit(0)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
+
+
+def _receive(stream) -> str | None:
+    """The next text from _fork_formatter's stream; None once it has ended."""
+    head = stream.read(8)
+    if len(head) < 8:
+        return None
+    size = int.from_bytes(head, "big")
+    data = stream.read(size)
+    return data.decode() if len(data) == size else None
+
+
+def _emit(pieces: list, write: Callable[[str], object], rows: int) -> None:
+    """Write pieces in order: a str as it is, a chunk (a callable) as the text
+    it returns.
+
+    An output of more than CHUNK_ROWS rows is formatted on two cores: a
+    forked child formats every second chunk and this process the others, and
+    each chunk is written in its place. If the child's stream ends early,
+    this process formats the rest itself, so the bytes written are the same
+    whatever happens to the child. Each process holds about two chunks of
+    text at a time. However this returns or raises, the child is killed if
+    it still runs, and reaped.
+    """
+    chunks = [piece for piece in pieces if not isinstance(piece, str)]
+    pid, stream = (_fork_formatter(chunks[1::2]) if rows > CHUNK_ROWS and hasattr(os, "fork")
+                   else (0, None))
+    try:
+        theirs = False
+        for piece in pieces:
+            if not isinstance(piece, str):
+                text = _receive(stream) if theirs and stream is not None else None
+                piece = piece() if text is None else text
+                theirs = not theirs
+            write(piece)
+    finally:
+        if stream is not None:
+            stream.close()
+        if pid:
+            os.kill(pid, 9)                # SIGKILL: an exited child is a zombie until reaped
+            os.waitpid(pid, 0)
 
 
 def _write(result: CommandResult, model: str, params: dict, output: str,
@@ -671,29 +761,30 @@ def _write(result: CommandResult, model: str, params: dict, output: str,
     """Format the output straight into out_path or stdout, CHUNK_ROWS rows at a
     time, so the whole text is never held. Any failure to open or write is a
     usage error; what was written before it stays written."""
+    table = result.table or dict(zip(("quantity", "value"), zip(*_quantities(result.results))))
+    rows = len(next(iter(table.values())))
+    if output == "json":
+        echo = {key: value for key, value in params.items()
+                if value is not None and key != "seed"}
+        pieces = [*_json_pieces({"command": model,
+                                 "config": {"model": model, "parameters": echo,
+                                            "output": output},
+                                 "version": __version__, "seed": params.get("seed"),
+                                 "wall_time_ms": round(elapsed_ms, 3),
+                                 "results": result.results}), "\n"]
+    else:
+        columns = [column if isinstance(column, (array, range))
+                   else list(map(_fmt, column)) for column in table.values()]
+        row = ",".join(map(_column_format, columns)) + "\n"
+        pieces = [",".join(table) + "\n"]
+        pieces += [lambda i=i: _csv_rows(row, [column[i:i + CHUNK_ROWS] for column in columns])
+                   for i in range(0, rows, CHUNK_ROWS)]
     try:
         if out_path is None and sys.stdout is None:
             raise OSError("standard output is closed")
         with (contextlib.nullcontext(sys.stdout) if out_path is None
               else open(out_path, "w", encoding="utf-8", newline="")) as handle:
-            if output == "json":
-                echo = {key: value for key, value in params.items()
-                        if value is not None and key != "seed"}
-                _json_pieces({"command": model,
-                              "config": {"model": model, "parameters": echo, "output": output},
-                              "version": __version__, "seed": params.get("seed"),
-                              "wall_time_ms": round(elapsed_ms, 3),
-                              "results": result.results}, handle.write)
-                handle.write("\n")
-            else:
-                table = result.table or dict(zip(("quantity", "value"),
-                                                 zip(*_quantities(result.results))))
-                handle.write(",".join(table) + "\n")
-                columns = [column if isinstance(column, (array, range))
-                           else list(map(_fmt, column)) for column in table.values()]
-                row = ",".join(map(_column_format, columns)) + "\n"
-                for i in range(0, len(columns[0]), CHUNK_ROWS):
-                    handle.write(_csv_rows(row, [column[i:i + CHUNK_ROWS] for column in columns]))
+            _emit(pieces, handle.write, rows)
             handle.flush()
     except OSError as exc:
         if out_path is None:

@@ -17,6 +17,23 @@ its exit code, stdout, stderr and ``--out`` file, with the value of
 ``"raised"``. The report counts calls by kind (identical; stderr only;
 stdout, out file or exit code) and prints the first few of each kind that
 differs. The exit code is 0 when every call is identical.
+
+With ``--bench PARENT`` it runs the benchmark instead, as a black box, on
+an export of PARENT and on the working tree, in pairs that alternate which
+side runs first:
+
+    python3 tests/differential.py --bench HEAD --workload grid_render --pairs 10 \\
+        --seed 2001 --out BENCH_20.json
+
+Pair k runs ``perfbench/run.py --workload W --seed SEED+k --seconds 40
+--trace 0`` from each tree's root, with ``PYTHONDONTWRITEBYTECODE=1``. The
+out file keeps every run's last-line JSON under ``runs`` and is rewritten
+as each run ends, so an interrupted session loses no finished run; a later
+call adds to it, one workload or more pairs at a time. Beside the runs it
+holds, per workload and end-to-end metric of ``BENCHMARK.json``, each
+side's median, quartiles (inclusive method) and runs over whole pairs, and
+the number of pairs in which the change read better: the layout of
+``BENCH_8.json``. The exit code is 0 when every run passed its checks.
 """
 from __future__ import annotations
 
@@ -28,6 +45,7 @@ import json
 import os
 import random
 import re
+import statistics
 import subprocess
 import sys
 import tarfile
@@ -264,12 +282,160 @@ def report(cases: list, found: dict) -> str:
     return "\n".join(lines)
 
 
+BENCH_COMMAND = [sys.executable, "perfbench/run.py"]     # run from a tree's root
+SIDES = ("parent", "change")
+
+
+def _bench_run(command: list, tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One benchmark run from tree's root: its exit code, its last line of
+    standard output as JSON (None if it is not JSON) and its environment line."""
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    env.pop("PYTHONPATH", None)
+    proc = subprocess.run([*command, "--workload", workload, "--seed", str(seed),
+                           "--seconds", repr(seconds), "--trace", "0"],
+                          cwd=tree, env=env, capture_output=True, text=True)
+    lines = proc.stdout.splitlines() or [""]
+    try:
+        result = json.loads(lines[-1])
+    except ValueError:
+        result = None
+    environment = next((json.loads(line.split(" ", 1)[1]) for line in lines
+                        if line.startswith("environment ")), None)
+    return {"exit": proc.returncode, "result": result, "environment": environment,
+            "stderr": proc.stderr[-2000:]}
+
+
+def _spread(values: list) -> dict:
+    if len(values) < 2:
+        return {"median": values[0], "q1": values[0], "q3": values[0], "runs": values}
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3, "runs": values}
+
+
+def summarize(runs: list, better: dict) -> dict:
+    """Per workload, over the whole pairs of runs (a parent and a change run of
+    one seed, in the order they ran): seeds, which side ran first, each
+    side's correct flag and failed count, and for each metric in better
+    (name: "lower" or "higher") each side's median, quartiles and runs and
+    the pairs in which the change read better."""
+    workloads = {}
+    for run in runs:
+        pair = workloads.setdefault(run["workload"], {}).setdefault(run["seed"], {})
+        pair.setdefault("first", run["side"])
+        pair[run["side"]] = run["result"] or {"correct": False, "failed": None, "metrics": {}}
+    summary = {}
+    for workload, pairs in workloads.items():
+        whole = [(seed, pair) for seed, pair in pairs.items() if set(SIDES) <= set(pair)]
+        if not whole:
+            continue
+        metrics = {}
+        for name, direction in better.items():
+            values = [[pair[side]["metrics"].get(name, {}).get("value") for side in SIDES]
+                      for _, pair in whole]
+            values = [v for v in values if None not in v]
+            if not values:
+                continue
+            sign = 1 if direction == "higher" else -1
+            metrics[name] = {**{side: _spread([v[k] for v in values])
+                                for k, side in enumerate(SIDES)},
+                             "change_better_pairs": sum(sign * (c - p) > 0 for p, c in values)}
+        summary[workload] = {
+            "seeds": [seed for seed, _ in whole],
+            "first": [pair["first"] for _, pair in whole],
+            "correct": [[pair[side]["correct"] for side in SIDES] for _, pair in whole],
+            "failed": [[pair[side]["failed"] for side in SIDES] for _, pair in whole],
+            "metrics": metrics}
+    return summary
+
+
+def bench(rev: str, workload: str, pairs: int, out: Path, seed: int, seconds: float,
+          claim: str | None = None, command: list = BENCH_COMMAND,
+          change: Path = ROOT) -> tuple[dict, bool]:
+    """Run pairs of benchmark runs on rev and on the change tree, adding each
+    run to out (read first, if it exists) as it ends; returns out's record
+    and whether every run of this call passed its checks."""
+    better = {metric["name"]: metric["better"] for metric in
+              json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]}
+    parent_commit = subprocess.run(["git", "-C", str(ROOT), "rev-parse", rev], check=True,
+                                   capture_output=True, text=True).stdout.strip()
+    record = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {
+        "description": (
+            "perfbench end-to-end medians and quartiles (inclusive method) over paired runs "
+            "of the parent commit and of this change, each from its own copy of the tree, "
+            f"`{' '.join(BENCH_COMMAND[1:])} --workload W --seed S --seconds {seconds:g} "
+            "--trace 0` with PYTHONDONTWRITEBYTECODE=1, alternating which side ran first "
+            "(`first` per pair), by `tests/differential.py --bench`. Every run's last line of "
+            "standard output is under `runs`, added as the run ended. change_better_pairs "
+            "counts the pairs in which the change read better."),
+        "parent_commit": parent_commit, "environment": None, "claimed_gain": None, "runs": []}
+    if record["parent_commit"] != parent_commit:
+        raise SystemExit(f"{out} holds runs against {record['parent_commit']}, not {rev}")
+    if claim:
+        record["claimed_gain"] = {"workload": workload, "metric": claim}
+    seeds = {run["seed"] for run in record["runs"] if run["workload"] == workload}
+    if seeds & set(range(seed, seed + pairs)):
+        raise SystemExit(f"{out} already holds {workload} runs of seeds {sorted(seeds)}")
+    ok = True
+    with tempfile.TemporaryDirectory(prefix="qprop-bench-parent-") as tmp:
+        trees = {"parent": export(rev, Path(tmp)).parent, "change": change}
+        for k in range(pairs):
+            order = SIDES if (len(seeds) + k) % 2 == 0 else SIDES[::-1]
+            for side in order:
+                run = _bench_run(command, trees[side], workload, seed + k, seconds)
+                if record["environment"] is None and run["environment"]:
+                    record["environment"] = {key: run["environment"].get(key) for key in
+                                             ("nproc", "cpu", "python", "numpy", "size",
+                                              "seconds")}
+                record["runs"].append({"workload": workload, "seed": seed + k, "side": side,
+                                       **run})
+                record["workloads"] = summarize(record["runs"], better)
+                tmp_out = out.with_name(out.name + ".tmp")
+                tmp_out.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
+                os.replace(tmp_out, out)
+                result = run["result"] or {}
+                ok &= run["exit"] == 0 and result.get("correct") is True
+                values = {name: metric["value"] for name, metric in
+                          result.get("metrics", {}).items()}
+                print(f"{workload} seed {seed + k} {side}: exit {run['exit']}, "
+                      + ", ".join(f"{name} {value:.6g}" for name, value in values.items()),
+                      flush=True)
+    return record, ok
+
+
+def bench_report(record: dict) -> str:
+    lines = []
+    for workload, summary in record["workloads"].items():
+        lines.append(f"{workload}: {len(summary['seeds'])} pairs")
+        for name, metric in summary["metrics"].items():
+            lines.append(f"  {name}: {metric['parent']['median']:.6g} -> "
+                         f"{metric['change']['median']:.6g}, change better in "
+                         f"{metric['change_better_pairs']} of {len(summary['seeds'])}")
+    return "\n".join(lines)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("rev", nargs="?", default="HEAD", help="parent revision (default HEAD)")
     parser.add_argument("--cases", type=int, default=2000, help="number of calls")
-    parser.add_argument("--seed", type=int, default=15, help="seed of the calls")
+    parser.add_argument("--seed", type=int, default=15,
+                        help="seed of the calls; with --bench, the seed of the first pair")
+    parser.add_argument("--bench", metavar="PARENT",
+                        help="run the benchmark on PARENT and the working tree instead")
+    parser.add_argument("--workload", help="with --bench: the workload")
+    parser.add_argument("--pairs", type=int, default=10, help="with --bench: pairs of runs")
+    parser.add_argument("--seconds", type=float, default=40.0,
+                        help="with --bench: seconds per run")
+    parser.add_argument("--out", type=Path, help="with --bench: the BENCH_<n>.json to add to")
+    parser.add_argument("--claim", metavar="METRIC",
+                        help="with --bench: the metric whose gain on the workload is claimed")
     args = parser.parse_args()
+    if args.bench:
+        if not (args.workload and args.out):
+            parser.error("--bench needs --workload and --out")
+        record, ok = bench(args.bench, args.workload, args.pairs, args.out, args.seed,
+                           args.seconds, args.claim)
+        print(bench_report(record))
+        return 0 if ok else 1
     cases = make_cases(args.cases, args.seed)
     with tempfile.TemporaryDirectory(prefix="qprop-parent-") as tmp:
         found = compare(export(args.rev, Path(tmp)), ROOT / "src", cases)

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
@@ -998,15 +999,28 @@ def stdout_envs():
 
 
 OSCILLATOR = [sys.executable, "-m", "qprop", "oscillator", "--sigma", "0.3"]
+# A grid above CHUNK_ROWS rows, formatted by two processes.
+SPLIT_GRID = [sys.executable, "-m", "qprop", "force", "--mean-price", "1.0", "--sigma", "0.25",
+              "--gamma", "1.0", "--grid", "0.5:2.0:20000", "--output", "csv"]
+
+
+def run_alone(argv, **kwargs):
+    """(exit code, stdout, stderr) of argv run in a session of its own, after
+    checking that no process of that session outlives the call."""
+    with subprocess.Popen(argv, start_new_session=True, stderr=subprocess.PIPE, text=True,
+                          **kwargs) as proc:
+        out, err = proc.communicate(timeout=60)
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
+    return proc.returncode, out, err
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
 def test_stdout_write_failure_exits_2():
-    for env in stdout_envs():
+    for argv, env in itertools.product([OSCILLATOR, SPLIT_GRID], stdout_envs()):
         with open("/dev/full", "w") as full:
-            proc = subprocess.run(OSCILLATOR, stdout=full, stderr=subprocess.PIPE,
-                                  text=True, env=env)
-        assert (proc.returncode, proc.stderr) == (
+            code, _, err = run_alone(argv, stdout=full, env=env)
+        assert (code, err) == (
             2, "qprop: error: cannot write output: [Errno 28] No space left on device\n")
 
 
@@ -1021,14 +1035,16 @@ def test_closed_stdout_exits_2():
 
 @pytest.mark.skipif(os.name != "posix", reason="POSIX pipe semantics")
 def test_pipe_without_reader_exits_2():
-    for env in stdout_envs():
-        proc = subprocess.Popen(OSCILLATOR, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                                text=True, env=env)
+    for argv, env in itertools.product([OSCILLATOR, SPLIT_GRID], stdout_envs()):
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                text=True, env=env, start_new_session=True)
         proc.stdout.close()               # long before the child starts writing
         err = proc.stderr.read()
         proc.stderr.close()
         assert proc.wait(timeout=60) == 2
         assert err == "qprop: error: cannot write output: [Errno 32] Broken pipe\n"
+        with pytest.raises(ProcessLookupError):   # nothing of the call outlives it
+            os.killpg(proc.pid, 0)
 
 
 def test_version_flag():
@@ -1221,8 +1237,9 @@ def rounded(value):
 @given(RECORDS)
 @example({"a": {"b": array("d", [1e12, -0.0, 5e-324]), "c": 2.0}, "d": True, "e": None})
 def test_json_writer_matches_json_dumps(record):
+    """The writer the CLI uses: the pieces, chunks formatted by its emit loop."""
     out = []
-    _json_pieces(record, out.append)
+    cli._emit(list(_json_pieces(record)), out.append, 0)
     assert "".join(out) == json.dumps(rounded(record), indent=2)
 
 
@@ -1288,6 +1305,12 @@ def test_writer_never_holds_the_whole_text(monkeypatch, output):
     assert max(map(len, fake.pieces)) <= CHUNK_ROWS * longest_line
 
 
+def assert_no_child():
+    """This process has no child left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.mark.parametrize("output", ["json", "csv"])
 def test_failed_write_part_way_exits_2(monkeypatch, capsys, output):
     fake = FakeStdout(fail_at=3)
@@ -1296,3 +1319,123 @@ def test_failed_write_part_way_exits_2(monkeypatch, capsys, output):
     assert len(fake.pieces) == 2
     assert capsys.readouterr().err == (
         "qprop: error: cannot write output: [Errno 28] No space left on device\n")
+    assert_no_child()
+
+
+# ============================================================
+# Output formatted by two processes
+# ============================================================
+
+SPLIT_CALLS = {
+    "force": "force --mean-price 1.0 --sigma 0.25 --gamma 1.0 --grid 0.5:2.0:{n}",
+    "joint": "joint --buyer-mean-price 0.95 --buyer-sigma 0.2 --seller-mean-price 1.1 "
+             "--seller-sigma 0.3 --gamma 1.0 --grid 0.8:1.25:{n}",
+    "sample": "sample --trials {n} --buyer-mean-price 1.05 --buyer-sigma 0.1 "
+              "--seller-mean-price 0.95 --seller-sigma 0.1 --seed 3",
+}
+
+
+def split_argv(model, n, output):
+    return [*SPLIT_CALLS[model].format(n=n).split(), "--output", output]
+
+
+def no_fork():
+    raise OSError(11, "Resource temporarily unavailable")
+
+
+def serial_text(monkeypatch, argv):
+    """The output of an in-process call on the serial route: fork fails."""
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "fork", no_fork)
+        code, text = run_cli(argv)
+    assert code == 0
+    return mask_timing(text)
+
+
+def counted_forks(monkeypatch):
+    """The list that each os.fork call of this process appends to."""
+    forks, fork = [], os.fork
+
+    def counting():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting)
+    return forks
+
+
+@pytest.mark.parametrize("output", ["json", "csv"])
+@pytest.mark.parametrize("model, rows", [
+    *((model, rows) for model in sorted(SPLIT_CALLS) for rows in (CHUNK_ROWS, CHUNK_ROWS + 1)),
+    ("force", 2 * CHUNK_ROWS + 5), ("sample", 2 * CHUNK_ROWS + 5)])   # 3 chunks
+def test_split_output_is_byte_identical(monkeypatch, tmp_path, model, output, rows):
+    """Above CHUNK_ROWS rows a call forks once and prints the bytes of the
+    serial route, on stdout and (at two chunks) with --out; at CHUNK_ROWS it
+    does not fork."""
+    argv = split_argv(model, rows, output)
+    forks = counted_forks(monkeypatch)
+    code, text = run_cli(argv)
+    assert code == 0
+    assert_no_child()
+    assert len(forks) == (rows > CHUNK_ROWS)
+    assert text.count("\n") > rows
+    if rows == CHUNK_ROWS:
+        return
+    assert mask_timing(text) == serial_text(monkeypatch, argv)
+    if rows == CHUNK_ROWS + 1:
+        config = [f"[run]\nmodel = {model}\noutput = {output}\n\n[{model}]"]
+        config += [f"{flag[2:]} = {value}" for flag, value in zip(argv[1:-2:2], argv[2:-2:2])]
+        path = write_config(tmp_path, "\n".join(config) + "\n")
+        out = tmp_path / "out.txt"
+        assert run_cli(["run", str(path), "--out", str(out)]) == (0, "")
+        assert_no_child()
+        assert len(forks) == 2
+        assert mask_timing(out.read_text(encoding="utf-8")) == mask_timing(text)
+
+
+@pytest.mark.parametrize("output", ["json", "csv"])
+def test_split_output_of_a_subprocess_matches_the_call_in_process(output):
+    argv = split_argv("force", 2 * CHUNK_ROWS + 5, output)
+    code, out, err = run_alone([sys.executable, "-m", "qprop", *argv], stdout=subprocess.PIPE)
+    assert (code, err) == (0, "")
+    assert mask_timing(out) == mask_timing(run_cli(argv)[1])
+
+
+def test_a_call_that_cannot_fork_writes_the_same_bytes(monkeypatch):
+    """A failed fork, a failed pipe and a platform without fork."""
+    argv = split_argv("force", CHUNK_ROWS + 1, "csv")
+    code, text = run_cli(argv)
+    for name, value in (("fork", no_fork), ("pipe", no_fork), ("fork", None)):
+        with monkeypatch.context() as patch:
+            if value is None:
+                patch.delattr(os, name)
+            else:
+                patch.setattr(os, name, value)
+            assert run_cli(argv) == (code, text), name
+        assert_no_child()
+
+
+@pytest.mark.parametrize("output", ["json", "csv"])
+def test_a_child_that_dies_leaves_the_output_whole(monkeypatch, output):
+    """The child sends one chunk and exits 3; this process formats the rest
+    of the child's chunks itself, and the output is the serial route's."""
+    argv = split_argv("force", 3 * CHUNK_ROWS + 5, output)
+    expected = serial_text(monkeypatch, argv)
+    name = "_json_numbers" if output == "json" else "_csv_rows"
+    formatter, parent, sent, chunks = getattr(cli, name), os.getpid(), [], []
+
+    def dies_after_one_chunk(first, second):
+        if os.getpid() != parent:
+            sent.append(first)            # the child's own list
+            if len(sent) > 1:
+                os._exit(3)
+        elif output == "csv" or len(first) > 1:
+            chunks.append(first)          # a chunk formatted in this process
+        return formatter(first, second)
+
+    monkeypatch.setattr(cli, name, dies_after_one_chunk)
+    code, text = run_cli(argv)
+    assert (code, mask_timing(text)) == (0, expected)
+    assert_no_child()
+    # 4 chunks a column: the child formats the second and dies on the fourth.
+    assert len(chunks) == (15 if output == "json" else 3)

@@ -1,7 +1,9 @@
 """Self-test of tests/differential.py: HEAD against the working tree is all
 identical, and a copy of the tree with one changed output digit is caught.
 An uncommitted change to what a call prints fails the first half, as the
-tool is meant to report it."""
+tool is meant to report it. The --bench half runs against a stub of the
+benchmark command."""
+import json
 import shutil
 import subprocess
 
@@ -41,3 +43,49 @@ def test_head_matches_the_tree_and_a_changed_digit_is_caught(tmp_path):
                       or outcome["stdout"] == f"qprop {__version__}\n" for outcome in here]
     assert prints_version[-2:] == [True, True] and here[-1]["out"] and not here[-1]["stdout"]
     assert [kind != "identical" for kind in caught] == prints_version
+
+
+# The benchmark's stand-in: it counts the runs already in the out file as it
+# starts, and reads 50 higher in the change tree.
+STUB = """\
+out="$(dirname "$0")/BENCH.json"
+done=0
+if [ -f "$out" ]; then done=$(grep -c '"side":' "$out"); fi
+value=$((100 + done))
+if [ "$(basename "$PWD")" = change ]; then value=$((value + 50)); fi
+echo 'environment {"nproc": 2, "cpu": "stub", "python": "3", "numpy": "2", "size": "full", '\
+'"seconds": '"$6"'}'
+echo '{"correct": true, "attempted": 6, "failed": 0, "metrics": {"items_per_s": {"value": '\
+"$value"'.0, "unit": "items/s"}, "setup_s": {"value": 0.2, "unit": "s"}}}'
+"""
+
+
+def test_bench_alternates_pairs_and_keeps_every_run(tmp_path):
+    """--bench with the benchmark command stubbed: the stub reads the out file
+    as it starts, so each run's value shows that every earlier run was
+    already written."""
+    if subprocess.run(["git", "-C", str(differential.ROOT), "rev-parse", "HEAD"],
+                      capture_output=True).returncode != 0:
+        pytest.skip("not a git checkout")
+    stub, out, change = tmp_path / "stub.sh", tmp_path / "BENCH.json", tmp_path / "change"
+    stub.write_text(STUB, encoding="utf-8")
+    change.mkdir()
+    command = ["sh", str(stub)]
+    record, ok = differential.bench("HEAD", "grid_render", 2, out, 5, 1.0, "items_per_s",
+                                    command=command, change=change)
+    assert ok and record == json.loads(out.read_text(encoding="utf-8"))
+    runs = [(run["seed"], run["side"], run["result"]["metrics"]["items_per_s"]["value"])
+            for run in record["runs"]]
+    assert runs == [(5, "parent", 100.0), (5, "change", 151.0),
+                    (6, "change", 152.0), (6, "parent", 103.0)]
+    summary = record["workloads"]["grid_render"]
+    assert (summary["seeds"], summary["first"]) == ([5, 6], ["parent", "change"])
+    assert summary["correct"] == [[True, True]] * 2 and summary["failed"] == [[0, 0]] * 2
+    rate = summary["metrics"]["items_per_s"]
+    assert rate["parent"] == {"median": 101.5, "q1": 100.75, "q3": 102.25, "runs": [100.0, 103.0]}
+    assert rate["change_better_pairs"] == 2
+    assert summary["metrics"]["setup_s"]["change_better_pairs"] == 0    # ties count for neither
+    assert record["claimed_gain"] == {"workload": "grid_render", "metric": "items_per_s"}
+    assert record["environment"]["seconds"] == 1.0
+    with pytest.raises(SystemExit):                   # a later call refuses a seed it holds
+        differential.bench("HEAD", "grid_render", 1, out, 6, 1.0, command=command, change=change)

@@ -16,7 +16,9 @@ import qprop
 from qprop.cli import MAX_ROWS
 
 MODEL_MODULES = {"numpy", "qprop._draws", "qprop.decision", "qprop.propensity", "qprop.qubits"}
-TRACKED = MODEL_MODULES | {"configparser", "dataclasses", "inspect", "json"}
+# Besides: what a call that forks a chunk formatter must not load.
+TRACKED = MODEL_MODULES | {"configparser", "dataclasses", "inspect", "json",
+                           "fcntl", "multiprocessing", "signal"}
 
 PROBE = """\
 import atexit, runpy, sys
@@ -136,6 +138,12 @@ PAIR = ["joint", "--buyer-mean-price", "1", "--buyer-sigma", "0.1",
      {"numpy", "inspect", "qprop.propensity"}),
     (["force", "--mean-price", "1", "--sigma", "0.3", "--price", "1.1", "--output", "csv"],
      {"qprop.propensity"}),
+    # Above CHUNK_ROWS rows: a forked child that ran atexit would print a second line.
+    (["force", "--mean-price", "1", "--sigma", "0.3", "--gamma", "1",
+      "--grid", "0.5:2.0:20000", "--output", "csv"], {"qprop.propensity"}),
+    (["sample", "--trials", "20000", "--buyer-mean-price", "1", "--buyer-sigma", "0.1",
+      "--seller-mean-price", "1.1", "--seller-sigma", "0.2", "--seed", "1"],
+     {"numpy", "inspect", "qprop.propensity", "json"}),
 ])
 def test_call_loads_only_its_model_modules(argv, expected):
     """numpy is loaded for a sample's price draws only: one-point curves are
