@@ -17,10 +17,10 @@ available, or output that cannot be written, included).
 
 A call imports only what it computes with: every usage error is decided
 before a model module is loaded, and a command loads its own model module
-(decision or propensity) alone, numpy only for a sample's price draws, and
-json only to write JSON. A --grid is computed with math into array('d')
-columns, and equivalence draws its gates from qprop._draws, numpy's PCG64
-stream on the standard library.
+(decision or propensity) alone, and json only to write JSON; no call loads
+numpy. A --grid is computed with math into array('d') columns, and
+equivalence draws its gates and sample its normal draws from qprop._draws,
+numpy's PCG64 stream and ziggurat on the standard library.
 
 Output is formatted and written CHUNK_ROWS rows at a time. An output of more
 than CHUNK_ROWS rows is formatted on two cores: once every check has passed,
@@ -236,6 +236,15 @@ def _grid_columns(spec: str) -> tuple[array, array]:
     return x, array("d", map(math.exp, x))
 
 
+def _exp(value: float) -> float:
+    """math.exp, inf where the result overflows: _run_model's finiteness scan
+    refuses it by name."""
+    try:
+        return math.exp(value)
+    except OverflowError:
+        return math.inf
+
+
 def _marginals_dict(m: decision.EventDistribution) -> dict[str, float]:
     return {"A_yes": m.a_yes, "A_no": m.a_no, "B_yes": m.b_yes, "B_no": m.b_no}
 
@@ -395,6 +404,7 @@ def _exec_joint(params: dict) -> CommandResult:
         "seller": _curve_dict(pair.seller),
         "joint": _curve_dict(pair.joint),
         "scale": pair.scale,
+        "log_scale": pair.log_scale,
     }
     if columns is not None:
         results.update(gamma=scale.gamma, columns=columns)
@@ -408,10 +418,6 @@ def _exec_work(params: dict) -> CommandResult:
     scale = _resolve_scale(params)
     x1, x2 = math.log(params["price1"]), math.log(params["price2"])
     delta_e = propensity.work(curve, x1, x2, scale)
-    try:
-        density_ratio = math.exp(delta_e / scale.gamma)
-    except OverflowError:                # refused by _run_model's finiteness scan
-        density_ratio = math.inf
     results = {
         "mu": curve.mu,
         "sigma": curve.sigma,
@@ -421,28 +427,30 @@ def _exec_work(params: dict) -> CommandResult:
         "price1": params["price1"],
         "price2": params["price2"],
         "delta_e": delta_e,
-        "density_ratio": density_ratio,
+        "density_ratio": _exp(delta_e / scale.gamma),
     }
     return CommandResult(results)
 
 
 def _exec_sample(params: dict) -> CommandResult:
-    import numpy as np
-
     from . import propensity
+    from ._draws import PCG64
 
     pair = _build_pair(params)
-    rng = np.random.default_rng(params["seed"])
-    draws = propensity.sample_prices(pair, params["trials"], rng)
-    # The output columns are array('d'), as a grid's are; numpy fills them.
-    x, prices = array("d", [0.0]) * len(draws), array("d", [0.0]) * len(draws)
-    np.frombuffer(x)[:] = draws
-    with np.errstate(over="ignore"):     # an infinite price is refused by _run_model
-        np.exp(draws, out=np.frombuffer(prices))
+    curve, trials = pair.joint, params["trials"]
+    if isinstance(curve, propensity.GaussianCurve):
+        x = PCG64(params["seed"]).normals(trials, curve.mu, curve.sigma)
+    else:
+        x = array("d", [curve.point]) * trials
+    try:                                  # math.exp alone, unless a price overflows
+        prices = array("d", map(math.exp, x))
+    except OverflowError:
+        prices = array("d", map(_exp, x))
     results = {
-        "trials": params["trials"],
-        "joint": _curve_dict(pair.joint),
+        "trials": trials,
+        "joint": _curve_dict(curve),
         "scale": pair.scale,
+        "log_scale": pair.log_scale,
         "log_prices": x,
         "prices": prices,
     }
@@ -498,7 +506,7 @@ COMMANDS = {
         "seeded price draws from a joint propensity",
         (Param("trials", "posint", required=True, help="number of price draws"),
          *_PAIR, _SEED),
-        _exec_sample, (".propensity", "numpy")),
+        _exec_sample, (".propensity", "._draws")),
 }
 
 
@@ -692,7 +700,7 @@ def _fork_formatter(chunks: list):
     except OSError:
         return 0, None
     try:
-        with warnings.catch_warnings():    # Python 3.12+ warns of numpy's threads
+        with warnings.catch_warnings():    # Python 3.12+ warns of a caller's threads
             warnings.simplefilter("ignore", DeprecationWarning)
             pid = os.fork()
     except OSError:

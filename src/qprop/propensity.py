@@ -31,6 +31,7 @@ need only ``math``.
 from __future__ import annotations
 
 import math
+import sys
 from array import array
 from itertools import chain
 from typing import TYPE_CHECKING, Union
@@ -41,6 +42,9 @@ if TYPE_CHECKING:
     import numpy as np
 
 DENSITY_FLOOR = 1e-300
+# The log of an overlap mass whose log is beyond the float range too (curves
+# narrower than about 1e-154 of the distance between them): the lowest float.
+_LOG_SCALE_FLOOR = -sys.float_info.max
 _ROOT_2PI = math.sqrt(2.0 * math.pi)
 _LOG_ROOT_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -173,12 +177,14 @@ class OscillatorParams:
 
 @record
 class JointPropensity:
-    """Two parties' curves with their normalized product and overlap mass."""
+    """Two parties' curves with their normalized product, its overlap mass
+    and the mass's natural log, finite where the mass underflows to 0."""
 
     buyer: PropensityCurve
     seller: PropensityCurve
     joint: PropensityCurve
     scale: float
+    log_scale: float
 
 
 @record
@@ -270,7 +276,9 @@ def joint_propensity(buyer: GaussianCurve, seller: GaussianCurve) -> JointPropen
 
     ``joint`` is the normalized product, with precision the sum of the input
     precisions and mean their precision-weighted average; ``scale`` is the
-    raw product's mass, the Gaussian overlap of the two curves.
+    raw product's mass, the Gaussian overlap of the two curves, and
+    ``log_scale`` its log, which stays finite where the mass underflows and
+    is the lowest float where the log itself is below the float range.
 
     Both come from the width ratio t = sigma_b / sigma_s and from
     h = hypot(sigma_b, sigma_s) rather than from precisions 1/sigma^2, so
@@ -285,8 +293,9 @@ def joint_propensity(buyer: GaussianCurve, seller: GaussianCurve) -> JointPropen
     overlap_sigma = math.hypot(buyer.sigma, seller.sigma)
     narrow, wide = sorted((buyer.sigma, seller.sigma))
     sigma = narrow * (wide / overlap_sigma)   # wide / h lies in [1/sqrt(2), 1]
-    scale = density(GaussianCurve(seller.mu, overlap_sigma), buyer.mu)
-    return JointPropensity(buyer, seller, GaussianCurve(mu, sigma), scale)
+    overlap = GaussianCurve(seller.mu, overlap_sigma)
+    return JointPropensity(buyer, seller, GaussianCurve(mu, sigma), density(overlap, buyer.mu),
+                           max(log_density(overlap, buyer.mu), _LOG_SCALE_FLOOR))
 
 
 def fixed_price_joint(counterparty: GaussianCurve, price: float,
@@ -294,8 +303,9 @@ def fixed_price_joint(counterparty: GaussianCurve, price: float,
     """Joint propensity when one party fixes the price and will not move.
 
     The joint curve is the point mass at the fixed log-price and the overlap
-    mass is the counterparty's density there. The fixed party defaults to
-    the seller slot, the usual price-setting side.
+    mass is the counterparty's density there, its log the log density (at
+    least the lowest float, as in ``joint_propensity``). The fixed party
+    defaults to the seller slot, the usual price-setting side.
     """
     if isinstance(counterparty, PointMassCurve):
         raise PointMassError("both sides fixed leaves nothing to negotiate")
@@ -306,7 +316,8 @@ def fixed_price_joint(counterparty: GaussianCurve, price: float,
     point = PointMassCurve(float(price))
     buyer, seller = ((point, counterparty) if fixed_side == "buyer"
                      else (counterparty, point))
-    return JointPropensity(buyer, seller, point, float(density(counterparty, price)))
+    return JointPropensity(buyer, seller, point, float(density(counterparty, price)),
+                           max(float(log_density(counterparty, price)), _LOG_SCALE_FLOOR))
 
 
 def transaction_force(joint: JointPropensity, x, scale: EntropicScale):

@@ -11,12 +11,16 @@ directory. Each tree runs all calls in one child interpreter, in process
 through ``qprop.cli.main``, from a working directory of its own that holds
 the same config files. The calls cover all nine commands with ordinary,
 extreme and malformed values, ``run`` configs (some not UTF-8), ``--out``
-files, ``QPROP_SEED`` and the help and version calls. A call's outcome is
-its exit code, stdout, stderr and ``--out`` file, with the value of
-``wall_time_ms`` masked; an exception that escapes ``main`` counts as exit
-``"raised"``. The report counts calls by kind (identical; stderr only;
-stdout, out file or exit code) and prints the first few of each kind that
-differs. The exit code is 0 when every call is identical.
+files, ``QPROP_SEED`` and the help and version calls. One call in
+``LARGE_EVERY`` is a ``force`` or ``joint`` grid or a ``sample`` of
+``CHUNK_ROWS`` rows, one more, or an odd number of chunks, so that the
+two-process formatting of large outputs and its chunk seams are compared
+too. A call's outcome is its exit code, stdout, stderr and ``--out`` file,
+with the value of ``wall_time_ms`` masked; an exception that escapes
+``main`` counts as exit ``"raised"``. The report counts calls by kind
+(identical; stderr only; stdout, out file or exit code) and prints the first
+few of each kind that differs. The exit code is 0 when every call is
+identical.
 
 With ``--bench PARENT`` it runs the benchmark instead, as a black box, on
 an export of PARENT and on the working tree, in pairs that alternate which
@@ -60,6 +64,9 @@ KINDS = ("identical", "stderr only", "stdout, out file or exit code")
 
 FIXED_CALLS = [[], ["--help"], ["--version"], ["run", "--help"], ["entangle"],
                ["oscillator", "--sigma"], ["oscillator", "--sigma=--"]]
+
+LARGE_EVERY = 250                         # one large call in this many
+LARGE_MODELS = ("force", "joint", "sample")
 
 SPECIAL = ["0", "-0.0", "nan", "inf", "-inf", "1e400", "5e-324", "1.7976931348623157e308"]
 MALFORMED = ["", "abc", "1e", "0x10", "1,5", "--"]
@@ -132,12 +139,44 @@ def _either_or(rng: random.Random, names: set) -> tuple:
     return set(), set()
 
 
+def _large_case(rng: random.Random, k: int, i: int, chunk_rows: int) -> dict:
+    """The k-th large call, case number i: force, joint and sample in turn, at
+    chunk_rows rows, one more and 3 chunks, in turn; JSON and CSV in turn,
+    and every third and fourth of four calls by a config with --out."""
+    model = LARGE_MODELS[k % 3]
+    rows = (chunk_rows, chunk_rows + 1, 2 * chunk_rows + rng.randint(1, chunk_rows))[k // 3 % 3]
+    output = ("json", "csv")[k % 2]
+
+    def price():
+        return f"{rng.uniform(0.5, 2.0):.6g}"
+
+    def sigma():
+        return f"{rng.uniform(0.2, 0.5):.6g}"     # every grid point's density >= 1e-300
+
+    grid = f"{rng.uniform(0.2, 0.8):.6g}:{rng.uniform(1.5, 3.0):.6g}:{rows}"
+    pair = {"buyer-mean-price": price(), "buyer-sigma": sigma(),
+            "seller-mean-price": price(), "seller-sigma": sigma()}
+    values = {"force": {"mean-price": price(), "sigma": sigma(), "gamma": price(), "grid": grid},
+              "joint": {**pair, "gamma": price(), "grid": grid},
+              "sample": {"trials": str(rows), **pair,
+                         "seed": str(rng.randrange(2 ** 32))}}[model]
+    if k % 4 < 2:
+        argv = [model, *(part for key, value in values.items() for part in (f"--{key}", value)),
+                "--output", output]
+        return {"argv": argv, "env": {}, "files": {}}
+    lines = ["[run]", f"model = {model}", f"output = {output}", f"[{model}]",
+             *(f"{key} = {value}" for key, value in values.items())]
+    path = f"cfg/{i}.ini"
+    return {"argv": ["run", path, "--out", f"out/{i}.txt"], "env": {},
+            "files": {path: ("\n".join(lines) + "\n").encode("utf-8")}}
+
+
 def make_cases(n: int, seed: int) -> list:
     """``n`` seeded calls: each a dict of argv, env (extra variables) and files
     (config path to bytes, written into every tree's working directory)."""
     sys.path.insert(0, str(ROOT / "src"))
     try:
-        from qprop.cli import COMMANDS, MAX_ROWS
+        from qprop.cli import CHUNK_ROWS, COMMANDS, MAX_ROWS
     finally:
         sys.path.pop(0)
     rng = random.Random(seed)
@@ -145,6 +184,9 @@ def make_cases(n: int, seed: int) -> list:
     cases += [{"argv": [model, "--help"], "env": {}, "files": {}} for model in COMMANDS]
     while len(cases) < n:
         i = len(cases)
+        if i % LARGE_EVERY == LARGE_EVERY - 1:
+            cases.append(_large_case(rng, i // LARGE_EVERY, i, CHUNK_ROWS))
+            continue
         model = rng.choice(list(COMMANDS))
         family, passed = _either_or(rng, {spec.name for spec in COMMANDS[model].params})
         values = {spec: _value(rng, spec, MAX_ROWS) for spec in COMMANDS[model].params

@@ -8,6 +8,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import time
 from array import array
 
 import numpy as np
@@ -719,10 +720,16 @@ def test_fixed_price_excludes_same_side_curve(capsys):
     # The grid route names the same fault as the --price route above.
     (["force", "--mean-price", "1.8", "--sigma", "1e-160", "--grid", "1:2:3", "--gamma", "1"],
      "force_constant does not fit in a float"),
+    # A draw above log(max float) has no price: math.exp raises, and the
+    # price becomes inf for the scan to name.
+    (["sample", "--trials", "50", "--buyer-mean-price", "1e308", "--buyer-sigma", "1",
+      "--seller-mean-price", "1e308", "--seller-sigma", "1", "--seed", "1"],
+     "prices does not fit in a float"),
 ], ids=["force", "oscillator-narrow", "oscillator-wide", "joint-grid", "work",
         "force-huge-k", "force-subnormal-square", "oscillator-subnormal-square",
         "oscillator-gamma-inf", "oscillator-gamma-0", "force-gamma-inf", "force-gamma-0",
-        "interference-angle-gap", "order-effect-angle-gap", "force-grid-subnormal-square"])
+        "interference-angle-gap", "order-effect-angle-gap", "force-grid-subnormal-square",
+        "sample-price-overflow"])
 def test_values_beyond_float_range_exit_2(argv, message):
     """A quantity beyond the float range is named in the one error line."""
     proc = subprocess.run([sys.executable, "-W", "default", "-m", "qprop", *argv],
@@ -741,6 +748,35 @@ def test_joint_of_tiny_widths_runs(sigma):
     assert joint["kind"] == "gaussian"
     assert joint["mu"] == pytest.approx(0.5 * math.log(1.1), rel=1e-11)
     assert 0.0 < joint["sigma"] <= float(sigma)
+
+
+FAR_PAIR = ["--buyer-mean-price", "1", "--buyer-sigma", "0.01",
+            "--seller-mean-price", "100", "--seller-sigma", "0.01"]
+
+
+@pytest.mark.parametrize("argv", [["joint", *FAR_PAIR, "--output", "csv"],
+                                  ["sample", "--trials", "3", *FAR_PAIR, "--seed", "1"]])
+def test_an_overlap_that_underflows_prints_its_log(argv):
+    """Curves at prices 1 and 100 of width 0.01 overlap by about
+    exp(-53016): scale prints 0 and log_scale beside it is the closed form
+    -(ln 100 / h)^2 / 2 - ln(h sqrt(2 pi)), h = hypot(0.01, 0.01)."""
+    code, text = run_cli(argv)
+    results = (dict(line.split(",") for line in text.splitlines()[1:]) if argv[-1] == "csv"
+               else normalize_json(text)["results"])
+    h = math.hypot(0.01, 0.01)
+    expected = -0.5 * (math.log(100.0) / h) ** 2 - math.log(h * math.sqrt(2.0 * math.pi))
+    assert code == 0 and float(results["scale"]) == 0.0
+    assert float(results["log_scale"]) == pytest.approx(expected, rel=1e-11)
+
+
+def test_an_overlap_whose_log_is_beyond_the_float_range_prints_the_lowest_float():
+    """Widths of 1e-160 put the overlap's log near -2e317: log_scale prints
+    the lowest float, the bound it lies beyond."""
+    code, text = run_cli(["joint", "--buyer-mean-price", "1", "--buyer-sigma", "1e-160",
+                          "--seller-mean-price", "1.1", "--seller-sigma", "1e-160"])
+    results = normalize_json(text)["results"]
+    assert (code, results["scale"]) == (0, 0.0)
+    assert results["log_scale"] == float("%.12g" % -sys.float_info.max)
 
 
 @pytest.mark.parametrize("value", ["-1e3", "-1e-300", "-.5", "-2.5", "-1E+2"])
@@ -945,6 +981,14 @@ def test_whole_float_range_keeps_the_exit_contract(model):
             if math.isfinite(size):
                 expected = gamma * (z1 * z1 - z2 * z2) / 2.0
                 assert abs(results["delta_e"] - expected) <= 1e-12 * size
+        if code == 0 and model in ("joint", "sample"):
+            # An overlap mass that underflows to 0 still has a finite log, and
+            # where the mass is a normal float its log is log_scale, to
+            # rounding on the scale of the log's terms.
+            scale, log_scale = results["scale"], results["log_scale"]
+            assert math.isfinite(log_scale)
+            if scale >= sys.float_info.min:
+                assert abs(log_scale - math.log(scale)) <= 1e-12 * max(1.0, abs(log_scale))
         if code == 0 and model == "joint" and results["joint"]["kind"] == "gaussian":
             # The joint mean lies between the two means and the precisions
             # add, where each is a normal float: 1/sigma^2 = 1/s_b^2 + 1/s_s^2.
@@ -1439,3 +1483,22 @@ def test_a_child_that_dies_leaves_the_output_whole(monkeypatch, output):
     assert_no_child()
     # 4 chunks a column: the child formats the second and dies on the fourth.
     assert len(chunks) == (15 if output == "json" else 3)
+
+
+def test_a_parent_that_fails_early_kills_a_child_held_in_a_chunk(monkeypatch):
+    """A write that fails at once leaves the child inside a slow chunk: _emit
+    kills and reaps it at once instead of waiting the chunk out."""
+    def slow():
+        time.sleep(5)
+        return "slow"
+
+    def write(text):
+        raise OSError(28, "No space left on device")
+
+    forks = counted_forks(monkeypatch)
+    start = time.perf_counter()
+    with pytest.raises(OSError):
+        cli._emit(["head", lambda: "fast", slow], write, CHUNK_ROWS + 1)
+    assert time.perf_counter() - start < 1.0
+    assert len(forks) == 1
+    assert_no_child()

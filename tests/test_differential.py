@@ -11,6 +11,7 @@ import pytest
 
 import differential
 from qprop import __version__
+from qprop.cli import CHUNK_ROWS
 
 
 def test_head_matches_the_tree_and_a_changed_digit_is_caught(tmp_path):
@@ -43,6 +44,32 @@ def test_head_matches_the_tree_and_a_changed_digit_is_caught(tmp_path):
                       or outcome["stdout"] == f"qprop {__version__}\n" for outcome in here]
     assert prints_version[-2:] == [True, True] and here[-1]["out"] and not here[-1]["stdout"]
     assert [kind != "identical" for kind in caught] == prints_version
+
+
+def test_large_calls_reach_every_chunk_seam():
+    """The large calls of a 2,500-call run: force, joint and sample at
+    CHUNK_ROWS rows, one more and 3 chunks, each model in JSON and in CSV,
+    by flags and by a config with --out."""
+    cases = differential.make_cases(2500, seed=20)
+    seen = set()
+    for case in cases[differential.LARGE_EVERY - 1::differential.LARGE_EVERY]:
+        argv = case["argv"]
+        words = b"".join(case["files"].values()).decode("utf-8").replace("=", " ").split()
+
+        def value(name):
+            return (words[words.index(name) + 1] if argv[0] == "run"
+                    else argv[argv.index(f"--{name}") + 1])
+
+        model = value("model") if argv[0] == "run" else argv[0]
+        output = value("output")
+        rows = int(value("trials") if model == "sample" else value("grid").split(":")[2])
+        seam = rows - CHUNK_ROWS if rows <= CHUNK_ROWS + 1 else -(-rows // CHUNK_ROWS)
+        seen.add((model, seam, output, "--out" in argv))
+    assert {(model, seam) for model, seam, _, _ in seen} == {
+        (model, seam) for model in ("force", "joint", "sample") for seam in (0, 1, 3)}
+    for model in ("force", "joint", "sample"):
+        assert {output for m, _, output, _ in seen if m == model} == {"json", "csv"}
+    assert {out for _, _, _, out in seen} == {True, False}
 
 
 # The benchmark's stand-in: it counts the runs already in the out file as it

@@ -56,8 +56,8 @@ SAMPLES = {
     "PointMassCurve": [(0.5,), (-0.5,), (math.nan,)],
     "EntropicScale": [(1.0,), (2.0,), (0.0,), (math.inf,)],
     "OscillatorParams": [(1.0, 0.3), (1.0, 0.3, 2.0), (-1.0, 0.3), (1.0, 0.3, math.nan)],
-    "JointPropensity": [(CURVE, CURVE, CURVE, 0.5),
-                        (CURVE, propensity.PointMassCurve(0.5), CURVE, 0.5)],
+    "JointPropensity": [(CURVE, CURVE, CURVE, 0.5, math.log(0.5)),
+                        (CURVE, propensity.PointMassCurve(0.5), CURVE, 0.5, math.log(0.5))],
     "ReversalEnergy": [(1.1, 1.0), (1.0, 1.0)],
     "StateVector": [([1.0, 0.0],), ([0.0, 1.0, 0.0, 0.0],), ([1.0, 1.0],), ([math.nan, 1.0],),
                     ([1.0, 0.0, 0.0],)],

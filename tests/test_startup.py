@@ -1,7 +1,7 @@
 """What a call imports: the package, the CLI and each kind of call load only
 the modules they compute with. configparser is loaded by `run` alone, json
-only by a call that writes JSON, and no qprop module loads dataclasses: a
-call without numpy loads neither dataclasses nor inspect (numpy loads inspect).
+only by a call that writes JSON, and no call loads numpy, dataclasses or
+inspect (numpy loads inspect).
 
 Each probe runs ``python -m qprop`` in a fresh interpreter and reports the
 names in ``sys.modules`` as the interpreter exits.
@@ -13,7 +13,7 @@ import sys
 import pytest
 
 import qprop
-from qprop.cli import MAX_ROWS
+from qprop.cli import COMMANDS, MAX_ROWS
 
 MODEL_MODULES = {"numpy", "qprop._draws", "qprop.decision", "qprop.propensity", "qprop.qubits"}
 # Besides: what a call that forks a chunk formatter must not load.
@@ -116,7 +116,7 @@ PAIR = ["joint", "--buyer-mean-price", "1", "--buyer-sigma", "0.1",
         "--seller-mean-price", "1.1", "--seller-sigma", "0.2"]
 
 
-@pytest.mark.parametrize("argv, expected", [
+LOADS = [
     (["interference", "--theta", "0.3", "--phi", "0.2"], {"qprop.decision", "json"}),
     (["reversal", "--x1", "1", "--x2", "4"], {"qprop.decision", "json"}),
     (["order-effect", "--theta", "0.3", "--phi", "0.2", "--order", "ba"],
@@ -135,7 +135,7 @@ PAIR = ["joint", "--buyer-mean-price", "1", "--buyer-sigma", "0.1",
     ([*PAIR, "--gamma", "1", "--grid", "0.5:2.0:5"], {"qprop.propensity", "json"}),
     (["sample", "--trials", "3", "--buyer-mean-price", "1", "--buyer-sigma", "0.1",
       "--seller-fixed-price", "1.1", "--seed", "1", "--output", "csv"],
-     {"numpy", "inspect", "qprop.propensity"}),
+     {"qprop._draws", "qprop.propensity"}),
     (["force", "--mean-price", "1", "--sigma", "0.3", "--price", "1.1", "--output", "csv"],
      {"qprop.propensity"}),
     # Above CHUNK_ROWS rows: a forked child that ran atexit would print a second line.
@@ -143,20 +143,26 @@ PAIR = ["joint", "--buyer-mean-price", "1", "--buyer-sigma", "0.1",
       "--grid", "0.5:2.0:20000", "--output", "csv"], {"qprop.propensity"}),
     (["sample", "--trials", "20000", "--buyer-mean-price", "1", "--buyer-sigma", "0.1",
       "--seller-mean-price", "1.1", "--seller-sigma", "0.2", "--seed", "1"],
-     {"numpy", "inspect", "qprop.propensity", "json"}),
-])
+     {"qprop._draws", "qprop.propensity", "json"}),
+]
+
+
+def test_every_command_is_probed():
+    assert {argv[0] for argv, _ in LOADS} == set(COMMANDS)
+
+
+@pytest.mark.parametrize("argv, expected", LOADS)
 def test_call_loads_only_its_model_modules(argv, expected):
-    """numpy is loaded for a sample's price draws only: one-point curves are
-    closed forms on math, grids are computed with math too, and the
-    equivalence sweep draws its gates from qprop._draws, not the qubit engine.
-    A call by flags loads no configparser, a CSV call no json, and a call
-    without numpy neither dataclasses nor inspect."""
+    """No call loads numpy: one-point curves are closed forms on math, grids
+    are computed with math too, and the equivalence sweep and the sample
+    draws come from qprop._draws, not the qubit engine or numpy. A call by
+    flags loads no configparser, a CSV call no json, and no call dataclasses
+    or inspect."""
     code, out, err, loaded = run_probe(*argv)
     assert code == 0 and err == ""
     assert loaded == expected
     assert ("json" in loaded) == ("csv" not in argv)
-    assert "dataclasses" not in loaded
-    assert "inspect" not in loaded or "numpy" in loaded
+    assert not loaded & {"numpy", "dataclasses", "inspect"}
 
 
 def test_every_export_resolves_to_its_home_module_object():
