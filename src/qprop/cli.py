@@ -22,11 +22,12 @@ numpy. A --grid is computed with math into array('d') columns, and
 equivalence draws its gates and sample its normal draws from qprop._draws,
 numpy's PCG64 stream and ziggurat on the standard library.
 
-Output is formatted and written CHUNK_ROWS rows at a time. An output of more
-than CHUNK_ROWS rows is formatted on two cores: once every check has passed,
-the call forks once, the child formats every second chunk into a pipe, and
-this process formats the others and writes all of them in order. The bytes
-are those a single process writes, and the child never outlives the call.
+Output is formatted and written at most CHUNK_ROWS rows at a time. An output
+of more than CHUNK_ROWS rows is cut into an even number of equal chunks and
+formatted on two cores: once every check has passed, the call forks once,
+the child formats every second chunk into a pipe, and this process formats
+the others and writes all of them in order. The bytes are those a single
+process writes, and the child never outlives the call.
 """
 from __future__ import annotations
 
@@ -139,21 +140,45 @@ def _csv_rows(row: str, columns: list) -> str:
     return row * len(columns[0]) % values
 
 
+# json's words for the %.12g cells of nan and the infinities.
+_JSON_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_cell(cell: str) -> str:
+    """json.dumps of the float a %.12g cell reads, plus 0.0 so that -0 prints
+    as 0.0: a finite float's repr, as json prints it, or json's word."""
+    return _JSON_WORDS.get(cell) or repr(float(cell) + 0.0)
+
+
 def _json_numbers(values, sep: str) -> str:
     """json.dumps of each float at 12 digits, joined by sep.
 
-    One %-format over the chunk gives the tokens when each cell has a decimal
-    point and no exponent: the cells of a grid all but always (a nan or an inf
-    cell has no point). Such a cell is already its float's shortest repr, as
-    json prints a finite float. Any other cell becomes json.dumps of the float
-    it reads, plus 0.0 so that -0 prints as 0.0.
+    One %-format over the chunk gives the tokens. A cell with a decimal point
+    and no exponent, as all but a few cells of a grid or a sample are, is
+    already its float's shortest repr, as json prints a finite float. Each
+    other cell goes through _json_cell, alone: a cell with a letter (an
+    exponent, inf or nan) is found by str.find, and only a chunk that also
+    holds an integer cell, which has no letter to find, is read cell by cell.
     """
     text = (("%.12g" + sep) * len(values))[:-len(sep)] % tuple(values)
-    if text.count(".") == len(values) and "e" not in text:
+    bare = len(values) - text.count(".")          # cells without a point
+    if not bare and "e" not in text:
         return text
-    import json
-
-    return sep.join(cell if "." in cell and "e" not in cell else json.dumps(float(cell) + 0.0)
+    spans = []
+    for letter in "en":
+        at = text.find(letter)
+        while at >= 0:
+            start, stop = text.rfind(sep[-1], 0, at) + 1, text.find(",", at)
+            stop = len(text) if stop < 0 else stop
+            spans.append((start, stop))
+            at = text.find(letter, stop)
+    if bare == sum("." not in text[start:stop] for start, stop in spans):
+        pieces, last = [], 0
+        for start, stop in sorted(spans):
+            pieces += text[last:start], _json_cell(text[start:stop])
+            last = stop
+        return "".join(pieces) + text[last:]
+    return sep.join(cell if "." in cell and "e" not in cell else _json_cell(cell)
                     for cell in text.split(sep))
 
 
@@ -434,11 +459,12 @@ def _exec_work(params: dict) -> CommandResult:
 
 def _exec_sample(params: dict) -> CommandResult:
     from . import propensity
-    from ._draws import PCG64
 
     pair = _build_pair(params)
     curve, trials = pair.joint, params["trials"]
     if isinstance(curve, propensity.GaussianCurve):
+        from ._draws import PCG64         # a fixed price draws nothing
+
         x = PCG64(params["seed"]).normals(trials, curve.mu, curve.sigma)
     else:
         x = array("d", [curve.point]) * trials
@@ -506,7 +532,7 @@ COMMANDS = {
         "seeded price draws from a joint propensity",
         (Param("trials", "posint", required=True, help="number of price draws"),
          *_PAIR, _SEED),
-        _exec_sample, (".propensity", "._draws")),
+        _exec_sample, (".propensity",)),
 }
 
 
@@ -652,11 +678,20 @@ def load_config(path: str) -> tuple[str, dict, str]:
     return model, params, output
 
 
+def _spans(rows: int) -> list[tuple[int, int]]:
+    """(start, stop) of each chunk of rows: one chunk up to CHUNK_ROWS rows,
+    and above it an even number of chunks of at most CHUNK_ROWS rows, equal to
+    a row, so that _emit's two processes format as many rows each."""
+    count = -(-rows // CHUNK_ROWS)
+    count += count % 2 if count > 1 else 0
+    return [(rows * i // count, rows * (i + 1) // count) for i in range(count)]
+
+
 def _json_pieces(value, indent: str = "\n"):
     """The pieces of json.dumps(value, indent=2), floats at 12 digits, for _emit.
 
     Every float, alone or in a column, is printed by _json_numbers, and each
-    float column as a list, CHUNK_ROWS values to a chunk. Columns are never
+    float column as a list, in the chunks of _spans. Columns are never
     empty: grids have two points or more, samples one draw. json is imported
     here, so only a call that writes JSON loads it.
     """
@@ -673,9 +708,9 @@ def _json_pieces(value, indent: str = "\n"):
     elif isinstance(value, float):
         yield _json_numbers([value], ",")
     elif isinstance(value, array):
-        for i in range(0, len(value), CHUNK_ROWS):
-            yield lambda i=i: (("," if i else "[") + inner
-                               + _json_numbers(value[i:i + CHUNK_ROWS], "," + inner))
+        for start, stop in _spans(len(value)):
+            yield lambda start=start, stop=stop: (
+                ("," if start else "[") + inner + _json_numbers(value[start:stop], "," + inner))
         yield indent + "]"
     else:
         yield json.dumps(value)
@@ -766,9 +801,9 @@ def _emit(pieces: list, write: Callable[[str], object], rows: int) -> None:
 
 def _write(result: CommandResult, model: str, params: dict, output: str,
            elapsed_ms: float, out_path: str | None) -> None:
-    """Format the output straight into out_path or stdout, CHUNK_ROWS rows at a
-    time, so the whole text is never held. Any failure to open or write is a
-    usage error; what was written before it stays written."""
+    """Format the output straight into out_path or stdout, at most CHUNK_ROWS
+    rows at a time, so the whole text is never held. Any failure to open or
+    write is a usage error; what was written before it stays written."""
     table = result.table or dict(zip(("quantity", "value"), zip(*_quantities(result.results))))
     rows = len(next(iter(table.values())))
     if output == "json":
@@ -785,8 +820,9 @@ def _write(result: CommandResult, model: str, params: dict, output: str,
                    else list(map(_fmt, column)) for column in table.values()]
         row = ",".join(map(_column_format, columns)) + "\n"
         pieces = [",".join(table) + "\n"]
-        pieces += [lambda i=i: _csv_rows(row, [column[i:i + CHUNK_ROWS] for column in columns])
-                   for i in range(0, rows, CHUNK_ROWS)]
+        pieces += [lambda start=start, stop=stop: _csv_rows(
+                       row, [column[start:stop] for column in columns])
+                   for start, stop in _spans(rows)]
     try:
         if out_path is None and sys.stdout is None:
             raise OSError("standard output is closed")
@@ -896,4 +932,6 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    from qprop.__main__ import run
+
+    run()

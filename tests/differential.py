@@ -13,7 +13,7 @@ the same config files. The calls cover all nine commands with ordinary,
 extreme and malformed values, ``run`` configs (some not UTF-8), ``--out``
 files, ``QPROP_SEED`` and the help and version calls. One call in
 ``LARGE_EVERY`` is a ``force`` or ``joint`` grid or a ``sample`` of
-``CHUNK_ROWS`` rows, one more, or an odd number of chunks, so that the
+``CHUNK_ROWS`` rows, one more, or two to three times as many, so that the
 two-process formatting of large outputs and its chunk seams are compared
 too. A call's outcome is its exit code, stdout, stderr and ``--out`` file,
 with the value of ``wall_time_ms`` masked; an exception that escapes
@@ -141,8 +141,8 @@ def _either_or(rng: random.Random, names: set) -> tuple:
 
 def _large_case(rng: random.Random, k: int, i: int, chunk_rows: int) -> dict:
     """The k-th large call, case number i: force, joint and sample in turn, at
-    chunk_rows rows, one more and 3 chunks, in turn; JSON and CSV in turn,
-    and every third and fourth of four calls by a config with --out."""
+    chunk_rows rows, one more and 2 to 3 times as many, in turn; JSON and CSV
+    in turn, and every third and fourth of four calls by a config with --out."""
     model = LARGE_MODELS[k % 3]
     rows = (chunk_rows, chunk_rows + 1, 2 * chunk_rows + rng.randint(1, chunk_rows))[k // 3 % 3]
     output = ("json", "csv")[k % 2]

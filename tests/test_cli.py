@@ -1099,6 +1099,70 @@ def test_version_flag():
 
 
 # ============================================================
+# The process exit: streams flushed, then os._exit
+# ============================================================
+
+EXIT_CALLS = {
+    "exit 0": ["oscillator", "--sigma", "0.3"],
+    "exit 1": ["equivalence", "--trials", "3", "--tol", "1e-300", "--seed", "1"],
+    "exit 2": ["reversal", "--x1", "-1", "--x2", "2"],
+    "help": ["--help"],
+    "version": ["--version"],
+    "split grid": SPLIT_GRID[3:],
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXIT_CALLS))
+def test_a_process_prints_what_main_returns_in_process(monkeypatch, capsys, name):
+    """Exit code, stdout and stderr of ``python -m qprop`` through pipes, its
+    stdout buffered, are those of cli.main called in process."""
+    argv = EXIT_CALLS[name]
+    monkeypatch.setenv("COLUMNS", "80")           # the width argparse wraps help at
+    code = main(argv)
+    out, err = capsys.readouterr()
+    proc_code, proc_out, proc_err = run_alone([sys.executable, "-m", "qprop", *argv],
+                                              stdout=subprocess.PIPE, env=stdout_envs()[0])
+    assert (proc_code, mask_timing(proc_out), proc_err) == (code, mask_timing(out), err)
+    assert code == {"exit 1": 1, "exit 2": 2}.get(name, 0)
+    assert (out != "", err != "") == (code != 2, code != 0)
+
+
+TEARDOWN = "import atexit, sys; atexit.register(lambda: print('teardown', file=sys.stderr)); "
+PYPROJECT = pathlib.Path(__file__).resolve().parent.parent / "pyproject.toml"
+# What the console script that pip writes for pyproject's qprop entry runs.
+SCRIPT = "from {0} import {1}; sys.exit({1}())".format(*re.search(
+    r'^qprop = "([\w.]+):(\w+)"$', PYPROJECT.read_text(encoding="utf-8"), re.M).groups())
+ENTRIES = {
+    "python -m qprop": "import runpy; runpy.run_module('qprop', run_name='__main__')",
+    "python -m qprop.cli": "import runpy; runpy.run_module('qprop.cli', run_name='__main__')",
+    "qprop script": SCRIPT,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRIES))
+def test_every_entry_leaves_by_os_exit(entry):
+    """No atexit hook runs: the process skips interpreter teardown."""
+    for argv, code in ((EXIT_CALLS["version"], 0), (EXIT_CALLS["exit 2"], 2)):
+        proc = subprocess.run([sys.executable, "-c", TEARDOWN + ENTRIES[entry], *argv],
+                              capture_output=True, text=True)
+        assert proc.returncode == code
+        assert "teardown" not in proc.stderr
+        assert (proc.stdout or proc.stderr).startswith("qprop")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize("flag", ["--help", "--version"])
+def test_text_left_in_the_stdout_buffer_that_cannot_be_written_exits_2(flag):
+    """argparse writes --help and --version into the stdout buffer; the flush
+    at exit fails, and that is one error line and exit 2."""
+    env = stdout_envs()[0]                  # stdout buffered
+    with open("/dev/full", "w") as full:
+        code, _, err = run_alone([sys.executable, "-m", "qprop", flag], stdout=full, env=env)
+    assert (code, err) == (
+        2, "qprop: error: cannot write output: [Errno 28] No space left on device\n")
+
+
+# ============================================================
 # Column formatting against the per-value route
 # ============================================================
 
@@ -1110,6 +1174,8 @@ def test_version_flag():
 @example(np.array([1e16, -1e16, 9.99999999999996e15, 1.5e300]))
 @example(np.array([1e-5, -1e-4, 1.5e-35, 2.5e-300]))
 @example(np.array([5e-324, -1e-310, 2.2250738585072014e-308, 2.225073858507e-308]))
+@example(np.array([0.5, 1.2e-5, -0.25, -1.5e-7, 0.125, 3e20]))     # a few exponent cells
+@example(np.array([0.5, 1.2e-5, -0.25, 3.0, 0.125]))               # and an integer cell
 def test_column_formatter_matches_per_value_route(values):
     column = array("d", values)
     assert _csv_rows("%.12g\n", [column]) == "".join(_fmt(v) + "\n" for v in values)
@@ -1130,6 +1196,10 @@ def test_column_formatter_spells_nonfinite_as_json_does():
     column = array("d", [math.nan, math.inf, -math.inf])
     assert _csv_rows("%.12g\n", [column]) == "nan\ninf\n-inf\n"
     assert _json_numbers(column, ",") == "NaN,Infinity,-Infinity"
+    mixed = array("d", [0.5, math.nan, -1.5e-7, -math.inf, 0.25, 2.0, math.inf])
+    assert _json_numbers(mixed, ",\n  ") == ",\n  ".join(
+        ["0.5", "NaN", "-1.5e-07", "-Infinity", "0.25", "2.0", "Infinity"])
+    assert _json_numbers(mixed[:-2], ",") == "0.5,NaN,-1.5e-07,-Infinity,0.25"
 
 
 def test_float_column_finiteness_survives_an_overflowing_sum():
@@ -1291,7 +1361,7 @@ def test_json_writer_matches_json_dumps(record):
 # Chunked output
 # ============================================================
 
-SEAMS = f"0.5:2.0:{2 * CHUNK_ROWS + 1}"    # two full chunks and a row
+SEAMS = f"0.5:2.0:{2 * CHUNK_ROWS + 1}"    # two full chunks and a row: 4 chunks
 SEAM_FLAGS = ["force", "--mean-price", "1.0", "--sigma", "0.25", "--gamma", "1.0",
               "--grid", SEAMS]
 
@@ -1347,6 +1417,21 @@ def test_writer_never_holds_the_whole_text(monkeypatch, output):
     assert max(piece.count("\n") for piece in fake.pieces) <= CHUNK_ROWS
     longest_line = max(map(len, text.splitlines(keepends=True)))
     assert max(map(len, fake.pieces)) <= CHUNK_ROWS * longest_line
+
+
+@pytest.mark.parametrize("rows, sizes", [
+    (1, [1]), (CHUNK_ROWS, [CHUNK_ROWS]), (CHUNK_ROWS + 1, [4096, 4097]),
+    (25_000, [6250] * 4), (2 * CHUNK_ROWS + 5, [4097, 4097, 4097, 4098]),
+    (MAX_ROWS, None)])
+def test_spans_cut_an_even_number_of_equal_chunks(rows, sizes):
+    spans = cli._spans(rows)
+    assert [start for start, _ in spans] == [0] + [stop for _, stop in spans[:-1]]
+    assert spans[-1][1] == rows
+    lengths = [stop - start for start, stop in spans]
+    assert max(lengths) <= CHUNK_ROWS and max(lengths) - min(lengths) <= 1
+    assert len(spans) == 1 if rows <= CHUNK_ROWS else len(spans) % 2 == 0
+    if sizes is not None:
+        assert sorted(lengths) == sorted(sizes)
 
 
 def assert_no_child():
@@ -1411,7 +1496,7 @@ def counted_forks(monkeypatch):
 @pytest.mark.parametrize("output", ["json", "csv"])
 @pytest.mark.parametrize("model, rows", [
     *((model, rows) for model in sorted(SPLIT_CALLS) for rows in (CHUNK_ROWS, CHUNK_ROWS + 1)),
-    ("force", 2 * CHUNK_ROWS + 5), ("sample", 2 * CHUNK_ROWS + 5)])   # 3 chunks
+    ("force", 2 * CHUNK_ROWS + 5), ("sample", 2 * CHUNK_ROWS + 5)])   # 4 chunks
 def test_split_output_is_byte_identical(monkeypatch, tmp_path, model, output, rows):
     """Above CHUNK_ROWS rows a call forks once and prints the bytes of the
     serial route, on stdout and (at two chunks) with --out; at CHUNK_ROWS it

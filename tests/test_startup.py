@@ -4,7 +4,10 @@ only by a call that writes JSON, and no call loads numpy, dataclasses or
 inspect (numpy loads inspect).
 
 Each probe runs ``python -m qprop`` in a fresh interpreter and reports the
-names in ``sys.modules`` as the interpreter exits.
+names in ``sys.modules`` as the process leaves. The call leaves by
+``os._exit``, which runs no atexit hook, so the probe wraps ``os._exit`` to
+report; its atexit hook reports a process that ends by interpreter teardown
+instead, so a forked child that did would print a second line.
 """
 import importlib
 import subprocess
@@ -21,8 +24,16 @@ TRACKED = MODEL_MODULES | {"configparser", "dataclasses", "inspect", "json",
                            "fcntl", "multiprocessing", "signal"}
 
 PROBE = """\
-import atexit, runpy, sys
-atexit.register(lambda: sys.__stderr__.write("\\nMODULES " + " ".join(sys.modules) + "\\n"))
+import atexit, os, runpy, sys
+def report():
+    sys.__stderr__.write("\\nMODULES " + " ".join(sys.modules) + "\\n")
+    sys.__stderr__.flush()
+def leave(code, pid=os.getpid(), exit=os._exit):
+    if os.getpid() == pid:            # a forked child leaves without a word
+        report()
+    exit(code)
+atexit.register(report)
+os._exit = leave
 runpy.run_module("qprop", run_name="__main__", alter_sys=True)
 """
 
@@ -135,10 +146,10 @@ LOADS = [
     ([*PAIR, "--gamma", "1", "--grid", "0.5:2.0:5"], {"qprop.propensity", "json"}),
     (["sample", "--trials", "3", "--buyer-mean-price", "1", "--buyer-sigma", "0.1",
       "--seller-fixed-price", "1.1", "--seed", "1", "--output", "csv"],
-     {"qprop._draws", "qprop.propensity"}),
+     {"qprop.propensity"}),
     (["force", "--mean-price", "1", "--sigma", "0.3", "--price", "1.1", "--output", "csv"],
      {"qprop.propensity"}),
-    # Above CHUNK_ROWS rows: a forked child that ran atexit would print a second line.
+    # Above CHUNK_ROWS rows: a forked child that reported would print a second line.
     (["force", "--mean-price", "1", "--sigma", "0.3", "--gamma", "1",
       "--grid", "0.5:2.0:20000", "--output", "csv"], {"qprop.propensity"}),
     (["sample", "--trials", "20000", "--buyer-mean-price", "1", "--buyer-sigma", "0.1",
