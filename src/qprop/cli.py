@@ -28,12 +28,16 @@ formatted on two cores: once every check has passed, the call forks once,
 the child formats every second chunk into a pipe, and this process formats
 the others and writes all of them in order. The bytes are those a single
 process writes, and the child never outlives the call.
+
+Text for stdout, a record or that of --help and --version, is written and
+flushed by _output alone. run is the process entry: it leaves by os._exit.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
 import importlib
+import io
 import math
 import os
 import re
@@ -42,7 +46,7 @@ import time
 import warnings
 from array import array
 from itertools import chain
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, NoReturn
 
 from . import __version__
 from ._record import record
@@ -799,11 +803,30 @@ def _emit(pieces: list, write: Callable[[str], object], rows: int) -> None:
             os.waitpid(pid, 0)
 
 
+def _output(pieces: list, rows: int, out_path: str | None) -> None:
+    """Write pieces (see _emit), rows rows in all, into out_path or stdout
+    and flush them. Any failure to open or write is a usage error; what was
+    written before it stays written."""
+    try:
+        if out_path is None and sys.stdout is None:
+            raise OSError("standard output is closed")
+        with (contextlib.nullcontext(sys.stdout) if out_path is None
+              else open(out_path, "w", encoding="utf-8", newline="")) as handle:
+            _emit(pieces, handle.write, rows)
+            handle.flush()
+    except OSError as exc:
+        if out_path is None:
+            # Point fd 1 at os.devnull, or the flush at exit fails again on buffered text.
+            with contextlib.suppress(AttributeError, OSError, ValueError):
+                fd = sys.stdout.fileno()
+                os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+        raise UsageError(f"cannot write output: {exc}")
+
+
 def _write(result: CommandResult, model: str, params: dict, output: str,
            elapsed_ms: float, out_path: str | None) -> None:
     """Format the output straight into out_path or stdout, at most CHUNK_ROWS
-    rows at a time, so the whole text is never held. Any failure to open or
-    write is a usage error; what was written before it stays written."""
+    rows at a time, so the whole text is never held."""
     table = result.table or dict(zip(("quantity", "value"), zip(*_quantities(result.results))))
     rows = len(next(iter(table.values())))
     if output == "json":
@@ -823,20 +846,7 @@ def _write(result: CommandResult, model: str, params: dict, output: str,
         pieces += [lambda start=start, stop=stop: _csv_rows(
                        row, [column[start:stop] for column in columns])
                    for start, stop in _spans(rows)]
-    try:
-        if out_path is None and sys.stdout is None:
-            raise OSError("standard output is closed")
-        with (contextlib.nullcontext(sys.stdout) if out_path is None
-              else open(out_path, "w", encoding="utf-8", newline="")) as handle:
-            _emit(pieces, handle.write, rows)
-            handle.flush()
-    except OSError as exc:
-        if out_path is None:
-            # Point fd 1 at os.devnull, or the flush at exit fails again on buffered text.
-            with contextlib.suppress(AttributeError, OSError, ValueError):
-                fd = sys.stdout.fileno()
-                os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
-        raise UsageError(f"cannot write output: {exc}")
+    _output(pieces, rows, out_path)
 
 
 def _run_model(model: str, params: dict, output: str, out_path: str | None) -> int:
@@ -914,14 +924,18 @@ def _dispatch(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    shown = io.StringIO()                 # the text of --help or --version
     try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        if code is None:
-            return 0
-        return code if isinstance(code, int) else 2
-    try:
+        try:
+            with contextlib.redirect_stdout(shown):
+                args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            if shown.getvalue():
+                _output([shown.getvalue()], 1, None)
+            code = exc.code
+            if code is None:
+                return 0
+            return code if isinstance(code, int) else 2
         return _dispatch(args)
     except UsageError as exc:
         print(f"qprop: error: {exc}", file=sys.stderr)
@@ -931,7 +945,22 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
-if __name__ == "__main__":
-    from qprop.__main__ import run
+def run() -> NoReturn:
+    """The entry of the qprop script, python -m qprop and python -m qprop.cli:
+    run main, flush stdout and stderr, and leave by os._exit with main's code.
 
+    os._exit skips the interpreter's teardown of every loaded module and its
+    garbage collection at exit, so atexit hooks do not run: a tool that acts
+    at interpreter exit should call main in process. main has flushed stdout
+    through _output, or reported that it could not, so nothing is left to
+    report here.
+    """
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        with contextlib.suppress(AttributeError, OSError):   # closed, or nowhere to tell
+            stream.flush()
+    os._exit(code)
+
+
+if __name__ == "__main__":
     run()

@@ -31,7 +31,11 @@ side runs first:
 
 Pair k runs ``perfbench/run.py --workload W --seed SEED+k --seconds 40
 --trace 0`` from each tree's root, with ``PYTHONDONTWRITEBYTECODE=1``. The
-out file keeps every run's last-line JSON under ``runs`` and is rewritten
+working tree runs from a copy without its ``__pycache__`` directories and
+dot-files, since Python reads a valid ``.pyc`` even when it writes none: so
+neither side reads cached bytecode of its own modules, as in a fresh
+checkout, and both read the standard library's. The out file keeps every
+run's last-line JSON under ``runs`` and is rewritten
 as each run ends, so an interrupted session loses no finished run; a later
 call adds to it, one workload or more pairs at a time. Beside the runs it
 holds, per workload and end-to-end metric of ``BENCHMARK.json``, each
@@ -49,6 +53,7 @@ import json
 import os
 import random
 import re
+import shutil
 import statistics
 import subprocess
 import sys
@@ -405,7 +410,8 @@ def bench(rev: str, workload: str, pairs: int, out: Path, seed: int, seconds: fl
             "perfbench end-to-end medians and quartiles (inclusive method) over paired runs "
             "of the parent commit and of this change, each from its own copy of the tree, "
             f"`{' '.join(BENCH_COMMAND[1:])} --workload W --seed S --seconds {seconds:g} "
-            "--trace 0` with PYTHONDONTWRITEBYTECODE=1, alternating which side ran first "
+            "--trace 0` with PYTHONDONTWRITEBYTECODE=1 and no cached bytecode of either "
+            "tree, alternating which side ran first "
             "(`first` per pair), by `tests/differential.py --bench`. Every run's last line of "
             "standard output is under `runs`, added as the run ended. change_better_pairs "
             "counts the pairs in which the change read better."),
@@ -418,8 +424,10 @@ def bench(rev: str, workload: str, pairs: int, out: Path, seed: int, seconds: fl
     if seeds & set(range(seed, seed + pairs)):
         raise SystemExit(f"{out} already holds {workload} runs of seeds {sorted(seeds)}")
     ok = True
-    with tempfile.TemporaryDirectory(prefix="qprop-bench-parent-") as tmp:
-        trees = {"parent": export(rev, Path(tmp)).parent, "change": change}
+    with tempfile.TemporaryDirectory(prefix="qprop-bench-") as tmp:
+        trees = {"parent": export(rev, Path(tmp) / "parent").parent,
+                 "change": Path(shutil.copytree(change, Path(tmp) / "change", ignore=(
+                     shutil.ignore_patterns("__pycache__", ".*"))))}
         for k in range(pairs):
             order = SIDES if (len(seeds) + k) % 2 == 0 else SIDES[::-1]
             for side in order:

@@ -1070,8 +1070,10 @@ def test_stdout_write_failure_exits_2():
 
 @pytest.mark.skipif(os.name != "posix", reason="closes a file descriptor in the child")
 def test_closed_stdout_exits_2():
-    for env in stdout_envs():
-        proc = subprocess.run(OSCILLATOR, stderr=subprocess.PIPE, text=True, env=env,
+    """A record, and the text of --help and --version too."""
+    calls = [OSCILLATOR, [*OSCILLATOR[:3], "--help"], [*OSCILLATOR[:3], "--version"]]
+    for argv, env in itertools.product(calls, stdout_envs()):
+        proc = subprocess.run(argv, stderr=subprocess.PIPE, text=True, env=env,
                               preexec_fn=lambda: os.close(1))
         assert (proc.returncode, proc.stderr) == (
             2, "qprop: error: cannot write output: standard output is closed\n")
@@ -1153,13 +1155,22 @@ def test_every_entry_leaves_by_os_exit(entry):
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
 @pytest.mark.parametrize("flag", ["--help", "--version"])
 def test_text_left_in_the_stdout_buffer_that_cannot_be_written_exits_2(flag):
-    """argparse writes --help and --version into the stdout buffer; the flush
-    at exit fails, and that is one error line and exit 2."""
-    env = stdout_envs()[0]                  # stdout buffered
-    with open("/dev/full", "w") as full:
-        code, _, err = run_alone([sys.executable, "-m", "qprop", flag], stdout=full, env=env)
-    assert (code, err) == (
-        2, "qprop: error: cannot write output: [Errno 28] No space left on device\n")
+    """The text of --help and --version goes through the record writer: a
+    write or flush that fails is one error line and exit 2, whether stdout
+    is buffered or not."""
+    for env in stdout_envs():
+        with open("/dev/full", "w") as full:
+            code, _, err = run_alone([sys.executable, "-m", "qprop", flag], stdout=full, env=env)
+        assert (code, err) == (
+            2, "qprop: error: cannot write output: [Errno 28] No space left on device\n")
+
+
+@pytest.mark.parametrize("flag", ["--help", "--version"])
+def test_text_that_cannot_be_written_exits_2_in_process(monkeypatch, capsys, flag):
+    monkeypatch.setattr(sys, "stdout", FakeStdout(fail_at=1))
+    assert main([flag]) == 2
+    assert capsys.readouterr().err == (
+        "qprop: error: cannot write output: [Errno 28] No space left on device\n")
 
 
 # ============================================================

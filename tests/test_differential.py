@@ -116,3 +116,26 @@ def test_bench_alternates_pairs_and_keeps_every_run(tmp_path):
     assert record["environment"]["seconds"] == 1.0
     with pytest.raises(SystemExit):                   # a later call refuses a seed it holds
         differential.bench("HEAD", "grid_render", 1, out, 6, 1.0, command=command, change=change)
+
+
+def test_bench_runs_neither_side_with_cached_bytecode(tmp_path, monkeypatch):
+    """Python reads a valid .pyc even under PYTHONDONTWRITEBYTECODE, so the
+    change tree runs from a copy without its __pycache__ directories, as the
+    parent's export has none."""
+    if subprocess.run(["git", "-C", str(differential.ROOT), "rev-parse", "HEAD"],
+                      capture_output=True).returncode != 0:
+        pytest.skip("not a git checkout")
+    change = tmp_path / "change"
+    (change / "src" / "__pycache__").mkdir(parents=True)
+    (change / "src" / "__pycache__" / "m.cpython-311.pyc").write_bytes(b"")
+    (change / "src" / "m.py").write_text("", encoding="utf-8")
+    seen = {}
+
+    def bench_run(command, tree, workload, seed, seconds):
+        seen[tree.name] = ([str(path.relative_to(tree)) for path in tree.rglob("__pycache__")],
+                           (tree / "src" / "m.py").is_file())
+        return {"exit": 0, "result": None, "environment": None, "stderr": ""}
+
+    monkeypatch.setattr(differential, "_bench_run", bench_run)
+    differential.bench("HEAD", "grid_render", 1, tmp_path / "BENCH.json", 1, 1.0, change=change)
+    assert seen == {"parent": ([], False), "change": ([], True)}

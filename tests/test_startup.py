@@ -3,8 +3,8 @@ the modules they compute with. configparser is loaded by `run` alone, json
 only by a call that writes JSON, and no call loads numpy, dataclasses or
 inspect (numpy loads inspect).
 
-Each probe runs ``python -m qprop`` in a fresh interpreter and reports the
-names in ``sys.modules`` as the process leaves. The call leaves by
+Each probe runs ``python -m qprop`` (or ``qprop.cli``) in a fresh
+interpreter and reports the names in ``sys.modules`` as the process leaves. The call leaves by
 ``os._exit``, which runs no atexit hook, so the probe wraps ``os._exit`` to
 report; its atexit hook reports a process that ends by interpreter teardown
 instead, so a forked child that did would print a second line.
@@ -34,16 +34,29 @@ def leave(code, pid=os.getpid(), exit=os._exit):
     exit(code)
 atexit.register(report)
 os._exit = leave
-runpy.run_module("qprop", run_name="__main__", alter_sys=True)
+runpy.run_module(sys.argv.pop(1), run_name="__main__", alter_sys=True)
 """
+
+
+def probe(module, *argv):
+    """(exit code, stdout, stderr, modules loaded) of ``python -m module``."""
+    proc = subprocess.run([sys.executable, "-c", PROBE, module, *argv],
+                          capture_output=True, text=True)
+    err, _, modules = proc.stderr.rpartition("\nMODULES ")
+    return proc.returncode, proc.stdout, err, set(modules.split())
 
 
 def run_probe(*argv):
     """(exit code, stdout, stderr, tracked modules loaded) of one qprop call."""
-    proc = subprocess.run([sys.executable, "-c", PROBE, *argv],
-                          capture_output=True, text=True)
-    err, _, modules = proc.stderr.rpartition("\nMODULES ")
-    return proc.returncode, proc.stdout, err, TRACKED & set(modules.split())
+    code, out, err, modules = probe("qprop", *argv)
+    return code, out, err, TRACKED & modules
+
+
+def test_the_cli_module_run_as_main_is_not_imported_again():
+    """python -m qprop.cli runs cli.py once, as __main__."""
+    code, out, err, modules = probe("qprop.cli", "--version")
+    assert (code, out, err) == (0, f"qprop {qprop.__version__}\n", "")
+    assert "qprop" in modules and "qprop.cli" not in modules
 
 
 def test_importing_the_package_and_cli_loads_no_model_module():
