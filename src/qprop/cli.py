@@ -29,8 +29,12 @@ the child formats every second chunk into a pipe, and this process formats
 the others and writes all of them in order. The bytes are those a single
 process writes, and the child never outlives the call.
 
-Text for stdout, a record or that of --help and --version, is written and
-flushed by _output alone. run is the process entry: it leaves by os._exit.
+main is the request path, one stage after another: parse the flags or read
+the config, resolve the seed, check each value and then their combinations,
+load the model module, compute, scan the results for values beyond the float
+range, write, and last report a model failure. Text for stdout, a record or
+that of --help and --version, is written and flushed by _output alone. run is
+the process entry: it leaves by os._exit.
 """
 from __future__ import annotations
 
@@ -266,7 +270,7 @@ def _grid_columns(spec: str) -> tuple[array, array]:
 
 
 def _exp(value: float) -> float:
-    """math.exp, inf where the result overflows: _run_model's finiteness scan
+    """math.exp, inf where the result overflows: main's finiteness scan
     refuses it by name."""
     try:
         return math.exp(value)
@@ -385,7 +389,7 @@ def _gaussian_side(params: dict, side: str) -> propensity.GaussianCurve:
 
 
 def _build_pair(params: dict) -> propensity.JointPropensity:
-    """The joint of a pair that _check_pair has accepted."""
+    """The joint of a pair that _check_combinations has accepted."""
     from . import propensity
 
     buyer_fixed = params.get("buyer_fixed_price")
@@ -541,15 +545,19 @@ COMMANDS = {
 
 
 # ============================================================
-# Validation, config files, dispatch
+# Validation and config files
 # ============================================================
 
 def _validate_params(model: str, params: dict) -> None:
     for spec in COMMANDS[model].params:
         value = params.get(spec.name)
         if value is None:
-            continue
-        if spec.kind in ("float", "posfloat"):
+            if spec is _SEED and "seed" in params:
+                raise UsageError(f"model {model!r} is stochastic; pass --seed or set QPROP_SEED")
+        elif spec is _SEED:
+            if value < 0:
+                raise UsageError("seed must be a nonnegative integer")
+        elif spec.kind in ("float", "posfloat"):
             if not math.isfinite(value):
                 raise UsageError(f"{spec.config_key} must be finite")
             if spec.kind == "posfloat" and value <= 0:
@@ -564,30 +572,25 @@ def _validate_params(model: str, params: dict) -> None:
                 raise UsageError(f"{spec.config_key} must be one of {spec.choices}")
 
 
-def _check_pair(params: dict) -> None:
-    """A buyer/seller pair: each side a mean-price and sigma curve, or at most
-    one side a fixed price."""
-    fixed = {side: params.get(f"{side}_fixed_price") for side in ("buyer", "seller")}
-    if None not in fixed.values():
-        raise UsageError("at most one side can fix its price")
-    curves = {side: (params.get(f"{side}_mean_price"), params.get(f"{side}_sigma"))
-              for side in fixed}
-    for side in fixed:
-        if fixed[side] is not None and curves[side] != (None, None):
-            raise UsageError(f"{side}-fixed-price excludes the {side} curve parameters")
-    for side in fixed:
-        if fixed[side] is None and None in curves[side]:
-            raise UsageError(f"the {side} needs {side}-mean-price and {side}-sigma, "
-                             f"or a {side}-fixed-price")
-
-
 def _check_combinations(model: str, params: dict) -> None:
     """Usage rules that tie parameters to each other, in the order the
     executors would meet them, so that no model module is loaded for a call
-    that cannot run."""
+    that cannot run. A buyer/seller pair has each side a mean-price and sigma
+    curve, or at most one side a fixed price."""
     grid = params.get("grid")
     if model in ("joint", "sample"):
-        _check_pair(params)
+        fixed = {side: params.get(f"{side}_fixed_price") for side in ("buyer", "seller")}
+        if None not in fixed.values():
+            raise UsageError("at most one side can fix its price")
+        curves = {side: (params.get(f"{side}_mean_price"), params.get(f"{side}_sigma"))
+                  for side in fixed}
+        for side in fixed:
+            if fixed[side] is not None and curves[side] != (None, None):
+                raise UsageError(f"{side}-fixed-price excludes the {side} curve parameters")
+        for side in fixed:
+            if fixed[side] is None and None in curves[side]:
+                raise UsageError(f"the {side} needs {side}-mean-price and {side}-sigma, "
+                                 f"or a {side}-fixed-price")
     if model == "joint" and grid is not None and (
             params.get("buyer_fixed_price") is not None
             or params.get("seller_fixed_price") is not None):
@@ -600,18 +603,6 @@ def _check_combinations(model: str, params: dict) -> None:
         raise UsageError("pass exactly one of price or grid")
     if grid is not None:
         _grid_bounds(grid)
-
-
-def _resolve_seed(flag_seed: int | None) -> int | None:
-    if flag_seed is not None:
-        return flag_seed
-    env = os.environ.get("QPROP_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise UsageError(f"QPROP_SEED must be an integer, got {env!r}")
-    return None
 
 
 def _where(path: str, text: str, key: str) -> str:
@@ -815,11 +806,6 @@ def _output(pieces: list, rows: int, out_path: str | None) -> None:
             _emit(pieces, handle.write, rows)
             handle.flush()
     except OSError as exc:
-        if out_path is None:
-            # Point fd 1 at os.devnull, or the flush at exit fails again on buffered text.
-            with contextlib.suppress(AttributeError, OSError, ValueError):
-                fd = sys.stdout.fileno()
-                os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
         raise UsageError(f"cannot write output: {exc}")
 
 
@@ -849,36 +835,6 @@ def _write(result: CommandResult, model: str, params: dict, output: str,
     _output(pieces, rows, out_path)
 
 
-def _run_model(model: str, params: dict, output: str, out_path: str | None) -> int:
-    command = COMMANDS[model]
-    _validate_params(model, params)
-    if "seed" in params:
-        if params["seed"] is None:
-            raise UsageError(f"model {model!r} is stochastic; pass --seed or set QPROP_SEED")
-        if params["seed"] < 0:
-            raise UsageError("seed must be a nonnegative integer")
-    _check_combinations(model, params)
-    for name in command.modules:
-        importlib.import_module(name, __package__)
-    start = time.perf_counter()
-    try:
-        result = command.run(params)
-    except ValueError as exc:
-        raise UsageError(str(exc))
-    except ArithmeticError as exc:        # a result beyond the range of a float
-        raise UsageError(f"parameters out of floating-point range: {exc}")
-    elapsed_ms = (time.perf_counter() - start) * 1000.0
-    for name, value in _quantities(result.results):
-        if not _is_finite(value):
-            raise UsageError(
-                f"parameters out of floating-point range: {name} does not fit in a float")
-    _write(result, model, params, output, elapsed_ms, out_path)
-    if result.message:
-        print(f"qprop: {result.message}", file=sys.stderr)
-        return 1
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qprop",
@@ -906,37 +862,55 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _dispatch(args: argparse.Namespace) -> int:
-    for name, value in vars(args).items():   # argparse stores --flag=-- as []
-        if isinstance(value, list):
-            raise UsageError(f"argument --{name.replace('_', '-')}: expected one argument")
-    if args.command == "run":
-        model, params, output = load_config(args.config)
-    else:
-        model, output = args.command, args.output
-        params = {spec.name: getattr(args, spec.name) for spec in COMMANDS[model].params}
-        if params.pop("degrees", False):
-            for key in ("theta", "phi"):
-                params[key] = math.radians(params[key])
-    if "seed" in params:
-        params["seed"] = _resolve_seed(params["seed"])
-    return _run_model(model, params, output, getattr(args, "out", None))
-
-
 def main(argv: list[str] | None = None) -> int:
     shown = io.StringIO()                 # the text of --help or --version
     try:
         try:
             with contextlib.redirect_stdout(shown):
                 args = build_parser().parse_args(argv)
-        except SystemExit as exc:
+        except SystemExit as exc:         # argparse exits 0 (help, version) or 2
             if shown.getvalue():
                 _output([shown.getvalue()], 1, None)
-            code = exc.code
-            if code is None:
-                return 0
-            return code if isinstance(code, int) else 2
-        return _dispatch(args)
+            return exc.code
+        for name, value in vars(args).items():   # argparse stores --flag=-- as []
+            if isinstance(value, list):
+                raise UsageError(f"argument --{name.replace('_', '-')}: expected one argument")
+        if args.command == "run":
+            model, params, output = load_config(args.config)
+        else:
+            model, output = args.command, args.output
+            params = {spec.name: getattr(args, spec.name) for spec in COMMANDS[model].params}
+            if params.pop("degrees", False):
+                for key in ("theta", "phi"):
+                    params[key] = math.radians(params[key])
+        if "seed" in params and params["seed"] is None and "QPROP_SEED" in os.environ:
+            env_seed = os.environ["QPROP_SEED"]        # read only where --seed is not given
+            try:
+                params["seed"] = int(env_seed)
+            except ValueError:
+                raise UsageError(f"QPROP_SEED must be an integer, got {env_seed!r}")
+        _validate_params(model, params)
+        _check_combinations(model, params)
+        command = COMMANDS[model]
+        for name in command.modules:
+            importlib.import_module(name, __package__)
+        start = time.perf_counter()
+        try:
+            result = command.run(params)
+        except ValueError as exc:
+            raise UsageError(str(exc))
+        except ArithmeticError as exc:    # a result beyond the range of a float
+            raise UsageError(f"parameters out of floating-point range: {exc}")
+        elapsed_ms = (time.perf_counter() - start) * 1000.0
+        for name, value in _quantities(result.results):
+            if not _is_finite(value):
+                raise UsageError(
+                    f"parameters out of floating-point range: {name} does not fit in a float")
+        _write(result, model, params, output, elapsed_ms, getattr(args, "out", None))
+        if result.message:
+            print(f"qprop: {result.message}", file=sys.stderr)
+            return 1
+        return 0
     except UsageError as exc:
         print(f"qprop: error: {exc}", file=sys.stderr)
         return 2

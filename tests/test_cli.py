@@ -263,7 +263,7 @@ def test_seed_flag_reproduces_output():
     assert normalize_json(a) == normalize_json(b)
 
 
-def test_env_seed_fallback(monkeypatch):
+def test_env_seed_fallback(monkeypatch, capsys):
     monkeypatch.setenv("QPROP_SEED", "21")
     code, env_text = run_cli(["equivalence", "--trials", "3"])
     assert code == 0
@@ -271,21 +271,30 @@ def test_env_seed_fallback(monkeypatch):
     monkeypatch.delenv("QPROP_SEED")
     _, flag_text = run_cli(["equivalence", "--trials", "3", "--seed", "21"])
     assert normalize_json(env_text) == normalize_json(flag_text)
+    for env, message in (("-3", "seed must be a nonnegative integer"),
+                         ("abc", "QPROP_SEED must be an integer, got 'abc'")):
+        monkeypatch.setenv("QPROP_SEED", env)
+        assert run_cli(["equivalence", "--trials", "3"]) == (2, "")
+        assert capsys.readouterr().err == f"qprop: error: {message}\n"
 
 
 def test_seed_flag_beats_env(monkeypatch):
-    monkeypatch.setenv("QPROP_SEED", "21")
-    code, text = run_cli(["equivalence", "--trials", "3", "--seed", "5"])
-    assert code == 0
-    assert json.loads(text)["seed"] == 5
+    """QPROP_SEED is not read where --seed is given, not even to be refused."""
+    for env in ("21", "abc"):
+        monkeypatch.setenv("QPROP_SEED", env)
+        code, text = run_cli(["equivalence", "--trials", "3", "--seed", "5"])
+        assert code == 0
+        assert json.loads(text)["seed"] == 5
 
 
-def test_missing_seed_for_stochastic_model(capsys):
-    code, _ = run_cli(["sample", "--trials", "2",
-                       "--buyer-mean-price", "1.0", "--buyer-sigma", "0.1",
-                       "--seller-mean-price", "1.0", "--seller-sigma", "0.1"])
-    assert code == 2
-    assert "seed" in capsys.readouterr().err
+def test_missing_seed_for_stochastic_model(monkeypatch, capsys):
+    monkeypatch.delenv("QPROP_SEED", raising=False)
+    argv = ["sample", "--trials", "2", "--buyer-mean-price", "1.0", "--buyer-sigma", "0.1",
+            "--seller-mean-price", "1.0", "--seller-sigma", "0.1"]
+    for seed, message in (([], "model 'sample' is stochastic; pass --seed or set QPROP_SEED"),
+                          (["--seed", "-1"], "seed must be a nonnegative integer")):
+        assert run_cli([*argv, *seed]) == (2, "")
+        assert capsys.readouterr().err == f"qprop: error: {message}\n"
 
 
 # ============================================================
@@ -443,6 +452,8 @@ def test_seed_is_taken_by_the_stochastic_commands_alone(tmp_path, monkeypatch, c
         assert (code, text) == (2, "")
         assert err == (f"qprop: error: CFG:{4 + len(flags)}: "
                        f"unknown key 'seed' for model {model!r}\n")
+    if stochastic:
+        assert run_config(seed=-1) == (2, "", "qprop: error: seed must be a nonnegative integer\n")
 
     code, _, err = run_config(trials="1.5")
     assert code == 2
@@ -1043,6 +1054,8 @@ def stdout_envs():
 
 
 OSCILLATOR = [sys.executable, "-m", "qprop", "oscillator", "--sigma", "0.3"]
+# A sweep that writes its record and then reports a model failure: exit 1.
+FAILED_SWEEP = ["equivalence", "--trials", "3", "--tol", "1e-300", "--seed", "1"]
 # A grid above CHUNK_ROWS rows, formatted by two processes.
 SPLIT_GRID = [sys.executable, "-m", "qprop", "force", "--mean-price", "1.0", "--sigma", "0.25",
               "--gamma", "1.0", "--grid", "0.5:2.0:20000", "--output", "csv"]
@@ -1061,11 +1074,35 @@ def run_alone(argv, **kwargs):
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
 def test_stdout_write_failure_exits_2():
-    for argv, env in itertools.product([OSCILLATOR, SPLIT_GRID], stdout_envs()):
+    """The failed sweep's model failure is not reported: its record was not written."""
+    calls = [OSCILLATOR, SPLIT_GRID, [*OSCILLATOR[:3], *FAILED_SWEEP]]
+    for argv, env in itertools.product(calls, stdout_envs()):
         with open("/dev/full", "w") as full:
             code, _, err = run_alone(argv, stdout=full, env=env)
         assert (code, err) == (
             2, "qprop: error: cannot write output: [Errno 28] No space left on device\n")
+
+
+# Two calls of main in one process whose stdout cannot be written. os._exit:
+# text left in a buffered stdout would fail once more at interpreter exit.
+TWO_CALLS = """\
+import os, sys
+from qprop.cli import main
+before = len(os.listdir("/dev/fd"))
+codes = [main(["oscillator", "--sigma", "0.3"]) for _ in range(2)]
+print(codes, len(os.listdir("/dev/fd")) - before, file=sys.stderr, flush=True)
+os._exit(0)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+def test_a_failed_write_in_process_leaves_stdout_as_it_was():
+    """Each call fails alike, and none opens a descriptor."""
+    for env in stdout_envs():
+        with open("/dev/full", "w") as full:
+            code, _, err = run_alone([sys.executable, "-c", TWO_CALLS], stdout=full, env=env)
+        assert (code, err) == (0, "qprop: error: cannot write output: "
+                                  "[Errno 28] No space left on device\n" * 2 + "[2, 2] 0\n")
 
 
 @pytest.mark.skipif(os.name != "posix", reason="closes a file descriptor in the child")
@@ -1106,7 +1143,7 @@ def test_version_flag():
 
 EXIT_CALLS = {
     "exit 0": ["oscillator", "--sigma", "0.3"],
-    "exit 1": ["equivalence", "--trials", "3", "--tol", "1e-300", "--seed", "1"],
+    "exit 1": FAILED_SWEEP,
     "exit 2": ["reversal", "--x1", "-1", "--x2", "2"],
     "help": ["--help"],
     "version": ["--version"],
@@ -1165,10 +1202,12 @@ def test_text_left_in_the_stdout_buffer_that_cannot_be_written_exits_2(flag):
             2, "qprop: error: cannot write output: [Errno 28] No space left on device\n")
 
 
-@pytest.mark.parametrize("flag", ["--help", "--version"])
-def test_text_that_cannot_be_written_exits_2_in_process(monkeypatch, capsys, flag):
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], FAILED_SWEEP],
+                         ids=["--help", "--version", "failed sweep"])
+def test_text_that_cannot_be_written_exits_2_in_process(monkeypatch, capsys, argv):
+    """One line: a model failure is reported only after its record is written."""
     monkeypatch.setattr(sys, "stdout", FakeStdout(fail_at=1))
-    assert main([flag]) == 2
+    assert main(argv) == 2
     assert capsys.readouterr().err == (
         "qprop: error: cannot write output: [Errno 28] No space left on device\n")
 
