@@ -223,14 +223,10 @@ class CommandResult:
 def _resolve_scale(params: dict) -> propensity.EntropicScale:
     from . import propensity
 
-    gamma = params.get("gamma")
-    omega = params.get("omega")
-    hbar = params.get("hbar")
-    if gamma is not None:
-        return propensity.EntropicScale.direct(gamma)
+    if params.get("gamma") is not None:
+        return propensity.EntropicScale(params["gamma"])
     return propensity.EntropicScale.from_oscillator(
-        omega if omega is not None else 1.0,
-        hbar if hbar is not None else 1.0)
+        **{name: params[name] for name in ("omega", "hbar") if params.get(name) is not None})
 
 
 def _grid_bounds(spec: str) -> tuple[float, float, int]:
@@ -381,27 +377,20 @@ def _exec_oscillator(params: dict) -> CommandResult:
     return CommandResult(results)
 
 
-def _gaussian_side(params: dict, side: str) -> propensity.GaussianCurve:
-    from . import propensity
-
-    return propensity.GaussianCurve(math.log(params[f"{side}_mean_price"]),
-                                    params[f"{side}_sigma"])
-
-
 def _build_pair(params: dict) -> propensity.JointPropensity:
-    """The joint of a pair that _check_combinations has accepted."""
+    """The joint of a pair that _check_combinations has accepted: a curve for
+    each side that fixes no price, joined, or the price fixed on the side
+    without a curve."""
     from . import propensity
 
-    buyer_fixed = params.get("buyer_fixed_price")
-    seller_fixed = params.get("seller_fixed_price")
-    if seller_fixed is not None:
-        return propensity.fixed_price_joint(_gaussian_side(params, "buyer"),
-                                            math.log(seller_fixed), fixed_side="seller")
-    if buyer_fixed is not None:
-        return propensity.fixed_price_joint(_gaussian_side(params, "seller"),
-                                            math.log(buyer_fixed), fixed_side="buyer")
-    return propensity.joint_propensity(_gaussian_side(params, "buyer"),
-                                       _gaussian_side(params, "seller"))
+    curves = {side: propensity.GaussianCurve(math.log(params[f"{side}_mean_price"]),
+                                             params[f"{side}_sigma"])
+              for side in ("buyer", "seller") if params.get(f"{side}_fixed_price") is None}
+    if len(curves) == 2:
+        return propensity.joint_propensity(curves["buyer"], curves["seller"])
+    fixed = "seller" if "buyer" in curves else "buyer"
+    return propensity.fixed_price_joint(*curves.values(),
+                                        math.log(params[f"{fixed}_fixed_price"]), fixed_side=fixed)
 
 
 def _curve_dict(curve: propensity.PropensityCurve) -> dict:
@@ -591,10 +580,9 @@ def _check_combinations(model: str, params: dict) -> None:
             if fixed[side] is None and None in curves[side]:
                 raise UsageError(f"the {side} needs {side}-mean-price and {side}-sigma, "
                                  f"or a {side}-fixed-price")
-    if model == "joint" and grid is not None and (
-            params.get("buyer_fixed_price") is not None
-            or params.get("seller_fixed_price") is not None):
-        raise UsageError("curve output needs two Gaussian curves, not a fixed price")
+        if model == "joint" and grid is not None and any(
+                price is not None for price in fixed.values()):
+            raise UsageError("curve output needs two Gaussian curves, not a fixed price")
     if ((model in ("force", "work") or grid is not None)
             and params.get("gamma") is not None
             and (params.get("omega") is not None or params.get("hbar") is not None)):

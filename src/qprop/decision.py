@@ -19,10 +19,12 @@ The circuits are evaluated in closed-form arithmetic, one gate pair at a
 time, rather than by building gates and states step by step. Gates, angles,
 ``trials`` and ``tol`` passed in by the caller are checked once; what is
 computed from them, products of unitaries and event tables, is not checked
-again. One event function serves both routes: each probability is a product
-of two gate entries, and each modulus square is re * re + im * im of a
-Python complex number. Only a
-caller's gate needs numpy and the qubit engine, imported when first called;
+again. A caller's gate is read once, as its four entries (u11, u12, u21,
+u22), Python complex numbers. One event function serves both routes: each
+probability is a product of two gate entries, and each modulus square is
+re * re + im * im, the rule the sampled protocol also uses for the masses
+it draws from. Only a caller's gate needs numpy and the qubit engine,
+imported when first called, and the sampled protocol numpy for its draws;
 the order-effect, interference and reversal closed forms and the
 equivalence sweep run on ``math`` alone.
 """
@@ -227,15 +229,16 @@ def order_effect_magnitude(theta: float, phi: float) -> float:
     return -interference_term(theta, phi)
 
 
-def _gate_entries(gate: Gate | np.ndarray) -> np.ndarray:
-    """The entries of a caller's single-qubit gate, checked for unitarity."""
+def _gate_entries(gate: Gate | np.ndarray) -> list[complex]:
+    """The entries (u11, u12, u21, u22) of a caller's single-qubit gate,
+    checked for unitarity."""
     from .qubits import Gate
 
     if not isinstance(gate, Gate):
         gate = Gate(gate)
     if gate.dim != 2:
         raise ValueError("decision circuits take single-qubit gates")
-    return gate.entries
+    return gate.entries.ravel().tolist()
 
 
 def _events(a: Sequence[complex],
@@ -256,11 +259,6 @@ def _events(a: Sequence[complex],
     return (p[0], p[1], p[2], p[3]), (p[0], p[1], p[4], p[5])
 
 
-def _pair_entries(a_gate: Gate | np.ndarray,
-                  b_gate: Gate | np.ndarray) -> tuple[list[complex], list[complex]]:
-    return _gate_entries(a_gate).ravel().tolist(), _gate_entries(b_gate).ravel().tolist()
-
-
 def sequential_measurement(a_gate: Gate | np.ndarray,
                            b_gate: Gate | np.ndarray) -> EventDistribution:
     """Event probabilities of the one-qubit measure-then-continue protocol.
@@ -269,11 +267,7 @@ def sequential_measurement(a_gate: Gate | np.ndarray,
     is a product of squared entries: |a11 b11|^2, |a11 b21|^2, |a21 b12|^2
     and |a21 b22|^2.
     """
-    return unchecked(EventDistribution, *_events(*_pair_entries(a_gate, b_gate))[0])
-
-
-def _column_probabilities(column: np.ndarray) -> list[float]:
-    return (column.real * column.real + column.imag * column.imag).tolist()
+    return unchecked(EventDistribution, *_events(_gate_entries(a_gate), _gate_entries(b_gate))[0])
 
 
 def _sample_indices(probs: list[float], u: np.ndarray) -> np.ndarray:
@@ -300,9 +294,10 @@ def sequential_measurement_sampled(a_gate: Gate | np.ndarray,
         raise ValueError("trials must be at least 1")
     import numpy as np
 
-    a, b = _gate_entries(a_gate), _gate_entries(b_gate)
-    first_probs = _column_probabilities(a[:, 0])
-    second_probs = [_column_probabilities(b[:, bit]) for bit in (0, 1)]
+    (a11, _, a21, _), (b11, b12, b21, b22) = _gate_entries(a_gate), _gate_entries(b_gate)
+    # The first measurement reads A's first column; its outcome picks B's column.
+    first_probs, *second_probs = ([z.real * z.real + z.imag * z.imag for z in column]
+                                  for column in ((a11, a21), (b11, b21), (b12, b22)))
     counts = np.zeros(4, dtype=np.int64)
     for start in range(0, trials, DRAW_BLOCK):
         u = rng.random((min(DRAW_BLOCK, trials - start), 2))
@@ -316,7 +311,7 @@ def sequential_measurement_sampled(a_gate: Gate | np.ndarray,
 def entangled_circuit(a_gate: Gate | np.ndarray,
                       b_gate: Gate | np.ndarray) -> EventDistribution:
     """Event probabilities of the two-qubit circuit cnot(1) . (A x B) |00>."""
-    return unchecked(EventDistribution, *_events(*_pair_entries(a_gate, b_gate))[1])
+    return unchecked(EventDistribution, *_events(_gate_entries(a_gate), _gate_entries(b_gate))[1])
 
 
 def equivalence_check(a_gate: Gate | np.ndarray,
@@ -329,7 +324,7 @@ def equivalence_check(a_gate: Gate | np.ndarray,
     """
     if not tol > 0:
         raise ValueError("tolerance must be positive")
-    seq, ent = _events(*_pair_entries(a_gate, b_gate))
+    seq, ent = _events(_gate_entries(a_gate), _gate_entries(b_gate))
     dev = max(abs(x - y) for x, y in zip(seq, ent))
     return EquivalenceReport(unchecked(EventDistribution, *seq),
                              unchecked(EventDistribution, *ent), dev, tol, dev <= tol)

@@ -27,6 +27,13 @@ then takes the products; so an empty input returns empty, whatever k is.
 numpy is imported, when first needed, only to read such an input and to
 draw prices. The curve types, joint curves, work and oscillator quantities
 need only ``math``.
+
+A value is checked once, where a caller hands it in: by the constructor of
+a curve, a scale or an oscillator, or by ``from_oscillator`` and
+``reversal_energy`` for their omega and hbar. A quantity derived from
+checked values, such as an oscillator's mass and gamma, is only fitted to
+the float range, and the ``EntropicScale`` that ``from_oscillator`` and
+``OscillatorParams.scale`` build from such a gamma is not checked again.
 """
 from __future__ import annotations
 
@@ -36,7 +43,7 @@ from array import array
 from itertools import chain
 from typing import TYPE_CHECKING, Union
 
-from ._record import record
+from ._record import record, unchecked
 
 if TYPE_CHECKING:
     import numpy as np
@@ -142,7 +149,7 @@ class EntropicScale:
     @classmethod
     def from_oscillator(cls, omega: float = 1.0, hbar: float = 1.0) -> "EntropicScale":
         """The oscillator scale gamma = hbar * omega / 2."""
-        return cls(_oscillator_gamma(omega, hbar))
+        return unchecked(cls, _oscillator_gamma(omega, hbar))
 
 
 @record
@@ -165,14 +172,14 @@ class OscillatorParams:
 
     @property
     def gamma(self) -> float:
-        return _oscillator_gamma(self.omega, self.hbar)
+        return _fit("gamma", 0.5 * self.hbar * self.omega)
 
     @property
     def force_constant(self) -> float:
         return force_constant(self.sigma, self.gamma)
 
     def scale(self) -> EntropicScale:
-        return EntropicScale(self.gamma)
+        return unchecked(EntropicScale, self.gamma)
 
 
 @record

@@ -25,104 +25,32 @@ GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
 _WALL_TIME = re.compile(r'"wall_time_ms": [-+0-9.eE]+')
 
-CASES = {
-    "order_effect_ab.csv": [
-        "order-effect", "--theta", "0.5236", "--phi", "0.7854",
-        "--order", "ab", "--output", "csv",
-    ],
-    "order_effect_ab.json": [
-        "order-effect", "--theta", "0.5236", "--phi", "0.7854",
-        "--order", "ab", "--output", "json",
-    ],
-    "order_effect_ba.csv": [
-        "order-effect", "--theta", "0.5236", "--phi", "0.7854",
-        "--order", "ba", "--output", "csv",
-    ],
-    "order_effect_ba.json": [
-        "order-effect", "--theta", "0.5236", "--phi", "0.7854",
-        "--order", "ba", "--output", "json",
-    ],
-    "interference.csv": [
-        "interference", "--theta", "0.5236", "--phi", "0.7854",
-        "--output", "csv",
-    ],
-    "interference.json": [
-        "interference", "--theta", "0.5236", "--phi", "0.7854",
-        "--output", "json",
-    ],
-    "reversal.csv": [
-        "reversal", "--x1", "1.5", "--x2", "4.0", "--output", "csv",
-    ],
-    "reversal.json": [
-        "reversal", "--x1", "1.5", "--x2", "4.0", "--output", "json",
-    ],
-    "equivalence.csv": [
-        "equivalence", "--trials", "5", "--seed", "7", "--output", "csv",
-    ],
-    "equivalence.json": [
-        "equivalence", "--trials", "5", "--seed", "7", "--output", "json",
-    ],
-    "oscillator.csv": [
-        "oscillator", "--sigma", "0.25", "--omega", "2.0", "--output", "csv",
-    ],
-    "oscillator.json": [
-        "oscillator", "--sigma", "0.25", "--omega", "2.0", "--output", "json",
-    ],
-    "force_grid.csv": [
-        "force", "--mean-price", "1.0", "--sigma", "0.25", "--gamma", "1.0",
-        "--grid", "0.5:2.0:9", "--output", "csv",
-    ],
-    "joint_grid.csv": [
-        "joint", "--buyer-mean-price", "1.05", "--buyer-sigma", "0.1",
-        "--seller-mean-price", "0.95", "--seller-sigma", "0.1",
-        "--gamma", "1.0", "--grid", "0.8:1.25:11", "--output", "csv",
-    ],
-    "force_grid.json": [
-        "force", "--mean-price", "1.0", "--sigma", "0.25", "--gamma", "1.0",
-        "--grid", "0.5:2.0:9", "--output", "json",
-    ],
-    "force_point.csv": [
-        "force", "--mean-price", "1.0", "--sigma", "0.25", "--gamma", "1.0",
-        "--price", "1.2", "--output", "csv",
-    ],
-    "force_point.json": [
-        "force", "--mean-price", "1.0", "--sigma", "0.25", "--gamma", "1.0",
-        "--price", "1.2", "--output", "json",
-    ],
-    "joint_fixed.csv": [
-        "joint", "--buyer-mean-price", "1.05", "--buyer-sigma", "0.1",
-        "--seller-fixed-price", "0.95", "--output", "csv",
-    ],
-    "joint_fixed.json": [
-        "joint", "--buyer-mean-price", "1.05", "--buyer-sigma", "0.1",
-        "--seller-fixed-price", "0.95", "--output", "json",
-    ],
-    "joint_grid.json": [
-        "joint", "--buyer-mean-price", "1.05", "--buyer-sigma", "0.1",
-        "--seller-mean-price", "0.95", "--seller-sigma", "0.1",
-        "--gamma", "1.0", "--grid", "0.8:1.25:11", "--output", "json",
-    ],
-    "work.csv": [
-        "work", "--mean-price", "1.0", "--sigma", "0.25",
-        "--price1", "1.2", "--price2", "1.0", "--gamma", "1.0",
-        "--output", "csv",
-    ],
-    "work.json": [
-        "work", "--mean-price", "1.0", "--sigma", "0.25",
-        "--price1", "1.2", "--price2", "1.0", "--gamma", "1.0",
-        "--output", "json",
-    ],
-    "sample.csv": [
-        "sample", "--trials", "5", "--buyer-mean-price", "1.05",
-        "--buyer-sigma", "0.1", "--seller-mean-price", "0.95",
-        "--seller-sigma", "0.1", "--seed", "3", "--output", "csv",
-    ],
-    "sample.json": [
-        "sample", "--trials", "5", "--buyer-mean-price", "1.05",
-        "--buyer-sigma", "0.1", "--seller-mean-price", "0.95",
-        "--seller-sigma", "0.1", "--seed", "3", "--output", "json",
-    ],
+# Each golden call, written once; CASES runs it in both output formats.
+CALLS = {
+    "order_effect_ab": ["order-effect", "--theta", "0.5236", "--phi", "0.7854", "--order", "ab"],
+    "order_effect_ba": ["order-effect", "--theta", "0.5236", "--phi", "0.7854", "--order", "ba"],
+    "interference": ["interference", "--theta", "0.5236", "--phi", "0.7854"],
+    "reversal": ["reversal", "--x1", "1.5", "--x2", "4.0"],
+    "equivalence": ["equivalence", "--trials", "5", "--seed", "7"],
+    "oscillator": ["oscillator", "--sigma", "0.25", "--omega", "2.0"],
+    "force_grid": ["force", "--mean-price", "1.0", "--sigma", "0.25", "--gamma", "1.0",
+                   "--grid", "0.5:2.0:9"],
+    "force_point": ["force", "--mean-price", "1.0", "--sigma", "0.25", "--gamma", "1.0",
+                    "--price", "1.2"],
+    "joint_grid": ["joint", "--buyer-mean-price", "1.05", "--buyer-sigma", "0.1",
+                   "--seller-mean-price", "0.95", "--seller-sigma", "0.1",
+                   "--gamma", "1.0", "--grid", "0.8:1.25:11"],
+    "joint_fixed": ["joint", "--buyer-mean-price", "1.05", "--buyer-sigma", "0.1",
+                    "--seller-fixed-price", "0.95"],
+    "work": ["work", "--mean-price", "1.0", "--sigma", "0.25",
+             "--price1", "1.2", "--price2", "1.0", "--gamma", "1.0"],
+    "sample": ["sample", "--trials", "5", "--buyer-mean-price", "1.05",
+               "--buyer-sigma", "0.1", "--seller-mean-price", "0.95",
+               "--seller-sigma", "0.1", "--seed", "3"],
 }
+
+CASES = {f"{name}.{fmt}": [*argv, "--output", fmt]
+         for name, argv in CALLS.items() for fmt in ("csv", "json")}
 
 
 def mask_timing(text: str) -> str:

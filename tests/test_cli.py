@@ -227,6 +227,46 @@ def test_sample_fixed_price_is_constant():
     assert [row[2] for row in rows] == ["1.25"] * 4
 
 
+def test_buyer_fixed_price_is_the_buyer_point_mass():
+    """A fixed buyer price pins the buyer side; the seller's curve is the
+    flexible one, read at the fixed log-price."""
+    price, pair = 1.2, ["--buyer-fixed-price", "1.2", "--seller-mean-price", "1.1",
+                        "--seller-sigma", "0.2"]
+    code, text = run_cli(["joint", *pair])
+    assert code == 0
+    results = strict_json(text)["results"]
+    x = float(format(math.log(price), ".12g"))
+    assert results["buyer"] == results["joint"] == {"kind": "point_mass", "x": x,
+                                                    "price": price}
+    assert results["seller"]["kind"] == "gaussian"
+    seller = propensity.GaussianCurve(math.log(1.1), 0.2)
+    assert results["scale"] == float(format(propensity.density(seller, math.log(price)),
+                                            ".12g"))
+    code, text = run_cli(["sample", "--trials", "3", *pair, "--seed", "0"])
+    assert code == 0
+    assert strict_json(text)["results"]["log_prices"] == [x] * 3
+
+
+@pytest.mark.parametrize("scale, gamma", [
+    ([], 0.5),
+    (["--gamma", "0.7"], 0.7),
+    (["--omega", "3"], 1.5),
+    (["--hbar", "0.5"], 0.25),
+    (["--omega", "3", "--hbar", "0.5"], 0.75),
+], ids=["none", "gamma", "omega", "hbar", "omega and hbar"])
+@pytest.mark.parametrize("argv", [
+    ["force", "--mean-price", "1", "--sigma", "0.25", "--price", "1.2"],
+    ["work", "--mean-price", "1", "--sigma", "0.25", "--price1", "1.2", "--price2", "1"],
+    ["joint", "--buyer-mean-price", "1", "--buyer-sigma", "0.1", "--seller-mean-price", "1.1",
+     "--seller-sigma", "0.2", "--grid", "0.9:1.2:3"],
+], ids=["force", "work", "joint grid"])
+def test_printed_gamma_is_the_given_or_the_oscillator_scale(argv, scale, gamma):
+    """gamma as given, or hbar * omega / 2 with 1 for each factor not given."""
+    code, text = run_cli([*argv, *scale])
+    assert code == 0
+    assert strict_json(text)["results"]["gamma"] == gamma
+
+
 def test_sample_csv_and_json_prices_agree():
     # Seed 573 draws a log-price at row 304 whose price math.exp and np.exp
     # round differently at 12 digits; both formats now print the np.exp one.
@@ -826,11 +866,15 @@ def test_caps_admit_their_own_size():
 
 
 def test_point_mass_joint_grid_exits_2(capsys):
-    code, _ = run_cli(["joint", "--buyer-mean-price", "1.0",
-                       "--buyer-sigma", "0.1", "--seller-fixed-price", "1.1",
-                       "--gamma", "1.0", "--grid", "0.9:1.2:5",
-                       "--output", "csv"])
-    assert code == 2
+    """Refused by the usage rule, before a point mass reaches the model."""
+    for fixed_side, curve_side in (("seller", "buyer"), ("buyer", "seller")):
+        code, _ = run_cli(["joint", f"--{curve_side}-mean-price", "1.0",
+                           f"--{curve_side}-sigma", "0.1", f"--{fixed_side}-fixed-price", "1.1",
+                           "--gamma", "1.0", "--grid", "0.9:1.2:5",
+                           "--output", "csv"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "qprop: error: curve output needs two Gaussian curves, not a fixed price\n")
 
 
 # ============================================================

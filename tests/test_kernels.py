@@ -277,6 +277,35 @@ class FixedDraw:
         return self.u
 
 
+class Draws:
+    """A generator stand-in that hands out the given uniforms in order: one
+    at a time, or as an array of the shape asked for, filled row by row."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self, size=None):
+        if size is None:
+            return self.values.pop(0)
+        n = math.prod(size)
+        taken, self.values = self.values[:n], self.values[n:]
+        return np.array(taken).reshape(size)
+
+
+def test_second_measurement_weighs_the_column_of_the_first_outcome():
+    """Gate B's column picked by the first outcome, not its row, weighs the
+    second measurement. Unitarity makes |b12|^2 equal |b21|^2 only to the
+    gate tolerance, so a draw between the two tells them apart."""
+    c, s, delta = math.cos(0.7), math.sin(0.7), 4e-11
+    b = Gate(np.array([[c, -s], [s + delta, c]]))      # unitary within 1e-10
+    # Above hadamard's 1/2 the first outcome is 1; the second draw lies
+    # between |b12|^2 and |b21|^2.
+    draws = [0.75, 0.5 * (s * s + (s + delta) ** 2)]
+    want = oracle_sampled(hadamard(), b, 1, Draws(draws))
+    got = sequential_measurement_sampled(hadamard(), b, 1, Draws(draws))
+    assert got.as_tuple() == want == (0.0, 0.0, 0.0, 1.0)
+
+
 @pytest.mark.parametrize("probs", [
     (0.0, 1.0), (1.0, 0.0), (0.3, 0.7), (0.5, 0.4999999999999999),
     (0.9999999999999998, 0.0), (0.0, 0.9999999999999998)])

@@ -129,7 +129,7 @@ def test_grid_config_loads_no_numpy(tmp_path):
     ("grid cap", f"qprop: error: grid needs at most {MAX_ROWS} points\n"),
     ("trials cap", f"qprop: error: trials must be at most {MAX_ROWS}\n"),
     ("pairs cap", f"qprop: error: trials must be at most {MAX_ROWS}\n"),
-])
+], ids=["grid cap", "trials cap", "pairs cap"])
 def test_size_caps_are_checked_before_anything_is_built(kind, message):
     """One past a cap exits 2 before numpy is loaded, so nothing was allocated."""
     code, out, err, loaded = run_probe(*REJECTED[kind])
