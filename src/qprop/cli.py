@@ -24,17 +24,16 @@ numpy's PCG64 stream and ziggurat on the standard library.
 
 Output is formatted and written at most CHUNK_ROWS rows at a time. An output
 of more than CHUNK_ROWS rows is cut into an even number of equal chunks and
-formatted on two cores: once every check has passed, the call forks once,
-the child formats every second chunk into a pipe, and this process formats
-the others and writes all of them in order. The bytes are those a single
-process writes, and the child never outlives the call.
+formatted on two cores: once every check has passed, _forked starts one
+child, which formats every second chunk, while this process formats the
+others and writes them all in order, the bytes a single process writes.
 
 main is the request path, one stage after another: parse the flags or read
 the config, resolve the seed, check each value and then their combinations,
 load the model module, compute, scan the results for values beyond the float
 range, write, and last report a model failure. Text for stdout, a record or
 that of --help and --version, is written and flushed by _output alone. run is
-the process entry: it leaves by os._exit.
+the process entry: it leaves by os._exit, or dies by SIGINT on an interrupt.
 """
 from __future__ import annotations
 
@@ -699,87 +698,76 @@ def _json_pieces(value, indent: str = "\n"):
         yield json.dumps(value)
 
 
-def _send(fd: int, data: bytes) -> None:
-    view = memoryview(data)
-    while view:
-        view = view[os.write(fd, view):]
+@contextlib.contextmanager
+def _forked(calls: list):
+    """Run calls in order in a forked child, and yield an iterator over the
+    texts they return, each sent down a pipe after its length in 8 bytes; it
+    ends at a short read. Where calls is empty, the platform has no fork, or
+    the pipe or the fork fails, nothing starts and the iterator is empty.
 
-
-def _fork_formatter(chunks: list):
-    """(pid, stream) of a forked child that formats chunks in order and sends
-    each text down a pipe, length-prefixed; (0, None) where no child starts.
-
-    The child does nothing else: it touches no output handle and leaves by
-    os._exit on every path, so no buffer is flushed and no atexit hook runs
-    twice. A write to a parent that is gone fails with EPIPE and ends it.
+    The child touches no output handle and leaves by os._exit on every path,
+    so no buffer is flushed and no atexit hook runs twice; a write to a
+    parent that is gone fails with EPIPE and ends it. However the with block
+    ends, the child is killed if it still runs, and reaped.
     """
-    try:
-        read_fd, write_fd = os.pipe()
-    except OSError:
-        return 0, None
-    try:
-        with warnings.catch_warnings():    # Python 3.12+ warns of a caller's threads
-            warnings.simplefilter("ignore", DeprecationWarning)
-            pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        return 0, None
+    fds, pid = (), -1
+    if calls and hasattr(os, "fork"):
+        try:
+            fds = read_fd, write_fd = os.pipe()
+            with warnings.catch_warnings():    # Python 3.12+ warns of a caller's threads
+                warnings.simplefilter("ignore", DeprecationWarning)
+                pid = os.fork()
+        except OSError:
+            for fd in fds:
+                os.close(fd)
+    if pid < 0:
+        yield iter(())
+        return
     if pid == 0:
         try:
             import gc
 
             gc.disable()                   # no finalizer of the parent's garbage runs here
             os.close(read_fd)
-            for chunk in chunks:
-                data = chunk().encode()
-                _send(write_fd, len(data).to_bytes(8, "big"))
-                _send(write_fd, data)
+            with open(write_fd, "wb") as pipe:
+                for call in calls:
+                    data = call().encode()
+                    pipe.write(len(data).to_bytes(8, "big") + data)
         finally:
             os._exit(0)
-    os.close(write_fd)
-    return pid, open(read_fd, "rb")
 
+    def texts(stream):
+        while len(head := stream.read(8)) == 8:
+            size = int.from_bytes(head, "big")
+            if len(data := stream.read(size)) < size:
+                return
+            yield data.decode()
 
-def _receive(stream) -> str | None:
-    """The next text from _fork_formatter's stream; None once it has ended."""
-    head = stream.read(8)
-    if len(head) < 8:
-        return None
-    size = int.from_bytes(head, "big")
-    data = stream.read(size)
-    return data.decode() if len(data) == size else None
+    try:
+        os.close(write_fd)
+        with open(read_fd, "rb") as stream:
+            yield texts(stream)
+    finally:
+        os.kill(pid, 9)                    # SIGKILL: an exited child is a zombie until reaped
+        os.waitpid(pid, 0)
 
 
 def _emit(pieces: list, write: Callable[[str], object], rows: int) -> None:
     """Write pieces in order: a str as it is, a chunk (a callable) as the text
-    it returns.
-
-    An output of more than CHUNK_ROWS rows is formatted on two cores: a
-    forked child formats every second chunk and this process the others, and
-    each chunk is written in its place. If the child's stream ends early,
-    this process formats the rest itself, so the bytes written are the same
-    whatever happens to the child. Each process holds about two chunks of
-    text at a time. However this returns or raises, the child is killed if
-    it still runs, and reaped.
+    it returns. Above CHUNK_ROWS rows, the child of _forked formats every
+    second chunk and this process the others; once the child's texts end,
+    early or not, this process formats the rest, so the bytes are the same
+    whatever happens to the child. Each process holds about two chunks.
     """
     chunks = [piece for piece in pieces if not isinstance(piece, str)]
-    pid, stream = (_fork_formatter(chunks[1::2]) if rows > CHUNK_ROWS and hasattr(os, "fork")
-                   else (0, None))
-    try:
+    with _forked(chunks[1::2] if rows > CHUNK_ROWS else []) as texts:
         theirs = False
         for piece in pieces:
             if not isinstance(piece, str):
-                text = _receive(stream) if theirs and stream is not None else None
+                text = next(texts, None) if theirs else None
                 piece = piece() if text is None else text
                 theirs = not theirs
             write(piece)
-    finally:
-        if stream is not None:
-            stream.close()
-        if pid:
-            os.kill(pid, 9)                # SIGKILL: an exited child is a zombie until reaped
-            os.waitpid(pid, 0)
 
 
 def _output(pieces: list, rows: int, out_path: str | None) -> None:
@@ -915,13 +903,24 @@ def run() -> NoReturn:
     garbage collection at exit, so atexit hooks do not run: a tool that acts
     at interpreter exit should call main in process. main has flushed stdout
     through _output, or reported that it could not, so nothing is left to
-    report here.
+    report here. An interrupt (Ctrl-C) prints the one line "qprop:
+    interrupted" and the process dies by SIGINT, so that a calling shell loop
+    stops too; main raises it to an in-process caller.
     """
-    code = main()
+    try:
+        code = main()
+    except KeyboardInterrupt:
+        code = None
+        print("qprop: interrupted", file=sys.stderr)
     for stream in (sys.stdout, sys.stderr):
         with contextlib.suppress(AttributeError, OSError):   # closed, or nowhere to tell
             stream.flush()
-    os._exit(code)
+    if code is None:
+        import signal
+
+        signal.signal(signal.SIGINT, signal.SIG_DFL)
+        signal.raise_signal(signal.SIGINT)
+    os._exit(130 if code is None else code)   # 128 + SIGINT, where the signal is blocked
 
 
 if __name__ == "__main__":

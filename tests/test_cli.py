@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import itertools
 import json
@@ -6,9 +7,11 @@ import math
 import os
 import pathlib
 import re
+import signal
 import subprocess
 import sys
 import time
+import warnings
 from array import array
 
 import numpy as np
@@ -1233,6 +1236,54 @@ def test_every_entry_leaves_by_os_exit(entry):
         assert (proc.stdout or proc.stderr).startswith("qprop")
 
 
+# A run whose model is interrupted before it has written anything.
+INTERRUPTED = """\
+import sys
+from qprop import cli
+def interrupted(params):
+    raise KeyboardInterrupt
+command = cli.COMMANDS["oscillator"]
+cli.COMMANDS["oscillator"] = cli.Command(command.help, command.params, interrupted,
+                                         command.modules)
+sys.argv[1:] = ["oscillator", "--sigma", "0.3"]
+cli.run()
+"""
+# python -m qprop with Python's own SIGINT handler, which it installs only where
+# SIGINT is not ignored, as it is for a background job of a shell.
+WITH_INT_HANDLER = ("import signal; signal.signal(signal.SIGINT, signal.default_int_handler); "
+                    + ENTRIES["python -m qprop"])
+
+
+def test_an_interrupt_ends_a_process_with_one_line_and_sigint(monkeypatch):
+    """main raises the interrupt to an in-process caller; run reports it and
+    dies by SIGINT."""
+    def interrupted(params):
+        raise KeyboardInterrupt
+
+    command = cli.COMMANDS["oscillator"]
+    monkeypatch.setitem(cli.COMMANDS, "oscillator",
+                        cli.Command(command.help, command.params, interrupted, command.modules))
+    with pytest.raises(KeyboardInterrupt):
+        main(["oscillator", "--sigma", "0.3"])
+    code, out, err = run_alone([sys.executable, "-c", INTERRUPTED], stdout=subprocess.PIPE)
+    assert (code, out, err) == (-signal.SIGINT, "", "qprop: interrupted\n")
+
+
+@pytest.mark.skipif(os.name != "posix", reason="sends SIGINT to a process group")
+def test_ctrl_c_during_a_split_write_leaves_no_process():
+    """SIGINT to the call's process group once its output starts, while the
+    forked formatter runs: one line, death by SIGINT, nothing left behind."""
+    argv = [sys.executable, "-c", WITH_INT_HANDLER, *split_argv("force", 2_000_000, "csv")]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          start_new_session=True) as proc:
+        assert proc.stdout.read(1) == b"x"
+        os.killpg(proc.pid, signal.SIGINT)
+        _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (-signal.SIGINT, b"qprop: interrupted\n")
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
 @pytest.mark.parametrize("flag", ["--help", "--version"])
 def test_text_left_in_the_stdout_buffer_that_cannot_be_written_exits_2(flag):
@@ -1680,4 +1731,69 @@ def test_a_parent_that_fails_early_kills_a_child_held_in_a_chunk(monkeypatch):
         cli._emit(["head", lambda: "fast", slow], write, CHUNK_ROWS + 1)
     assert time.perf_counter() - start < 1.0
     assert len(forks) == 1
+    assert_no_child()
+
+
+# Two split writes, the second with a chunk that raises in the child. The last
+# write waits until the child has exited, without reaping it, so a child that
+# went on to run atexit hooks or flush stdout would be seen doing so.
+CHILD_EXIT = """\
+import atexit, os, sys
+from qprop import cli
+parent, fork, pids, written = os.getpid(), os.fork, [], []
+def counted():
+    pids.append(fork())
+    return pids[-1]
+def chunk():
+    if os.getpid() != parent:
+        raise RuntimeError("in the child")
+    return "c"
+def write(text):
+    if text == "end":
+        os.waitid(os.P_PID, pids[-1], os.WEXITED | os.WNOWAIT)
+    written.append(text)
+os.fork = counted
+atexit.register(lambda: os.write(2, b"atexit ran"))
+sys.stdout.write("buffered at the fork ")
+for pieces in (["head", lambda: "a", lambda: "b", "end"], ["head", lambda: "a", chunk, "end"]):
+    cli._emit(pieces, write, cli.CHUNK_ROWS + 1)
+print(" ".join(written), len(pids), flush=True)
+os._exit(0)
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "waitid"), reason="needs os.waitid")
+def test_the_child_leaves_by_os_exit_on_every_path():
+    """After its last chunk and after a chunk that raises, the child runs no
+    atexit hook and flushes no copy of stdout; this process formats the chunk
+    the child did not send."""
+    code, out, err = run_alone([sys.executable, "-c", CHILD_EXIT], stdout=subprocess.PIPE)
+    assert (code, out, err) == (0, "buffered at the fork head a b end head a c end 2\n", "")
+
+
+def test_no_pipe_end_outlives_a_split_call(monkeypatch, capsys):
+    """A split call that succeeds, one whose child dies at once and one whose
+    write fails each close the read end of their pipe: no file is left for a
+    finalizer to report."""
+    argv = split_argv("force", CHUNK_ROWS + 1, "csv")
+    formatter, parent = cli._csv_rows, os.getpid()
+
+    def dies(row, columns):
+        if os.getpid() != parent:
+            os._exit(3)
+        return formatter(row, columns)
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        assert run_cli(argv)[0] == 0
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_csv_rows", dies)
+            assert run_cli(argv)[0] == 0
+        with monkeypatch.context() as patch:
+            patch.setattr(sys, "stdout", FakeStdout(fail_at=2))
+            assert main(argv) == 2
+        gc.collect()
+    assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
+    assert capsys.readouterr().err == (
+        "qprop: error: cannot write output: [Errno 28] No space left on device\n")
     assert_no_child()
