@@ -27,6 +27,8 @@ of more than CHUNK_ROWS rows is cut into an even number of equal chunks and
 formatted on two cores: once every check has passed, _forked starts one
 child, which formats every second chunk, while this process formats the
 others and writes them all in order, the bytes a single process writes.
+The child runs on the upper half of this thread's CPUs, and where the
+thread may run on one CPU only, no child starts (see _forked).
 
 main is the request path, one stage after another: parse the flags or read
 the config, resolve the seed, check each value and then their combinations,
@@ -702,16 +704,31 @@ def _json_pieces(value, indent: str = "\n"):
 def _forked(calls: list):
     """Run calls in order in a forked child, and yield an iterator over the
     texts they return, each sent down a pipe after its length in 8 bytes; it
-    ends at a short read. Where calls is empty, the platform has no fork, or
-    the pipe or the fork fails, nothing starts and the iterator is empty.
+    ends at a short read. Where calls is empty, the platform has no fork, the
+    calling thread may run on one CPU only, or the pipe or the fork fails,
+    nothing starts and the iterator is empty: one CPU cannot run two
+    processes at once.
+
+    The child binds itself to the upper half of the calling thread's CPUs;
+    this thread keeps its own set. Left alone, the kernel of a 2-vCPU
+    x86-64 VM kept a new child on its parent's CPU for its first few
+    hundred ms, so the two shared one core: the six large calls of
+    perfbench's grid_render took 947 ms with the child unplaced against
+    862 ms placed (summed, mean of 30 alternating os.wait4 rounds; 957
+    against 863 ms in 40 more). Binding this thread to the lower half as
+    well read the same (853 and 874 ms). Where the platform has no
+    sched_setaffinity (macOS), the child starts unplaced.
 
     The child touches no output handle and leaves by os._exit on every path,
     so no buffer is flushed and no atexit hook runs twice; a write to a
     parent that is gone fails with EPIPE and ends it. However the with block
     ends, the child is killed if it still runs, and reaped.
     """
-    fds, pid = (), -1
-    if calls and hasattr(os, "fork"):
+    fds, pid, cpus = (), -1, []
+    if calls and hasattr(os, "sched_setaffinity"):
+        with contextlib.suppress(OSError):
+            cpus = sorted(os.sched_getaffinity(0))
+    if calls and hasattr(os, "fork") and len(cpus) != 1:
         try:
             fds = read_fd, write_fd = os.pipe()
             with warnings.catch_warnings():    # Python 3.12+ warns of a caller's threads
@@ -728,6 +745,9 @@ def _forked(calls: list):
             import gc
 
             gc.disable()                   # no finalizer of the parent's garbage runs here
+            if cpus:                       # a hint: the bytes are the same wherever it runs
+                with contextlib.suppress(OSError):
+                    os.sched_setaffinity(0, cpus[len(cpus) // 2:])
             os.close(read_fd)
             with open(write_fd, "wb") as pipe:
                 for call in calls:

@@ -31,11 +31,14 @@ IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_c
                                 ".benchmarks")
 
 CLI = "src/qprop/cli.py"
+PROPENSITY = "src/qprop/propensity.py"
+DECISION = "src/qprop/decision.py"
 TEST_CLI = "tests/test_cli.py::"
 CHILD_EXIT = TEST_CLI + "test_the_child_leaves_by_os_exit_on_every_path"
 
 # The output stage: the forked formatter child, its pipe and the chunks, the
-# interrupt and the number formats.
+# interrupt and the number formats; where the two processes run; and the
+# scale, pair and grid rules of the models.
 MUTANTS = [
     # The child leaves by interpreter exit, or goes on as a second caller.
     (CLI, "os._exit(0)", "sys.exit(0)", CHILD_EXIT),
@@ -70,6 +73,27 @@ MUTANTS = [
      TEST_CLI + "test_column_formatter_matches_per_value_route"),
     (CLI, 'for letter in "en":', 'for letter in "n":',
      TEST_CLI + "test_column_formatter_matches_per_value_route"),
+    # The child stays on this thread's CPUs, or one CPU is asked to run two
+    # processes.
+    (CLI, "os.sched_setaffinity(0, cpus[len(cpus) // 2:])", "pass",
+     TEST_CLI + "test_the_child_runs_on_the_upper_half_of_the_cpus"),
+    (CLI, " and len(cpus) != 1", "", TEST_CLI + "test_one_cpu_runs_a_large_call_in_one_process"),
+    # hbar defaults to 2; a buyer's fixed price is put on the seller side; a
+    # point-mass joint reaches the grid; gamma loses its 0.5; the sampled
+    # protocol reads B's rows for its columns.
+    (PROPENSITY, "def from_oscillator(cls, omega: float = 1.0, hbar: float = 1.0)",
+     "def from_oscillator(cls, omega: float = 1.0, hbar: float = 2.0)",
+     TEST_CLI + "test_printed_gamma_is_the_given_or_the_oscillator_scale"),
+    (CLI, 'fixed = "seller" if "buyer" in curves else "buyer"',
+     'fixed = "buyer" if "buyer" in curves else "seller"',
+     TEST_CLI + "test_buyer_fixed_price_is_the_buyer_point_mass"),
+    (CLI, 'if model == "joint" and grid is not None and any(', "if False and any(",
+     TEST_CLI + "test_point_mass_joint_grid_exits_2"),
+    (PROPENSITY, '_fit("gamma", 0.5 * self.hbar * self.omega)',
+     '_fit("gamma", self.hbar * self.omega)',
+     "tests/test_acceptance.py::test_criterion_7_oscillator_closure"),
+    (DECISION, "(b11, b21), (b12, b22)", "(b11, b12), (b21, b22)",
+     "tests/test_kernels.py::test_second_measurement_weighs_the_column_of_the_first_outcome"),
 ]
 
 

@@ -1627,7 +1627,9 @@ def serial_text(monkeypatch, argv):
 
 
 def counted_forks(monkeypatch):
-    """The list that each os.fork call of this process appends to."""
+    """The list that each os.fork call of this process appends to. The
+    calling thread is seen to have two CPUs, so the count is the same on any
+    host."""
     forks, fork = [], os.fork
 
     def counting():
@@ -1635,6 +1637,7 @@ def counted_forks(monkeypatch):
         return fork()
 
     monkeypatch.setattr(os, "fork", counting)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     return forks
 
 
@@ -1797,3 +1800,41 @@ def test_no_pipe_end_outlives_a_split_call(monkeypatch, capsys):
     assert capsys.readouterr().err == (
         "qprop: error: cannot write output: [Errno 28] No space left on device\n")
     assert_no_child()
+
+
+# ============================================================
+# Where the two processes run
+# ============================================================
+
+placed = pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="places processes with sched_setaffinity on two CPUs or more")
+
+
+def cpus():
+    return sorted(os.sched_getaffinity(0))
+
+
+@placed
+def test_the_child_runs_on_the_upper_half_of_the_cpus():
+    """During a split the child runs on the upper half of this thread's CPUs,
+    and this thread keeps them all, then and after."""
+    own, written = cpus(), []
+    cli._emit(["head", lambda: repr(cpus()), lambda: repr(cpus())], written.append,
+              CHUNK_ROWS + 1)
+    assert written == ["head", repr(own), repr(own[len(own) // 2:])]
+    assert cpus() == own
+    assert_no_child()
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no sched_setaffinity")
+def test_one_cpu_runs_a_large_call_in_one_process(monkeypatch):
+    """Where this thread may run on one CPU only, a 20,000-row call starts no
+    child, and prints what the serial route prints."""
+    argv = split_argv("force", 20_000, "csv")
+    expected = serial_text(monkeypatch, argv)
+    forks = counted_forks(monkeypatch)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    code, text = run_cli(argv)
+    assert (code, mask_timing(text)) == (0, expected)
+    assert forks == []
