@@ -18,24 +18,28 @@ available, or output that cannot be written, included).
 A call imports only what it computes with: every usage error is decided
 before a model module is loaded, and a command loads its own model module
 (decision or propensity) alone, and json only to write JSON; no call loads
-numpy. A --grid is computed with math into array('d') columns, and
-equivalence draws its gates and sample its normal draws from qprop._draws,
-numpy's PCG64 stream and ziggurat on the standard library.
+numpy. A --grid is computed with math into array('d') columns, a chunk's
+rows at a time where they are written (see _Column), and equivalence draws
+its gates and sample its normal draws from qprop._draws, numpy's PCG64
+stream and ziggurat on the standard library.
 
 Output is formatted and written at most CHUNK_ROWS rows at a time. An output
 of more than CHUNK_ROWS rows is cut into an even number of equal chunks and
-formatted on two cores: once every check has passed, _forked starts one
-child, which formats every second chunk, while this process formats the
-others and writes them all in order, the bytes a single process writes.
-The child runs on the upper half of this thread's CPUs, and where the
-thread may run on one CPU only, no child starts (see _forked).
+computed and formatted on two cores: _forked starts one child, which
+evaluates and checks the grid rows of every second chunk, sends its verdict
+and formats those chunks, while this process does the same for the others.
+Once both halves have passed the check, this process opens the output and
+writes the chunks in order, the bytes a single process writes. This process
+places the child on its CPUs but its own, and where it may run on one CPU
+only, no child starts (see _forked).
 
 main is the request path, one stage after another: parse the flags or read
 the config, resolve the seed, check each value and then their combinations,
-load the model module, compute, scan the results for values beyond the float
-range, write, and last report a model failure. Text for stdout, a record or
-that of --help and --version, is written and flushed by _output alone. run is
-the process entry: it leaves by os._exit, or dies by SIGINT on an interrupt.
+load the model module, compute, write (which first evaluates a grid and
+scans the results for values beyond the float range; see _write), and last
+report a model failure. Text for stdout, a record or that of --help and
+--version, is written and flushed by _output alone. run is the process
+entry: it leaves by os._exit, or dies by SIGINT on an interrupt.
 """
 from __future__ import annotations
 
@@ -61,8 +65,9 @@ if TYPE_CHECKING:
 
 # Largest grid (N of LO:HI:N) and largest posint: sample's draws and
 # equivalence's gate pairs. Grid points and draws are output rows, written in
-# chunks, so what grows is the computed columns: a 1e6-row force grid peaks at
-# about 60 MB, a joint grid at 90 MB. Gate pairs hold no memory but CPU time.
+# chunks, so what grows is the computed columns, of which each process holds
+# its half: a 1e6-row force grid peaks at about 40 MB, a joint grid at 55 MB.
+# Gate pairs hold no memory but CPU time.
 MAX_ROWS = 2_000_000
 
 # Rows (or array values) formatted and written at a time: one chunk's text is
@@ -133,10 +138,13 @@ def _fmt(value) -> str:
 
 
 def _column_format(column) -> str:
-    """The %-format of a column's cells: %.12g for a float column (an
-    array('d'), as grids and samples are), %d for a row index (a range), and
-    %s for any other column, whose cells _write has turned into _fmt text."""
-    return "%.12g" if isinstance(column, array) else "%d" if isinstance(column, range) else "%s"
+    """The %-format of a column's cells: %.12g for a float column (a
+    sample's array('d') or a grid's _Column), %d for a row index (a range),
+    and %s for any other column, whose cells _write has turned into _fmt
+    text."""
+    if isinstance(column, (array, _Column)):
+        return "%.12g"
+    return "%d" if isinstance(column, range) else "%s"
 
 
 def _csv_rows(row: str, columns: list) -> str:
@@ -250,20 +258,54 @@ def _grid_bounds(spec: str) -> tuple[float, float, int]:
     return lo, hi, n
 
 
-def _grid_columns(spec: str) -> tuple[array, array]:
-    """The log-price and price columns of a checked LO:HI:N grid.
+@record(eq=False)
+class _Column:
+    """One column of a --grid, evaluated a span of rows at a time where it is
+    formatted: column[start:stop] is its values at rows [start, stop).
 
-    x_i = i * step + log(LO), with the last point log(HI): the points of
-    np.linspace(log(LO), log(HI), N), bit for bit.
+    block(start, stop) gives every column of the grid at those rows, and
+    block(0, rows) the whole grid, column after column: the serial route.
+    held, which the grid's columns share, keeps the blocks this process has
+    evaluated, by span."""
+    rows: int
+    index: int
+    block: Callable[[int, int], list]
+    held: dict
+
+    def __len__(self) -> int:
+        return self.rows
+
+    def __getitem__(self, rows: slice) -> array:
+        return self.span(rows.start, rows.stop)[self.index]
+
+    def span(self, start: int, stop: int) -> list:
+        """Every column of the grid at rows [start, stop), evaluated once."""
+        if (start, stop) not in self.held:
+            self.held[start, stop] = self.block(start, stop)
+        return self.held[start, stop]
+
+
+def _grid(spec: str, names: tuple, evaluate: Callable[[array], list]) -> dict:
+    """The _Columns x, price and names of a checked LO:HI:N grid, by name;
+    evaluate(x) gives the named columns at the log-prices x, an array('d').
+
+    x_j = j * step + log(LO), with the last row log(HI): the points of
+    np.linspace(log(LO), log(HI), N), bit for bit, whatever span holds them.
     """
     lo, hi, n = _grid_bounds(spec)
     start, stop = math.log(lo), math.log(hi)
     step = (stop - start) / (n - 1)
-    x = array("d")
-    for i in range(0, n, CHUNK_ROWS):
-        x.fromlist([j * step + start for j in range(i, min(i + CHUNK_ROWS, n))])
-    x[-1] = stop
-    return x, array("d", map(math.exp, x))
+
+    def block(first: int, last: int) -> list:
+        x = array("d")
+        for i in range(first, last, CHUNK_ROWS):
+            x.fromlist([j * step + start for j in range(i, min(i + CHUNK_ROWS, last))])
+        if last == n:
+            x[-1] = stop
+        return [x, array("d", map(math.exp, x)), *evaluate(x)]
+
+    held: dict = {}
+    return {name: _Column(n, i, block, held) for i, name in enumerate(("x", "price", *names))}
 
 
 def _exp(value: float) -> float:
@@ -362,9 +404,8 @@ def _exec_force(params: dict) -> CommandResult:
         results.update(x=x, price=params["price"], density=propensity.density(curve, x),
                        force=propensity.entropic_force(curve, x, scale))
         return CommandResult(results)
-    x, prices = _grid_columns(params["grid"])
-    results["columns"] = {"x": x, "price": prices, "density": propensity.density(curve, x),
-                          "force": propensity.entropic_force(curve, x, scale)}
+    results["columns"] = _grid(params["grid"], ("density", "force"), lambda x: [
+        propensity.density(curve, x), propensity.entropic_force(curve, x, scale)])
     return CommandResult(results, results["columns"])
 
 
@@ -410,18 +451,13 @@ def _exec_joint(params: dict) -> CommandResult:
     columns = None
     if params.get("grid") is not None:
         scale = _resolve_scale(params)
-        x, prices = _grid_columns(params["grid"])
-        columns = {
-            "x": x,
-            "price": prices,
-            "buyer_density": propensity.density(pair.buyer, x),
-            "seller_density": propensity.density(pair.seller, x),
-            "joint_density": array("d", (pair.scale * value for value in
-                                         propensity.density(pair.joint, x))),
-            "buyer_force": propensity.entropic_force(pair.buyer, x, scale),
-            "seller_force": propensity.entropic_force(pair.seller, x, scale),
-            "joint_force": propensity.entropic_force(pair.joint, x, scale),
-        }
+        names = tuple(f"{side}_{kind}" for kind in ("density", "force")
+                      for side in ("buyer", "seller", "joint"))
+        columns = _grid(params["grid"], names, lambda x: [
+            propensity.density(pair.buyer, x), propensity.density(pair.seller, x),
+            array("d", (pair.scale * value for value in propensity.density(pair.joint, x))),
+            *(propensity.entropic_force(curve, x, scale)
+              for curve in (pair.buyer, pair.seller, pair.joint))])
     results = {
         "buyer": _curve_dict(pair.buyer),
         "seller": _curve_dict(pair.seller),
@@ -691,7 +727,7 @@ def _json_pieces(value, indent: str = "\n"):
         yield indent + "}"
     elif isinstance(value, float):
         yield _json_numbers([value], ",")
-    elif isinstance(value, array):
+    elif isinstance(value, (array, _Column)):
         for start, stop in _spans(len(value)):
             yield lambda start=start, stop=stop: (
                 ("," if start else "[") + inner + _json_numbers(value[start:stop], "," + inner))
@@ -701,23 +737,27 @@ def _json_pieces(value, indent: str = "\n"):
 
 
 @contextlib.contextmanager
-def _forked(calls: list):
-    """Run calls in order in a forked child, and yield an iterator over the
-    texts they return, each sent down a pipe after its length in 8 bytes; it
-    ends at a short read. Where calls is empty, the platform has no fork, the
-    calling thread may run on one CPU only, or the pipe or the fork fails,
-    nothing starts and the iterator is empty: one CPU cannot run two
+def _forked(calls):
+    """Run calls, an iterable of callables, in order in a forked child, and
+    yield an iterator over the texts they return, each sent down a pipe after
+    its length in 8 bytes and flushed at once; it ends at a short read. calls
+    is iterated in the child only. Where calls is None, the platform has no
+    fork, the calling thread may run on one CPU only, or the pipe or the fork
+    fails, nothing starts and None is yielded: one CPU cannot run two
     processes at once.
 
-    The child binds itself to the upper half of the calling thread's CPUs;
-    this thread keeps its own set. Left alone, the kernel of a 2-vCPU
-    x86-64 VM kept a new child on its parent's CPU for its first few
-    hundred ms, so the two shared one core: the six large calls of
-    perfbench's grid_render took 947 ms with the child unplaced against
-    862 ms placed (summed, mean of 30 alternating os.wait4 rounds; 957
-    against 863 ms in 40 more). Binding this thread to the lower half as
-    well read the same (853 and 874 ms). Where the platform has no
-    sched_setaffinity (macOS), the child starts unplaced.
+    Right after the fork, this process binds the child to every CPU of the
+    calling thread's set but the one this thread last ran on (field 39 of
+    /proc/thread-self/stat); this thread keeps its own set. Left alone, the
+    kernel of a 2-vCPU x86-64 VM kept a new child on its parent's CPU for
+    its first few hundred ms, so the two shared one core; and a fixed half
+    of the set may hold the parent's own CPU: there, a call spawned by
+    another process ran on the upper half's CPU in 12 of 12 tries. The six
+    large calls of perfbench's grid_render took 770 ms with the child placed
+    off this thread's CPU, against 960 ms with it bound to the upper half
+    and 898 ms in one process (summed, mean of 24 alternating os.wait4
+    rounds). Where the platform has no sched_setaffinity (macOS) or no
+    /proc/thread-self, the child starts unplaced.
 
     The child touches no output handle and leaves by os._exit on every path,
     so no buffer is flushed and no atexit hook runs twice; a write to a
@@ -725,10 +765,10 @@ def _forked(calls: list):
     ends, the child is killed if it still runs, and reaped.
     """
     fds, pid, cpus = (), -1, []
-    if calls and hasattr(os, "sched_setaffinity"):
+    if calls is not None and hasattr(os, "sched_setaffinity"):
         with contextlib.suppress(OSError):
             cpus = sorted(os.sched_getaffinity(0))
-    if calls and hasattr(os, "fork") and len(cpus) != 1:
+    if calls is not None and hasattr(os, "fork") and len(cpus) != 1:
         try:
             fds = read_fd, write_fd = os.pipe()
             with warnings.catch_warnings():    # Python 3.12+ warns of a caller's threads
@@ -738,21 +778,19 @@ def _forked(calls: list):
             for fd in fds:
                 os.close(fd)
     if pid < 0:
-        yield iter(())
+        yield None
         return
     if pid == 0:
         try:
             import gc
 
             gc.disable()                   # no finalizer of the parent's garbage runs here
-            if cpus:                       # a hint: the bytes are the same wherever it runs
-                with contextlib.suppress(OSError):
-                    os.sched_setaffinity(0, cpus[len(cpus) // 2:])
             os.close(read_fd)
             with open(write_fd, "wb") as pipe:
                 for call in calls:
                     data = call().encode()
                     pipe.write(len(data).to_bytes(8, "big") + data)
+                    pipe.flush()
         finally:
             os._exit(0)
 
@@ -764,6 +802,10 @@ def _forked(calls: list):
             yield data.decode()
 
     try:
+        if cpus:                           # a hint: the bytes are the same wherever it runs
+            with contextlib.suppress(OSError), open("/proc/thread-self/stat", "rb") as stat:
+                here = int(stat.read().rsplit(b")", 1)[1].split()[36])   # field 39: its CPU
+                os.sched_setaffinity(pid, [cpu for cpu in cpus if cpu != here])
         os.close(write_fd)
         with open(read_fd, "rb") as stream:
             yield texts(stream)
@@ -772,63 +814,129 @@ def _forked(calls: list):
         os.waitpid(pid, 0)
 
 
-def _emit(pieces: list, write: Callable[[str], object], rows: int) -> None:
+def _emit(pieces: list, write: Callable[[str], object], texts=None) -> None:
     """Write pieces in order: a str as it is, a chunk (a callable) as the text
-    it returns. Above CHUNK_ROWS rows, the child of _forked formats every
-    second chunk and this process the others; once the child's texts end,
+    it returns. texts, where given, holds the text of every second chunk,
+    from the second on, as the child of _forked formats them; once they end,
     early or not, this process formats the rest, so the bytes are the same
-    whatever happens to the child. Each process holds about two chunks.
+    whatever happens to the child.
     """
-    chunks = [piece for piece in pieces if not isinstance(piece, str)]
-    with _forked(chunks[1::2] if rows > CHUNK_ROWS else []) as texts:
-        theirs = False
-        for piece in pieces:
-            if not isinstance(piece, str):
-                text = next(texts, None) if theirs else None
-                piece = piece() if text is None else text
-                theirs = not theirs
-            write(piece)
+    texts, theirs = texts or iter(()), False
+    for piece in pieces:
+        if not isinstance(piece, str):
+            text = next(texts, None) if theirs else None
+            piece = piece() if text is None else text
+            theirs = not theirs
+        write(piece)
 
 
-def _output(pieces: list, rows: int, out_path: str | None) -> None:
-    """Write pieces (see _emit), rows rows in all, into out_path or stdout
-    and flush them. Any failure to open or write is a usage error; what was
-    written before it stays written."""
+def _output(pieces: list, out_path: str | None, texts=None) -> None:
+    """Write pieces (see _emit) into out_path or stdout and flush them. Any
+    failure to open or write is a usage error; what was written before it
+    stays written."""
     try:
         if out_path is None and sys.stdout is None:
             raise OSError("standard output is closed")
         with (contextlib.nullcontext(sys.stdout) if out_path is None
               else open(out_path, "w", encoding="utf-8", newline="")) as handle:
-            _emit(pieces, handle.write, rows)
+            _emit(pieces, handle.write, texts)
             handle.flush()
     except OSError as exc:
         raise UsageError(f"cannot write output: {exc}")
 
 
-def _write(result: CommandResult, model: str, params: dict, output: str,
-           elapsed_ms: float, out_path: str | None) -> None:
-    """Format the output straight into out_path or stdout, at most CHUNK_ROWS
-    rows at a time, so the whole text is never held."""
-    table = result.table or dict(zip(("quantity", "value"), zip(*_quantities(result.results))))
+def _computed(function: Callable, *args):
+    """function(*args), a ValueError or an ArithmeticError (a result beyond
+    the range of a float) raised as a usage error."""
+    try:
+        return function(*args)
+    except ValueError as exc:
+        raise UsageError(str(exc))
+    except ArithmeticError as exc:
+        raise UsageError(f"parameters out of floating-point range: {exc}")
+
+
+def _write(result: CommandResult, model: str, params: dict, output: str, start: float,
+           out_path: str | None) -> None:
+    """Check the results, then format them straight into out_path or stdout,
+    at most CHUNK_ROWS rows at a time, so the whole text is never held.
+
+    A grid is evaluated here, a chunk's span of rows at a time (see _Column),
+    and every block is checked for values beyond the float range before
+    anything is opened. Above CHUNK_ROWS rows, the child of _forked
+    evaluates and checks the spans of the chunks it formats, every second
+    one, and sends its verdict as its first text; this process does the same
+    for the others, waits for the verdict, and evaluates the child's spans
+    itself if the child ends before it. Where a block raises or holds such a
+    value, this process evaluates the whole grid by the serial route, which
+    raises the error it raises or leaves the value for the scan to name, so
+    the call fails as a single process would. wall_time_ms times the
+    executor, from start, and this process's share of the grid. Each process
+    holds its half of the grid's columns and about two chunks of text.
+    """
+    results = result.results
+    table = result.table or dict(zip(("quantity", "value"), zip(*_quantities(results))))
     rows = len(next(iter(table.values())))
+    spans = _spans(rows)
+    odd = range(1, len(spans), 2)                # the spans of the child's chunks
+    grids = list({value.block: value for _, value in _quantities(results)   # a column of each
+                  if isinstance(value, _Column)}.values())
+
+    def passed(indices: range) -> bool:
+        """Whether the spans of indices evaluate to finite values in every grid."""
+        try:
+            return all(_is_finite(column) for grid in grids for i in indices
+                       for column in grid.span(*spans[i]))
+        except (ValueError, ArithmeticError):
+            return False
+
     if output == "json":
         echo = {key: value for key, value in params.items()
                 if value is not None and key != "seed"}
-        pieces = [*_json_pieces({"command": model,
-                                 "config": {"model": model, "parameters": echo,
-                                            "output": output},
-                                 "version": __version__, "seed": params.get("seed"),
-                                 "wall_time_ms": round(elapsed_ms, 3),
-                                 "results": result.results}), "\n"]
+
+        def pieces(elapsed_ms: float) -> list:
+            """The output's pieces (see _emit)."""
+            return [*_json_pieces({"command": model,
+                                   "config": {"model": model, "parameters": echo,
+                                              "output": output},
+                                   "version": __version__, "seed": params.get("seed"),
+                                   "wall_time_ms": round(elapsed_ms, 3),
+                                   "results": results}), "\n"]
     else:
-        columns = [column if isinstance(column, (array, range))
+        columns = [column if isinstance(column, (array, range, _Column))
                    else list(map(_fmt, column)) for column in table.values()]
         row = ",".join(map(_column_format, columns)) + "\n"
-        pieces = [",".join(table) + "\n"]
-        pieces += [lambda start=start, stop=stop: _csv_rows(
-                       row, [column[start:stop] for column in columns])
-                   for start, stop in _spans(rows)]
-    _output(pieces, rows, out_path)
+
+        def pieces(elapsed_ms: float) -> list:
+            """The output's pieces (see _emit); a table shows no elapsed_ms."""
+            return [",".join(table) + "\n", *(
+                lambda start=start, stop=stop: _csv_rows(
+                    row, [column[start:stop] for column in columns])
+                for start, stop in spans)]
+
+    def theirs():
+        """The child's calls: its verdict, then the chunks it formats."""
+        yield lambda: "" if passed(odd) else "refused"
+        yield from [piece for piece in pieces(0.0) if not isinstance(piece, str)][1::2]
+
+    with _forked(theirs() if rows > CHUNK_ROWS else None) as texts:
+        ok = passed(range(0, len(spans), 1 if texts is None else 2))
+        elapsed_ms = (time.perf_counter() - start) * 1000.0
+        written = pieces(elapsed_ms)
+        verdict = "" if texts is None else next(texts, None)
+        if verdict is None:                # the child ended before its verdict
+            ok = ok and passed(odd)
+        quantities = list(_quantities(results))
+        if verdict or not ok:              # the serial route raises, or the scan names it
+            whole = {grid.block: _computed(grid.block, 0, grid.rows) for grid in grids}
+            quantities = [(name, whole[value.block][value.index]
+                           if isinstance(value, _Column) else value)
+                          for name, value in quantities]
+        for name, value in quantities:
+            if not _is_finite(value):
+                raise UsageError(
+                    f"parameters out of floating-point range: {name} does not fit in a float")
+        _output(written, out_path, texts)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -866,7 +974,7 @@ def main(argv: list[str] | None = None) -> int:
                 args = build_parser().parse_args(argv)
         except SystemExit as exc:         # argparse exits 0 (help, version) or 2
             if shown.getvalue():
-                _output([shown.getvalue()], 1, None)
+                _output([shown.getvalue()], None)
             return exc.code
         for name, value in vars(args).items():   # argparse stores --flag=-- as []
             if isinstance(value, list):
@@ -891,18 +999,8 @@ def main(argv: list[str] | None = None) -> int:
         for name in command.modules:
             importlib.import_module(name, __package__)
         start = time.perf_counter()
-        try:
-            result = command.run(params)
-        except ValueError as exc:
-            raise UsageError(str(exc))
-        except ArithmeticError as exc:    # a result beyond the range of a float
-            raise UsageError(f"parameters out of floating-point range: {exc}")
-        elapsed_ms = (time.perf_counter() - start) * 1000.0
-        for name, value in _quantities(result.results):
-            if not _is_finite(value):
-                raise UsageError(
-                    f"parameters out of floating-point range: {name} does not fit in a float")
-        _write(result, model, params, output, elapsed_ms, getattr(args, "out", None))
+        result = _computed(command.run, params)
+        _write(result, model, params, output, start, getattr(args, "out", None))
         if result.message:
             print(f"qprop: {result.message}", file=sys.stderr)
             return 1

@@ -147,18 +147,30 @@ def _either_or(rng: random.Random, names: set) -> tuple:
 def _large_case(rng: random.Random, k: int, i: int, chunk_rows: int) -> dict:
     """The k-th large call, case number i: force, joint and sample in turn, at
     chunk_rows rows, one more and 2 to 3 times as many, in turn; JSON and CSV
-    in turn, and every third and fourth of four calls by a config with --out."""
+    in turn, and every third and fourth of four calls by a config with --out.
+    The fourth and fifth of five calls draw each number as a small call does
+    half the time, from the whole float range and the special and malformed
+    values too, and their grids span 1e-300 to 1e300 a quarter of the time,
+    so that a call of many rows also fails: in a model, in the scan for
+    values beyond the float range, or earlier."""
     model = LARGE_MODELS[k % 3]
     rows = (chunk_rows, chunk_rows + 1, 2 * chunk_rows + rng.randint(1, chunk_rows))[k // 3 % 3]
     output = ("json", "csv")[k % 2]
+    extreme = k % 5 >= 3
 
     def price():
+        if extreme and rng.random() < 0.5:
+            return _number(rng, "posfloat")
         return f"{rng.uniform(0.5, 2.0):.6g}"
 
     def sigma():
+        if extreme and rng.random() < 0.5:
+            return _number(rng, "posfloat")
         return f"{rng.uniform(0.2, 0.5):.6g}"     # every grid point's density >= 1e-300
 
     grid = f"{rng.uniform(0.2, 0.8):.6g}:{rng.uniform(1.5, 3.0):.6g}:{rows}"
+    if extreme and rng.random() < 0.25:
+        grid = f"1e-300:1e300:{rows}"
     pair = {"buyer-mean-price": price(), "buyer-sigma": sigma(),
             "seller-mean-price": price(), "seller-sigma": sigma()}
     values = {"force": {"mean-price": price(), "sigma": sigma(), "gamma": price(), "grid": grid},
@@ -166,8 +178,9 @@ def _large_case(rng: random.Random, k: int, i: int, chunk_rows: int) -> dict:
               "sample": {"trials": str(rows), **pair,
                          "seed": str(rng.randrange(2 ** 32))}}[model]
     if k % 4 < 2:
-        argv = [model, *(part for key, value in values.items() for part in (f"--{key}", value)),
-                "--output", output]
+        flags = [(f"--{key}={value}",) if value.startswith("-") else (f"--{key}", value)
+                 for key, value in values.items()]
+        argv = [model, *(part for flag in flags for part in flag), "--output", output]
         return {"argv": argv, "env": {}, "files": {}}
     lines = ["[run]", f"model = {model}", f"output = {output}", f"[{model}]",
              *(f"{key} = {value}" for key, value in values.items())]

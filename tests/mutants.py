@@ -33,12 +33,16 @@ IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_c
 CLI = "src/qprop/cli.py"
 PROPENSITY = "src/qprop/propensity.py"
 DECISION = "src/qprop/decision.py"
+DRAWS = "src/qprop/_draws.py"
 TEST_CLI = "tests/test_cli.py::"
 CHILD_EXIT = TEST_CLI + "test_the_child_leaves_by_os_exit_on_every_path"
+SPLIT_FAULTS = TEST_CLI + "test_a_value_beyond_the_float_range_in_the_childs_spans_exits_2"
+ZIGGURAT = "tests/test_draws.py::test_normals_reach_the_tail_and_the_wedge"
 
-# The output stage: the forked formatter child, its pipe and the chunks, the
-# interrupt and the number formats; where the two processes run; and the
-# scale, pair and grid rules of the models.
+# The output stage: the forked child, its pipe, its verdict on a split grid
+# and the chunks, the interrupt and the number formats; where the two
+# processes run; the scale, pair and grid rules of the models; and the
+# ziggurat of sample's draws.
 MUTANTS = [
     # The child leaves by interpreter exit, or goes on as a second caller.
     (CLI, "os._exit(0)", "sys.exit(0)", CHILD_EXIT),
@@ -49,11 +53,25 @@ MUTANTS = [
     (CLI, "os.kill(pid, 9)", "pass",
      TEST_CLI + "test_a_parent_that_fails_early_kills_a_child_held_in_a_chunk"),
     # The child formats the chunks this process formats.
-    (CLI, "chunks[1::2]", "chunks[0::2]",
+    (CLI, "if not isinstance(piece, str)][1::2]", "if not isinstance(piece, str)][0::2]",
      TEST_CLI + "test_chunked_writer_matches_per_value_route"),
     # The texts a child did not send are taken to be empty.
-    (CLI, "next(texts, None)", 'next(texts, "")',
+    (CLI, "text = next(texts, None) if theirs", 'text = next(texts, "") if theirs',
      TEST_CLI + "test_a_child_that_dies_leaves_the_output_whole"),
+    # A split grid: the child's verdict is ignored; the child checks this
+    # process's spans instead of its own; the spans of a child that ends
+    # before its verdict go unchecked; a fault of this process's own spans is
+    # raised as it comes, not by the serial route; the child's texts wait in
+    # its buffer.
+    (CLI, "if verdict or not ok:", "if not ok:", SPLIT_FAULTS),
+    (CLI, 'yield lambda: "" if passed(odd)',
+     'yield lambda: "" if passed(range(0, len(spans), 2))', SPLIT_FAULTS),
+    (CLI, "ok = ok and passed(odd)", "pass", SPLIT_FAULTS),
+    (CLI, "except (ValueError, ArithmeticError):\n            return False",
+     "except ZeroDivisionError:\n            return False",
+     TEST_CLI + "test_values_beyond_float_range_exit_2[joint-split-grid-two-faults]"),
+    (CLI, "                    pipe.flush()\n", "",
+     TEST_CLI + "test_each_text_reaches_this_process_as_the_child_sends_it"),
     # The read end of the pipe is left for its finalizer.
     (CLI, 'with open(read_fd, "rb") as stream:', 'for stream in [open(read_fd, "rb")]:',
      TEST_CLI + "test_no_pipe_end_outlives_a_split_call"),
@@ -73,10 +91,11 @@ MUTANTS = [
      TEST_CLI + "test_column_formatter_matches_per_value_route"),
     (CLI, 'for letter in "en":', 'for letter in "n":',
      TEST_CLI + "test_column_formatter_matches_per_value_route"),
-    # The child stays on this thread's CPUs, or one CPU is asked to run two
-    # processes.
-    (CLI, "os.sched_setaffinity(0, cpus[len(cpus) // 2:])", "pass",
-     TEST_CLI + "test_the_child_runs_on_the_upper_half_of_the_cpus"),
+    # The child stays on this thread's CPUs or is bound to them all, or one
+    # CPU is asked to run two processes.
+    (CLI, "os.sched_setaffinity(pid, [cpu for cpu in cpus if cpu != here])", "pass",
+     TEST_CLI + "test_the_child_runs_off_this_threads_cpu"),
+    (CLI, "if cpu != here]", "]", TEST_CLI + "test_the_child_runs_off_this_threads_cpu"),
     (CLI, " and len(cpus) != 1", "", TEST_CLI + "test_one_cpu_runs_a_large_call_in_one_process"),
     # hbar defaults to 2; a buyer's fixed price is put on the seller side; a
     # point-mass joint reaches the grid; gamma loses its 0.5; the sampled
@@ -94,6 +113,13 @@ MUTANTS = [
      "tests/test_acceptance.py::test_criterion_7_oscillator_closure"),
     (DECISION, "(b11, b21), (b12, b22)", "(b11, b12), (b21, b22)",
      "tests/test_kernels.py::test_second_measurement_weighs_the_column_of_the_first_outcome"),
+    # The ziggurat: a try's strip from 7 bits, its sign from bit 9, the
+    # tail's sign from bit 9 of rabs, and the wedge test turned round.
+    (DRAWS, "strip = bits & 0xFF", "strip = bits & 0x7F", ZIGGURAT),
+    (DRAWS, "if bits & 0x100:", "if bits & 0x200:", ZIGGURAT),
+    (DRAWS, "if rabs >> 8 & 1 else", "if rabs >> 9 & 1 else", ZIGGURAT),
+    (DRAWS, "+ _FI[strip] < math.exp(-0.5 * z * z):", "+ _FI[strip] > math.exp(-0.5 * z * z):",
+     ZIGGURAT),
 ]
 
 

@@ -742,54 +742,64 @@ def test_fixed_price_excludes_same_side_curve(capsys):
     assert code == 2
 
 
+RANGE = "parameters out of floating-point range: "
+
+
 @pytest.mark.parametrize("argv, message", [
     (["force", "--mean-price", "1", "--sigma", "1e200", "--gamma", "1", "--price", "2"],
-     "force_constant does not fit in a float"),
-    (["oscillator", "--sigma", "1e-200"], "mass does not fit in a float"),
-    (["oscillator", "--sigma", "1e200"], "mass does not fit in a float"),
+     RANGE + "force_constant does not fit in a float"),
+    (["oscillator", "--sigma", "1e-200"], RANGE + "mass does not fit in a float"),
+    (["oscillator", "--sigma", "1e200"], RANGE + "mass does not fit in a float"),
     (["joint", "--buyer-mean-price", "1", "--buyer-sigma", "1e200", "--seller-mean-price",
       "1.1", "--seller-sigma", "0.1", "--gamma", "1", "--grid", "0.5:2:3"],
-     "force_constant does not fit in a float"),
+     RANGE + "force_constant does not fit in a float"),
     (["work", "--mean-price", "1", "--sigma", "5.84e-18", "--price1", "1.0000000000000002",
-      "--price2", "1", "--gamma", "1"], "density_ratio does not fit in a float"),
+      "--price2", "1", "--gamma", "1"], RANGE + "density_ratio does not fit in a float"),
     # A quantity that comes out inf or 0 without raising is named the same
     # way as one whose computation raises.
     (["force", "--mean-price", "1", "--sigma", "1e-150", "--price", "1", "--gamma", "1e300"],
-     "force_constant does not fit in a float"),
+     RANGE + "force_constant does not fit in a float"),
     (["force", "--mean-price", "1", "--sigma", "1e-160", "--gamma", "1", "--price", "1"],
-     "force_constant does not fit in a float"),
-    (["oscillator", "--sigma", "1e-160"], "mass does not fit in a float"),
+     RANGE + "force_constant does not fit in a float"),
+    (["oscillator", "--sigma", "1e-160"], RANGE + "mass does not fit in a float"),
     (["oscillator", "--sigma", "1", "--omega", "1e300", "--hbar", "1e300"],
-     "gamma does not fit in a float"),
+     RANGE + "gamma does not fit in a float"),
     (["oscillator", "--sigma", "1", "--omega", "1e-300", "--hbar", "1e-300"],
-     "gamma does not fit in a float"),
+     RANGE + "gamma does not fit in a float"),
     (["force", "--mean-price", "1", "--sigma", "1", "--price", "1",
-      "--omega", "1e300", "--hbar", "1e300"], "gamma does not fit in a float"),
+      "--omega", "1e300", "--hbar", "1e300"], RANGE + "gamma does not fit in a float"),
     (["force", "--mean-price", "1", "--sigma", "1", "--price", "1",
-      "--omega", "1e-300", "--hbar", "1e-300"], "gamma does not fit in a float"),
+      "--omega", "1e-300", "--hbar", "1e-300"], RANGE + "gamma does not fit in a float"),
     (["interference", "--theta", "1e308", "--phi", "-1e308"],
-     "theta - phi does not fit in a float"),
+     RANGE + "theta - phi does not fit in a float"),
     (["order-effect", "--theta", "1e308", "--phi", "-1e308", "--order", "ba"],
-     "theta - phi does not fit in a float"),
+     RANGE + "theta - phi does not fit in a float"),
     # The grid route names the same fault as the --price route above.
     (["force", "--mean-price", "1.8", "--sigma", "1e-160", "--grid", "1:2:3", "--gamma", "1"],
-     "force_constant does not fit in a float"),
+     RANGE + "force_constant does not fit in a float"),
     # A draw above log(max float) has no price: math.exp raises, and the
     # price becomes inf for the scan to name.
     (["sample", "--trials", "50", "--buyer-mean-price", "1e308", "--buyer-sigma", "1",
       "--seller-mean-price", "1e308", "--seller-sigma", "1", "--seed", "1"],
-     "prices does not fit in a float"),
+     RANGE + "prices does not fit in a float"),
+    # A grid of 4 spans whose buyer density underflows from row 15,215 on, in
+    # the child's last span, and whose seller force constant overflows: the
+    # serial route meets the buyer's fault first, as the split call reports.
+    (["joint", "--buyer-mean-price", "1", "--buyer-sigma", "1", "--seller-mean-price",
+      "3269017.37", "--seller-sigma", "0.5", "--gamma", "1e308",
+      "--grid", "1:2.3538526683702e17:16385"],
+     "density underflow: the point lies too far from the curve to carry meaning"),
 ], ids=["force", "oscillator-narrow", "oscillator-wide", "joint-grid", "work",
         "force-huge-k", "force-subnormal-square", "oscillator-subnormal-square",
         "oscillator-gamma-inf", "oscillator-gamma-0", "force-gamma-inf", "force-gamma-0",
         "interference-angle-gap", "order-effect-angle-gap", "force-grid-subnormal-square",
-        "sample-price-overflow"])
+        "sample-price-overflow", "joint-split-grid-two-faults"])
 def test_values_beyond_float_range_exit_2(argv, message):
     """A quantity beyond the float range is named in the one error line."""
     proc = subprocess.run([sys.executable, "-W", "default", "-m", "qprop", *argv],
                           capture_output=True, text=True)
     assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr == f"qprop: error: parameters out of floating-point range: {message}\n"
+    assert proc.stderr == f"qprop: error: {message}\n"
 
 
 @pytest.mark.parametrize("sigma", ["1e-160", "5e-324"])
@@ -1440,7 +1450,8 @@ def test_grid_cells_equal_the_one_point_route(model, grid, b_where, b_width,
         seller = grid_curve(lo, hi, s_where, s_width)
         params.update(buyer_mean_price=buyer[0], buyer_sigma=buyer[1],
                       seller_mean_price=seller[0], seller_sigma=seller[1])
-    columns = getattr(cli, f"_exec_{model}")(params).table
+    table = getattr(cli, f"_exec_{model}")(params).table
+    columns = {name: column[0:n] for name, column in table.items()}    # the serial route
     x = columns["x"]
     assert x.tobytes() == np.linspace(math.log(lo), math.log(hi), n).tobytes()
     scale = propensity.EntropicScale.direct(gamma)
@@ -1498,7 +1509,7 @@ def rounded(value):
 def test_json_writer_matches_json_dumps(record):
     """The writer the CLI uses: the pieces, chunks formatted by its emit loop."""
     out = []
-    cli._emit(list(_json_pieces(record)), out.append, 0)
+    cli._emit(list(_json_pieces(record)), out.append)
     assert "".join(out) == json.dumps(rounded(record), indent=2)
 
 
@@ -1534,6 +1545,8 @@ def test_chunked_writer_matches_per_value_route(output):
     params = {spec.name: None for spec in cli.COMMANDS["force"].params}
     params.update(mean_price=1.0, sigma=0.25, gamma=1.0, grid=SEAMS)
     results = cli._exec_force(params).results
+    results["columns"] = {name: column[0:2 * CHUNK_ROWS + 1]
+                          for name, column in results["columns"].items()}
     if output == "csv":
         columns = results["columns"]
         rows = zip(*columns.values())
@@ -1702,11 +1715,13 @@ def test_a_child_that_dies_leaves_the_output_whole(monkeypatch, output):
     formatter, parent, sent, chunks = getattr(cli, name), os.getpid(), [], []
 
     def dies_after_one_chunk(first, second):
-        if os.getpid() != parent:
+        if output == "json" and len(first) == 1:
+            pass                          # a lone float, not a chunk
+        elif os.getpid() != parent:
             sent.append(first)            # the child's own list
             if len(sent) > 1:
                 os._exit(3)
-        elif output == "csv" or len(first) > 1:
+        else:
             chunks.append(first)          # a chunk formatted in this process
         return formatter(first, second)
 
@@ -1716,6 +1731,115 @@ def test_a_child_that_dies_leaves_the_output_whole(monkeypatch, output):
     assert_no_child()
     # 4 chunks a column: the child formats the second and dies on the fourth.
     assert len(chunks) == (15 if output == "json" else 3)
+
+
+# A 4-span joint grid whose buyer force overflows in the last span only, which
+# the child evaluates, and whose seller and joint forces overflow in the first
+# span only, which this process evaluates; a force grid whose force overflows
+# in the last span only.
+CHILD_SPAN_OVERFLOWS = {
+    "joint": (["joint", "--buyer-mean-price", "1", "--buyer-sigma", "1",
+               "--seller-mean-price", "20.085536923187668", "--seller-sigma", "1.2",
+               "--gamma", "1e308", "--grid", "1:9.025013499434122:16385"],
+              {"buyer_force": [3], "seller_force": [0], "joint_force": [0]}),
+    "force": (["force", "--mean-price", "1", "--sigma", "1", "--gamma", "1e308",
+               "--grid", "1:7:16385"], {"force": [3]}),
+}
+
+
+def kill_the_child_at_its_check(patch):
+    """Make a forked child exit as it checks its first block, before its verdict."""
+    finite, parent = cli._is_finite, os.getpid()
+
+    def dies_in_the_child(value):
+        if os.getpid() != parent:
+            os._exit(3)
+        return finite(value)
+
+    patch.setattr(cli, "_is_finite", dies_in_the_child)
+
+
+def spans_beyond_the_float_range(argv):
+    """The indices of the spans that hold a nan or an infinity, by column."""
+    model, flags = argv[0], dict(zip(argv[1::2], argv[2::2]))
+    params = {spec.name: None for spec in cli.COMMANDS[model].params}
+    params.update({flag[2:].replace("-", "_"): flags[flag] if flag == "--grid"
+                   else float(flags[flag]) for flag in flags})
+    table = getattr(cli, f"_exec_{model}")(params).table
+    spans = cli._spans(table["x"].rows)
+    found = {name: [i for i, (start, stop) in enumerate(spans)
+                    if not all(map(math.isfinite, column[start:stop]))]
+             for name, column in table.items()}
+    return {name: indices for name, indices in found.items() if indices}
+
+
+@pytest.mark.parametrize("model", sorted(CHILD_SPAN_OVERFLOWS))
+@pytest.mark.parametrize("output", ["json", "csv"])
+def test_a_value_beyond_the_float_range_in_the_childs_spans_exits_2(
+        monkeypatch, capsys, tmp_path, model, output):
+    """The child's verdict refuses the call, which prints one error line
+    naming the first such column in results order, as the serial route does,
+    though this process's own spans may fail on a later column; nothing is
+    written to stdout and no --out file is made. The same holds where the
+    child dies before its verdict: this process evaluates its spans."""
+    argv, where = CHILD_SPAN_OVERFLOWS[model]
+    assert spans_beyond_the_float_range(argv) == where
+    line = f"qprop: error: {RANGE}columns_{next(iter(where))} does not fit in a float\n"
+    config = [f"[run]\nmodel = {model}\noutput = {output}\n\n[{model}]"]
+    config += [f"{flag[2:]} = {value}" for flag, value in zip(argv[1::2], argv[2::2])]
+    path = write_config(tmp_path, "\n".join(config) + "\n")
+    out = tmp_path / "out.txt"
+    forks = counted_forks(monkeypatch)
+    for dies in (False, True):
+        with monkeypatch.context() as patch:
+            if dies:
+                kill_the_child_at_its_check(patch)
+            assert run_cli([*argv, "--output", output]) == (2, "")
+            assert run_cli(["run", path, "--out", str(out)]) == (2, "")
+        assert capsys.readouterr().err == line * 2
+        assert not out.exists()
+        assert_no_child()
+    assert len(forks) == 4
+
+
+@pytest.mark.parametrize("model", ["force", "joint"])
+@pytest.mark.parametrize("output", ["json", "csv"])
+def test_a_child_that_dies_before_its_verdict_leaves_the_output_whole(monkeypatch, model,
+                                                                     output):
+    """This process then evaluates and checks the child's spans itself, and
+    formats every chunk: the serial route's bytes."""
+    argv = split_argv(model, 2 * CHUNK_ROWS + 5, output)
+    expected = serial_text(monkeypatch, argv)
+    forks = counted_forks(monkeypatch)
+    kill_the_child_at_its_check(monkeypatch)
+    code, text = run_cli(argv)
+    assert (code, mask_timing(text)) == (0, expected)
+    assert len(forks) == 1
+    assert_no_child()
+
+
+def test_each_text_reaches_this_process_as_the_child_sends_it(monkeypatch):
+    """The child flushes each text as it sends it, so a verdict does not wait
+    in the child's buffer while it formats its first chunk."""
+    def slow():
+        time.sleep(5)
+        return "slow"
+
+    forks = counted_forks(monkeypatch)
+    start = time.perf_counter()
+    with cli._forked(iter([lambda: "verdict", slow])) as texts:
+        assert next(texts) == "verdict"
+        assert time.perf_counter() - start < 2.0
+    assert len(forks) == 1
+    assert_no_child()
+
+
+def split_emit(pieces, write):
+    """Write pieces as a large call writes them: the child of _forked formats
+    every second chunk, from the second on."""
+    chunks = [piece for piece in pieces if not isinstance(piece, str)]
+    with cli._forked(iter(chunks[1::2])) as texts:
+        cli._emit(pieces, write, texts)
 
 
 def test_a_parent_that_fails_early_kills_a_child_held_in_a_chunk(monkeypatch):
@@ -1731,7 +1855,7 @@ def test_a_parent_that_fails_early_kills_a_child_held_in_a_chunk(monkeypatch):
     forks = counted_forks(monkeypatch)
     start = time.perf_counter()
     with pytest.raises(OSError):
-        cli._emit(["head", lambda: "fast", slow], write, CHUNK_ROWS + 1)
+        split_emit(["head", lambda: "fast", slow], write)
     assert time.perf_counter() - start < 1.0
     assert len(forks) == 1
     assert_no_child()
@@ -1759,7 +1883,8 @@ os.fork = counted
 atexit.register(lambda: os.write(2, b"atexit ran"))
 sys.stdout.write("buffered at the fork ")
 for pieces in (["head", lambda: "a", lambda: "b", "end"], ["head", lambda: "a", chunk, "end"]):
-    cli._emit(pieces, write, cli.CHUNK_ROWS + 1)
+    with cli._forked(iter(pieces[2:3])) as texts:
+        cli._emit(pieces, write, texts)
 print(" ".join(written), len(pids), flush=True)
 os._exit(0)
 """
@@ -1816,13 +1941,23 @@ def cpus():
 
 
 @placed
-def test_the_child_runs_on_the_upper_half_of_the_cpus():
-    """During a split the child runs on the upper half of this thread's CPUs,
-    and this thread keeps them all, then and after."""
+def test_the_child_runs_off_this_threads_cpu():
+    """During a split the child runs on every CPU of this thread's set but
+    one, the one this thread ran on as it forked, and this thread keeps them
+    all, then and after. This process binds the child once it has forked, so
+    the child's chunk waits up to 5 s for that."""
     own, written = cpus(), []
-    cli._emit(["head", lambda: repr(cpus()), lambda: repr(cpus())], written.append,
-              CHUNK_ROWS + 1)
-    assert written == ["head", repr(own), repr(own[len(own) // 2:])]
+
+    def placed_cpus():
+        deadline = time.monotonic() + 5.0
+        while cpus() == own and time.monotonic() < deadline:
+            time.sleep(0.001)
+        return json.dumps(cpus())
+
+    split_emit(["head", lambda: json.dumps(cpus()), placed_cpus], written.append)
+    assert written[:2] == ["head", json.dumps(own)]
+    child = json.loads(written[2])
+    assert len(child) == len(own) - 1 and set(child) < set(own)
     assert cpus() == own
     assert_no_child()
 

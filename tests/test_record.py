@@ -62,6 +62,7 @@ SAMPLES = {
     "StateVector": [([1.0, 0.0],), ([0.0, 1.0, 0.0, 0.0],), ([1.0, 1.0],), ([math.nan, 1.0],),
                     ([1.0, 0.0, 0.0],)],
     "Gate": [(np.eye(2),), (np.eye(4),), ([[1.0, 1.0], [0.0, 1.0]],), ([1.0, 0.0],)],
+    "_Column": [(4, 0, print, {}), (4, 1, print, {})],
 }
 
 
@@ -77,7 +78,7 @@ def outcome(make):
 
 def test_every_value_type_is_a_record_with_samples():
     assert {cls.__name__ for cls in RECORDS} == set(SAMPLES)
-    assert len(RECORDS) == 17
+    assert len(RECORDS) == 18
 
 
 @pytest.fixture(params=RECORDS, ids=lambda cls: cls.__name__)
