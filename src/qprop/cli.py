@@ -26,12 +26,13 @@ stream and ziggurat on the standard library.
 Output is formatted and written at most CHUNK_ROWS rows at a time. An output
 of more than CHUNK_ROWS rows is cut into an even number of equal chunks and
 computed and formatted on two cores: _forked starts one child, which
-evaluates and checks the grid rows of every second chunk, sends its verdict
-and formats those chunks, while this process does the same for the others.
-Once both halves have passed the check, this process opens the output and
-writes the chunks in order, the bytes a single process writes. This process
-places the child on its CPUs but its own, and where it may run on one CPU
-only, no child starts (see _forked).
+evaluates and checks the grid rows of every second chunk and, only where
+they pass, sends its verdict and formats those chunks; this process does the
+same for the others, and checks the child's rows itself where no verdict
+comes. Once both halves have passed the check, this process opens the
+output and writes the chunks in order, the bytes a single process writes.
+This process places the child on its CPUs but its own, and where it may run
+on one CPU only, no child starts (see _forked).
 
 main is the request path, one stage after another: parse the flags or read
 the config, resolve the seed, check each value and then their combinations,
@@ -741,10 +742,10 @@ def _forked(calls):
     """Run calls, an iterable of callables, in order in a forked child, and
     yield an iterator over the texts they return, each sent down a pipe after
     its length in 8 bytes and flushed at once; it ends at a short read. calls
-    is iterated in the child only. Where calls is None, the platform has no
-    fork, the calling thread may run on one CPU only, or the pipe or the fork
-    fails, nothing starts and None is yielded: one CPU cannot run two
-    processes at once.
+    is iterated in the child only. Where calls is an empty tuple or list, the
+    platform has no fork, the calling thread may run on one CPU only, or the
+    pipe or the fork fails, nothing starts and the iterator is empty: one CPU
+    cannot run two processes at once.
 
     Right after the fork, this process binds the child to every CPU of the
     calling thread's set but the one this thread last ran on (field 39 of
@@ -765,10 +766,10 @@ def _forked(calls):
     ends, the child is killed if it still runs, and reaped.
     """
     fds, pid, cpus = (), -1, []
-    if calls is not None and hasattr(os, "sched_setaffinity"):
+    if calls and hasattr(os, "sched_setaffinity"):
         with contextlib.suppress(OSError):
             cpus = sorted(os.sched_getaffinity(0))
-    if calls is not None and hasattr(os, "fork") and len(cpus) != 1:
+    if calls and hasattr(os, "fork") and len(cpus) != 1:
         try:
             fds = read_fd, write_fd = os.pipe()
             with warnings.catch_warnings():    # Python 3.12+ warns of a caller's threads
@@ -778,7 +779,7 @@ def _forked(calls):
             for fd in fds:
                 os.close(fd)
     if pid < 0:
-        yield None
+        yield iter(())
         return
     if pid == 0:
         try:
@@ -814,14 +815,14 @@ def _forked(calls):
         os.waitpid(pid, 0)
 
 
-def _emit(pieces: list, write: Callable[[str], object], texts=None) -> None:
+def _emit(pieces: list, write: Callable[[str], object], texts) -> None:
     """Write pieces in order: a str as it is, a chunk (a callable) as the text
-    it returns. texts, where given, holds the text of every second chunk,
-    from the second on, as the child of _forked formats them; once they end,
-    early or not, this process formats the rest, so the bytes are the same
-    whatever happens to the child.
+    it returns. texts, an iterator, holds the text of every second chunk, from
+    the second on, as the child of _forked formats them; once they end, at
+    once where no child runs, early or not, this process formats the rest, so
+    the bytes are the same whatever happens to the child.
     """
-    texts, theirs = texts or iter(()), False
+    theirs = False
     for piece in pieces:
         if not isinstance(piece, str):
             text = next(texts, None) if theirs else None
@@ -830,10 +831,10 @@ def _emit(pieces: list, write: Callable[[str], object], texts=None) -> None:
         write(piece)
 
 
-def _output(pieces: list, out_path: str | None, texts=None) -> None:
-    """Write pieces (see _emit) into out_path or stdout and flush them. Any
-    failure to open or write is a usage error; what was written before it
-    stays written."""
+def _output(pieces: list, out_path: str | None, texts) -> None:
+    """Write pieces and texts (see _emit) into out_path or stdout and flush
+    them. Any failure to open or write is a usage error; what was written
+    before it stays written."""
     try:
         if out_path is None and sys.stdout is None:
             raise OSError("standard output is closed")
@@ -862,31 +863,31 @@ def _write(result: CommandResult, model: str, params: dict, output: str, start: 
     at most CHUNK_ROWS rows at a time, so the whole text is never held.
 
     A grid is evaluated here, a chunk's span of rows at a time (see _Column),
-    and every block is checked for values beyond the float range before
-    anything is opened. Above CHUNK_ROWS rows, the child of _forked
-    evaluates and checks the spans of the chunks it formats, every second
-    one, and sends its verdict as its first text; this process does the same
-    for the others, waits for the verdict, and evaluates the child's spans
-    itself if the child ends before it. Where a block raises or holds such a
-    value, this process evaluates the whole grid by the serial route, which
-    raises the error it raises or leaves the value for the scan to name, so
-    the call fails as a single process would. wall_time_ms times the
-    executor, from start, and this process's share of the grid. Each process
-    holds its half of the grid's columns and about two chunks of text.
+    and checked for values beyond the float range before anything is opened.
+    Above CHUNK_ROWS rows, the child of _forked evaluates and checks the
+    spans of the chunks it formats, every second one, and sends the verdict
+    "" as its first text only where they pass. This process evaluates and
+    checks the other spans, then reads the verdict; where none comes, because
+    no child started, its spans failed or it died, this process checks the
+    child's spans itself. Where a span raises or holds such a value, this
+    process evaluates the whole grid by the serial route, which raises the
+    error it raises or leaves the value for the scan to name, so the call
+    fails as a single process would. wall_time_ms times the executor, from
+    start, and this process's spans of the grid. Each process holds its half
+    of the grid's columns and about two chunks of text.
     """
     results = result.results
     table = result.table or dict(zip(("quantity", "value"), zip(*_quantities(results))))
     rows = len(next(iter(table.values())))
     spans = _spans(rows)
-    odd = range(1, len(spans), 2)                # the spans of the child's chunks
-    grids = list({value.block: value for _, value in _quantities(results)   # a column of each
-                  if isinstance(value, _Column)}.values())
+    even, odd = range(0, len(spans), 2), range(1, len(spans), 2)   # this process's, the child's
+    grid = next((value for _, value in _quantities(results) if isinstance(value, _Column)), None)
 
     def passed(indices: range) -> bool:
-        """Whether the spans of indices evaluate to finite values in every grid."""
+        """Whether the spans of indices evaluate to finite values in the grid."""
         try:
-            return all(_is_finite(column) for grid in grids for i in indices
-                       for column in grid.span(*spans[i]))
+            return grid is None or all(_is_finite(column) for i in indices
+                                       for column in grid.span(*spans[i]))
         except (ValueError, ArithmeticError):
             return False
 
@@ -915,22 +916,20 @@ def _write(result: CommandResult, model: str, params: dict, output: str, start: 
                 for start, stop in spans)]
 
     def theirs():
-        """The child's calls: its verdict, then the chunks it formats."""
-        yield lambda: "" if passed(odd) else "refused"
-        yield from [piece for piece in pieces(0.0) if not isinstance(piece, str)][1::2]
+        """The child's calls where its spans pass: its verdict, then the chunks it formats."""
+        if passed(odd):
+            yield lambda: ""
+            yield from [piece for piece in pieces(0.0) if not isinstance(piece, str)][1::2]
 
-    with _forked(theirs() if rows > CHUNK_ROWS else None) as texts:
-        ok = passed(range(0, len(spans), 1 if texts is None else 2))
+    with _forked(theirs() if rows > CHUNK_ROWS else ()) as texts:
+        ok = passed(even)
         elapsed_ms = (time.perf_counter() - start) * 1000.0
         written = pieces(elapsed_ms)
-        verdict = "" if texts is None else next(texts, None)
-        if verdict is None:                # the child ended before its verdict
-            ok = ok and passed(odd)
+        ok = ok and (next(texts, None) is not None or passed(odd))   # no verdict: check here
         quantities = list(_quantities(results))
-        if verdict or not ok:              # the serial route raises, or the scan names it
-            whole = {grid.block: _computed(grid.block, 0, grid.rows) for grid in grids}
-            quantities = [(name, whole[value.block][value.index]
-                           if isinstance(value, _Column) else value)
+        if not ok:                         # the serial route raises, or the scan names it
+            whole = _computed(grid.block, 0, grid.rows)
+            quantities = [(name, whole[value.index] if isinstance(value, _Column) else value)
                           for name, value in quantities]
         for name, value in quantities:
             if not _is_finite(value):
@@ -974,7 +973,7 @@ def main(argv: list[str] | None = None) -> int:
                 args = build_parser().parse_args(argv)
         except SystemExit as exc:         # argparse exits 0 (help, version) or 2
             if shown.getvalue():
-                _output([shown.getvalue()], None)
+                _output([shown.getvalue()], None, iter(()))
             return exc.code
         for name, value in vars(args).items():   # argparse stores --flag=-- as []
             if isinstance(value, list):

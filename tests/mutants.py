@@ -34,15 +34,20 @@ CLI = "src/qprop/cli.py"
 PROPENSITY = "src/qprop/propensity.py"
 DECISION = "src/qprop/decision.py"
 DRAWS = "src/qprop/_draws.py"
+QUBITS = "src/qprop/qubits.py"
+RECORD = "src/qprop/_record.py"
 TEST_CLI = "tests/test_cli.py::"
+TEST_RECORD = "tests/test_record.py::"
 CHILD_EXIT = TEST_CLI + "test_the_child_leaves_by_os_exit_on_every_path"
 SPLIT_FAULTS = TEST_CLI + "test_a_value_beyond_the_float_range_in_the_childs_spans_exits_2"
 ZIGGURAT = "tests/test_draws.py::test_normals_reach_the_tail_and_the_wedge"
+UNCHECKED = TEST_RECORD + "test_unchecked_builds_what_the_constructor_builds"
 
 # The output stage: the forked child, its pipe, its verdict on a split grid
 # and the chunks, the interrupt and the number formats; where the two
-# processes run; the scale, pair and grid rules of the models; and the
-# ziggurat of sample's draws.
+# processes run; the scale, pair and grid rules of the models; the tolerance
+# rule; the read-only computed arrays and the records; and the ziggurat of
+# sample's draws.
 MUTANTS = [
     # The child leaves by interpreter exit, or goes on as a second caller.
     (CLI, "os._exit(0)", "sys.exit(0)", CHILD_EXIT),
@@ -58,15 +63,14 @@ MUTANTS = [
     # The texts a child did not send are taken to be empty.
     (CLI, "text = next(texts, None) if theirs", 'text = next(texts, "") if theirs',
      TEST_CLI + "test_a_child_that_dies_leaves_the_output_whole"),
-    # A split grid: the child's verdict is ignored; the child checks this
-    # process's spans instead of its own; the spans of a child that ends
-    # before its verdict go unchecked; a fault of this process's own spans is
-    # raised as it comes, not by the serial route; the child's texts wait in
-    # its buffer.
-    (CLI, "if verdict or not ok:", "if not ok:", SPLIT_FAULTS),
-    (CLI, 'yield lambda: "" if passed(odd)',
-     'yield lambda: "" if passed(range(0, len(spans), 2))', SPLIT_FAULTS),
-    (CLI, "ok = ok and passed(odd)", "pass", SPLIT_FAULTS),
+    # A split grid: the child's silence is taken for a pass; the child sends
+    # its verdict whatever its spans hold; this process's own spans go
+    # unchecked; a fault of this process's own spans is raised as it comes,
+    # not by the serial route; the child's texts wait in its buffer.
+    (CLI, "or passed(odd))", "or True)", SPLIT_FAULTS),
+    (CLI, "if passed(odd):", "if True:", SPLIT_FAULTS),
+    (CLI, "ok = passed(even)", "ok = True",
+     TEST_CLI + "test_values_beyond_float_range_exit_2"),
     (CLI, "except (ValueError, ArithmeticError):\n            return False",
      "except ZeroDivisionError:\n            return False",
      TEST_CLI + "test_values_beyond_float_range_exit_2[joint-split-grid-two-faults]"),
@@ -113,6 +117,33 @@ MUTANTS = [
      "tests/test_acceptance.py::test_criterion_7_oscillator_closure"),
     (DECISION, "(b11, b21), (b12, b22)", "(b11, b12), (b21, b22)",
      "tests/test_kernels.py::test_second_measurement_weighs_the_column_of_the_first_outcome"),
+    # A tolerance of zero or less reaches the model module, which refuses it
+    # in its own words.
+    (CLI, 'Param("tol", "posfloat"', 'Param("tol", "float"',
+     TEST_CLI + "test_tolerance_must_be_positive"),
+    # A computed state or gate is writable; unchecked runs __post_init__, or
+    # fills the fields in reverse.
+    (QUBITS, "    arr.setflags(write=False)\n    return unchecked(cls, arr)",
+     "    return unchecked(cls, arr)",
+     "tests/test_qubits.py::test_state_amplitudes_are_read_only"),
+    (RECORD, "    return obj\n", '    getattr(cls, "__post_init__", id)(obj)\n    return obj\n',
+     UNCHECKED),
+    (RECORD, "dict(zip(cls.__match_args__, values))",
+     "dict(zip(cls.__match_args__, values[::-1]))", UNCHECKED),
+    # A record: a positional call with too many or too few fields is let
+    # through; a field can be assigned; a subclass instance compares equal; a
+    # field without a default after one with it is let through; __post_init__
+    # is skipped.
+    (RECORD, "if kwargs or len(args) != n:", "if kwargs:",
+     TEST_RECORD + "test_bad_calls_raise_type_error"),
+    (RECORD, 'raise FrozenFieldError(f"cannot assign to field {name!r}")',
+     "object.__setattr__(self, name, value)", TEST_RECORD + "test_fields_are_frozen"),
+    (RECORD, "if other.__class__ is not self.__class__:",
+     "if not isinstance(other, self.__class__):", TEST_RECORD + "test_equality_and_hash"),
+    (RECORD, "if any(name in cls.__dict__ for name in names[:n - len(defaults)]):", "if False:",
+     TEST_RECORD + "test_a_field_without_default_after_one_with_it_is_refused"),
+    (RECORD, "        if post_init is not None:\n            post_init(self)\n", "",
+     TEST_RECORD + "test_post_init_sees_every_field_and_may_set_one"),
     # The ziggurat: a try's strip from 7 bits, its sign from bit 9, the
     # tail's sign from bit 9 of rabs, and the wedge test turned round.
     (DRAWS, "strip = bits & 0xFF", "strip = bits & 0x7F", ZIGGURAT),

@@ -1509,7 +1509,7 @@ def rounded(value):
 def test_json_writer_matches_json_dumps(record):
     """The writer the CLI uses: the pieces, chunks formatted by its emit loop."""
     out = []
-    cli._emit(list(_json_pieces(record)), out.append)
+    cli._emit(list(_json_pieces(record)), out.append, iter(()))
     assert "".join(out) == json.dumps(rounded(record), indent=2)
 
 
@@ -1777,11 +1777,12 @@ def spans_beyond_the_float_range(argv):
 @pytest.mark.parametrize("output", ["json", "csv"])
 def test_a_value_beyond_the_float_range_in_the_childs_spans_exits_2(
         monkeypatch, capsys, tmp_path, model, output):
-    """The child's verdict refuses the call, which prints one error line
-    naming the first such column in results order, as the serial route does,
-    though this process's own spans may fail on a later column; nothing is
-    written to stdout and no --out file is made. The same holds where the
-    child dies before its verdict: this process evaluates its spans."""
+    """The child sends no verdict, and the call prints one error line naming
+    the first such column in results order, as the serial route does, though
+    this process's own spans may fail on a later column; nothing is written
+    to stdout and no --out file is made. The same holds where the child dies
+    before its verdict and where no child starts: this process evaluates the
+    child's spans itself."""
     argv, where = CHILD_SPAN_OVERFLOWS[model]
     assert spans_beyond_the_float_range(argv) == where
     line = f"qprop: error: {RANGE}columns_{next(iter(where))} does not fit in a float\n"
@@ -1790,16 +1791,18 @@ def test_a_value_beyond_the_float_range_in_the_childs_spans_exits_2(
     path = write_config(tmp_path, "\n".join(config) + "\n")
     out = tmp_path / "out.txt"
     forks = counted_forks(monkeypatch)
-    for dies in (False, True):
+    for child in ("refuses", "dies", "none"):
         with monkeypatch.context() as patch:
-            if dies:
+            if child == "dies":
                 kill_the_child_at_its_check(patch)
+            if child == "none":
+                patch.setattr(os, "fork", no_fork)
             assert run_cli([*argv, "--output", output]) == (2, "")
             assert run_cli(["run", path, "--out", str(out)]) == (2, "")
         assert capsys.readouterr().err == line * 2
         assert not out.exists()
         assert_no_child()
-    assert len(forks) == 4
+    assert len(forks) == 4                 # two calls each where a child starts
 
 
 @pytest.mark.parametrize("model", ["force", "joint"])
