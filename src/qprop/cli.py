@@ -23,29 +23,31 @@ rows at a time where they are written (see _Column), and equivalence draws
 its gates and sample its normal draws from qprop._draws, numpy's PCG64
 stream and ziggurat on the standard library.
 
-Output is formatted and written at most CHUNK_ROWS rows at a time. An output
-of more than CHUNK_ROWS rows is cut into an even number of equal chunks and
-computed and formatted on two cores: _forked starts one child, which
-evaluates and checks the grid rows of every second chunk and, only where
-they pass, sends its verdict and formats those chunks; this process does the
-same for the others, and checks the child's rows itself where no verdict
-comes. Once both halves have passed the check, this process opens the
-output and writes the chunks in order, the bytes a single process writes.
-This process places the child on its CPUs but its own, and where it may run
-on one CPU only, no child starts (see _forked).
+Output is formatted and written at most CHUNK_ROWS rows at a time. Before
+anything is formatted, a grid is checked for values beyond the float range
+at the few rows that hold each column's least and greatest values (see
+_grid and _write). An output of more than CHUNK_ROWS rows is then cut into
+an even number of equal chunks and computed and formatted on two cores:
+_forked starts one child, which evaluates and formats every second chunk
+and sends the texts back, while this process opens the output and writes
+the chunks in order, formatting the others itself, the bytes a single
+process writes. This process places the child on its CPUs but its own, and
+where it may run on one CPU only, no child starts (see _forked).
 
 main is the request path, one stage after another: parse the flags or read
 the config, resolve the seed, check each value and then their combinations,
-load the model module, compute, write (which first evaluates a grid and
-scans the results for values beyond the float range; see _write), and last
-report a model failure. Text for stdout, a record or that of --help and
---version, is written and flushed by _output alone. run is the process
-entry: it leaves by os._exit, or dies by SIGINT on an interrupt.
+load the model module, compute, write (which first checks a grid's extreme
+rows and scans the results for values beyond the float range; see _write),
+and last report a model failure. Text for stdout, a record or that of
+--help and --version, is written and flushed by _output alone. run is the
+process entry: it leaves by os._exit, or dies by SIGINT on an interrupt.
 """
 from __future__ import annotations
 
 import argparse
+import bisect
 import contextlib
+import functools
 import importlib
 import io
 import math
@@ -66,9 +68,10 @@ if TYPE_CHECKING:
 
 # Largest grid (N of LO:HI:N) and largest posint: sample's draws and
 # equivalence's gate pairs. Grid points and draws are output rows, written in
-# chunks, so what grows is the computed columns, of which each process holds
-# its half: a 1e6-row force grid peaks at about 40 MB, a joint grid at 55 MB.
-# Gate pairs hold no memory but CPU time.
+# chunks, so what grows is a sample's drawn columns and a grid's log-prices,
+# which each process keeps for its own chunks: a 1e6-row force or joint grid
+# peaks at about 22-31 MB, a sample at 35 MB. Gate pairs hold no memory but
+# CPU time.
 MAX_ROWS = 2_000_000
 
 # Rows (or array values) formatted and written at a time: one chunk's text is
@@ -152,10 +155,10 @@ def _csv_rows(row: str, columns: list) -> str:
     """The CSV lines of equal-length columns, row a %-template of one line
     (see _column_format): one %-format over their interleaved values gives
     _fmt's text."""
-    values = tuple(chain.from_iterable(zip(*columns)))
-    if 0.0 in values:                     # -0.0 == 0.0, and _fmt prints it as 0
-        values = tuple(0.0 if value == 0 else value for value in values)
-    return row * len(columns[0]) % values
+    columns = [[value + 0.0 for value in column]   # -0.0 == 0.0, and _fmt prints it as 0
+               if isinstance(column, array) and 0.0 in column else column
+               for column in columns]
+    return row * len(columns[0]) % tuple(chain.from_iterable(zip(*columns)))
 
 
 # json's words for the %.12g cells of nan and the infinities.
@@ -262,51 +265,59 @@ def _grid_bounds(spec: str) -> tuple[float, float, int]:
 @record(eq=False)
 class _Column:
     """One column of a --grid, evaluated a span of rows at a time where it is
-    formatted: column[start:stop] is its values at rows [start, stop).
-
-    block(start, stop) gives every column of the grid at those rows, and
-    block(0, rows) the whole grid, column after column: the serial route.
-    held, which the grid's columns share, keeps the blocks this process has
-    evaluated, by span."""
+    formatted, and kept nowhere: column[start:stop] is at(x(start, stop)), its
+    values at rows [start, stop), where x gives the grid's log-prices at those
+    rows (see _grid). extremes are the rows that hold the least and the
+    greatest value of every column of the grid; _write checks them alone."""
     rows: int
-    index: int
-    block: Callable[[int, int], list]
-    held: dict
+    x: Callable[[int, int], array]
+    at: Callable[[array], array]
+    extremes: tuple
 
     def __len__(self) -> int:
         return self.rows
 
     def __getitem__(self, rows: slice) -> array:
-        return self.span(rows.start, rows.stop)[self.index]
-
-    def span(self, start: int, stop: int) -> list:
-        """Every column of the grid at rows [start, stop), evaluated once."""
-        if (start, stop) not in self.held:
-            self.held[start, stop] = self.block(start, stop)
-        return self.held[start, stop]
+        return self.at(self.x(rows.start, rows.stop))
 
 
-def _grid(spec: str, names: tuple, evaluate: Callable[[array], list]) -> dict:
-    """The _Columns x, price and names of a checked LO:HI:N grid, by name;
-    evaluate(x) gives the named columns at the log-prices x, an array('d').
+def _grid(spec: str, columns: dict, means: tuple) -> dict:
+    """The _Columns x, price and those of columns of a checked LO:HI:N grid,
+    by name: columns maps a name to the function that gives its values at
+    log-prices, an array('d'), and means holds each curve's mean log-price.
 
     x_j = j * step + log(LO), with the last row log(HI): the points of
     np.linspace(log(LO), log(HI), N), bit for bit, whatever span holds them.
+    A span's points are evaluated once and kept, 8 bytes a row, since JSON
+    formats a grid column after column.
+
+    x, price and every force (-k (x - mu)) rise or fall with the row, and a
+    density, or the joint density times its scale, falls away from its
+    curve's mean: each column's least and greatest values lie at the
+    extremes, the first row, the last row and the two rows around each mean.
+    Basic IEEE operations are monotone, so the computed values keep that
+    order; tests/test_cli.py checks that math.exp keeps it too.
     """
     lo, hi, n = _grid_bounds(spec)
     start, stop = math.log(lo), math.log(hi)
     step = (stop - start) / (n - 1)
 
-    def block(first: int, last: int) -> list:
-        x = array("d")
+    @functools.cache
+    def x(first: int, last: int) -> array:
+        points = array("d")
         for i in range(first, last, CHUNK_ROWS):
-            x.fromlist([j * step + start for j in range(i, min(i + CHUNK_ROWS, last))])
+            points.fromlist([j * step + start for j in range(i, min(i + CHUNK_ROWS, last))])
         if last == n:
-            x[-1] = stop
-        return [x, array("d", map(math.exp, x)), *evaluate(x)]
+            points[-1] = stop
+        return points
 
-    held: dict = {}
-    return {name: _Column(n, i, block, held) for i, name in enumerate(("x", "price", *names))}
+    # The rows around each mean: the first row above it (or the last), and the one before.
+    above = [bisect.bisect_right(range(n - 1), mu, key=lambda j: j * step + start)
+             for mu in means]
+    extremes = tuple(sorted({0, n - 1, *(max(i - 1, 0) for i in above), *above}))
+    columns = {"x": lambda points: points,
+               "price": lambda points: array("d", map(math.exp, points)), **columns}
+    return {name: _Column(n, x, at, extremes) for name, at in columns.items()}
 
 
 def _exp(value: float) -> float:
@@ -405,8 +416,9 @@ def _exec_force(params: dict) -> CommandResult:
         results.update(x=x, price=params["price"], density=propensity.density(curve, x),
                        force=propensity.entropic_force(curve, x, scale))
         return CommandResult(results)
-    results["columns"] = _grid(params["grid"], ("density", "force"), lambda x: [
-        propensity.density(curve, x), propensity.entropic_force(curve, x, scale)])
+    results["columns"] = _grid(params["grid"], {
+        "density": lambda x: propensity.density(curve, x),
+        "force": lambda x: propensity.entropic_force(curve, x, scale)}, (curve.mu,))
     return CommandResult(results, results["columns"])
 
 
@@ -452,13 +464,15 @@ def _exec_joint(params: dict) -> CommandResult:
     columns = None
     if params.get("grid") is not None:
         scale = _resolve_scale(params)
-        names = tuple(f"{side}_{kind}" for kind in ("density", "force")
-                      for side in ("buyer", "seller", "joint"))
-        columns = _grid(params["grid"], names, lambda x: [
-            propensity.density(pair.buyer, x), propensity.density(pair.seller, x),
-            array("d", (pair.scale * value for value in propensity.density(pair.joint, x))),
-            *(propensity.entropic_force(curve, x, scale)
-              for curve in (pair.buyer, pair.seller, pair.joint))])
+        curves = {side: getattr(pair, side) for side in ("buyer", "seller", "joint")}
+        columns = _grid(params["grid"], {
+            "buyer_density": lambda x: propensity.density(pair.buyer, x),
+            "seller_density": lambda x: propensity.density(pair.seller, x),
+            "joint_density": lambda x: array(
+                "d", [pair.scale * value for value in propensity.density(pair.joint, x)]),
+            **{f"{side}_force": lambda x, curve=curve: propensity.entropic_force(curve, x, scale)
+               for side, curve in curves.items()}},
+            tuple(curve.mu for curve in curves.values()))
     results = {
         "buyer": _curve_dict(pair.buyer),
         "seller": _curve_dict(pair.seller),
@@ -763,19 +777,26 @@ def _forked(calls):
     The child touches no output handle and leaves by os._exit on every path,
     so no buffer is flushed and no atexit hook runs twice; a write to a
     parent that is gone fails with EPIPE and ends it. However the with block
-    ends, the child is killed if it still runs, and reaped.
+    ends, the child is killed if it still runs, and reaped. SIGINT is blocked
+    across the fork, and in the child for good: a Ctrl-C to the process group
+    as the output starts interrupts this process alone, not the child in its
+    fork hooks, before its own try.
     """
     fds, pid, cpus = (), -1, []
     if calls and hasattr(os, "sched_setaffinity"):
         with contextlib.suppress(OSError):
             cpus = sorted(os.sched_getaffinity(0))
     if calls and hasattr(os, "fork") and len(cpus) != 1:
+        import signal
+
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGINT])
         try:
             fds = read_fd, write_fd = os.pipe()
             with warnings.catch_warnings():    # Python 3.12+ warns of a caller's threads
                 warnings.simplefilter("ignore", DeprecationWarning)
                 pid = os.fork()
         except OSError:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
             for fd in fds:
                 os.close(fd)
     if pid < 0:
@@ -809,6 +830,7 @@ def _forked(calls):
                 os.sched_setaffinity(pid, [cpu for cpu in cpus if cpu != here])
         os.close(write_fd)
         with open(read_fd, "rb") as stream:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)   # a SIGINT of the fork comes here
             yield texts(stream)
     finally:
         os.kill(pid, 9)                    # SIGKILL: an exited child is a zombie until reaped
@@ -857,85 +879,62 @@ def _computed(function: Callable, *args):
         raise UsageError(f"parameters out of floating-point range: {exc}")
 
 
+def _fits(grid: list) -> bool:
+    """Whether the _Columns of a grid raise no error and hold no nan or
+    infinity at their extreme rows (see _grid), each a span of one row."""
+    try:
+        return all(_is_finite(column[j:j + 1]) for column in grid for j in column.extremes)
+    except (ValueError, ArithmeticError):
+        return False
+
+
 def _write(result: CommandResult, model: str, params: dict, output: str, start: float,
            out_path: str | None) -> None:
     """Check the results, then format them straight into out_path or stdout,
     at most CHUNK_ROWS rows at a time, so the whole text is never held.
 
-    A grid is evaluated here, a chunk's span of rows at a time (see _Column),
-    and checked for values beyond the float range before anything is opened.
-    Above CHUNK_ROWS rows, the child of _forked evaluates and checks the
-    spans of the chunks it formats, every second one, and sends the verdict
-    "" as its first text only where they pass. This process evaluates and
-    checks the other spans, then reads the verdict; where none comes, because
-    no child started, its spans failed or it died, this process checks the
-    child's spans itself. Where a span raises or holds such a value, this
-    process evaluates the whole grid by the serial route, which raises the
-    error it raises or leaves the value for the scan to name, so the call
-    fails as a single process would. wall_time_ms times the executor, from
-    start, and this process's spans of the grid. Each process holds its half
-    of the grid's columns and about two chunks of text.
+    A grid is checked first, at its extreme rows alone (see _fits). Where
+    that check fails, the whole grid is evaluated by the serial route, column
+    after column in results order, which raises the error a single process
+    meets first or leaves the value for the scan of every result to name.
+    Only then is the output opened. A grid's rows are evaluated where they
+    are formatted (see _Column): above CHUNK_ROWS rows, the child of _forked
+    evaluates and formats every second chunk, and this process the others.
+    wall_time_ms times the executor, from start, the check and the scan.
+    Each process keeps the log-prices of its own chunks of a grid and holds
+    about two chunks of text.
     """
     results = result.results
-    table = result.table or dict(zip(("quantity", "value"), zip(*_quantities(results))))
+    quantities = list(_quantities(results))
+    table = result.table or dict(zip(("quantity", "value"), zip(*quantities)))
     rows = len(next(iter(table.values())))
-    spans = _spans(rows)
-    even, odd = range(0, len(spans), 2), range(1, len(spans), 2)   # this process's, the child's
-    grid = next((value for _, value in _quantities(results) if isinstance(value, _Column)), None)
-
-    def passed(indices: range) -> bool:
-        """Whether the spans of indices evaluate to finite values in the grid."""
-        try:
-            return grid is None or all(_is_finite(column) for i in indices
-                                       for column in grid.span(*spans[i]))
-        except (ValueError, ArithmeticError):
-            return False
-
+    if not _fits([value for _, value in quantities if isinstance(value, _Column)]):
+        quantities = _computed(lambda: [
+            (name, value[0:value.rows] if isinstance(value, _Column) else value)
+            for name, value in quantities])
+    for name, value in quantities:
+        if not _is_finite(value):
+            raise UsageError(
+                f"parameters out of floating-point range: {name} does not fit in a float")
     if output == "json":
         echo = {key: value for key, value in params.items()
                 if value is not None and key != "seed"}
-
-        def pieces(elapsed_ms: float) -> list:
-            """The output's pieces (see _emit)."""
-            return [*_json_pieces({"command": model,
-                                   "config": {"model": model, "parameters": echo,
-                                              "output": output},
-                                   "version": __version__, "seed": params.get("seed"),
-                                   "wall_time_ms": round(elapsed_ms, 3),
-                                   "results": results}), "\n"]
-    else:
+        pieces = [*_json_pieces({"command": model,
+                                 "config": {"model": model, "parameters": echo, "output": output},
+                                 "version": __version__, "seed": params.get("seed"),
+                                 "wall_time_ms": round((time.perf_counter() - start) * 1000.0, 3),
+                                 "results": results}), "\n"]
+    else:                                  # a table shows no wall_time_ms
         columns = [column if isinstance(column, (array, range, _Column))
                    else list(map(_fmt, column)) for column in table.values()]
         row = ",".join(map(_column_format, columns)) + "\n"
-
-        def pieces(elapsed_ms: float) -> list:
-            """The output's pieces (see _emit); a table shows no elapsed_ms."""
-            return [",".join(table) + "\n", *(
-                lambda start=start, stop=stop: _csv_rows(
-                    row, [column[start:stop] for column in columns])
-                for start, stop in spans)]
-
-    def theirs():
-        """The child's calls where its spans pass: its verdict, then the chunks it formats."""
-        if passed(odd):
-            yield lambda: ""
-            yield from [piece for piece in pieces(0.0) if not isinstance(piece, str)][1::2]
-
-    with _forked(theirs() if rows > CHUNK_ROWS else ()) as texts:
-        ok = passed(even)
-        elapsed_ms = (time.perf_counter() - start) * 1000.0
-        written = pieces(elapsed_ms)
-        ok = ok and (next(texts, None) is not None or passed(odd))   # no verdict: check here
-        quantities = list(_quantities(results))
-        if not ok:                         # the serial route raises, or the scan names it
-            whole = _computed(grid.block, 0, grid.rows)
-            quantities = [(name, whole[value.index] if isinstance(value, _Column) else value)
-                          for name, value in quantities]
-        for name, value in quantities:
-            if not _is_finite(value):
-                raise UsageError(
-                    f"parameters out of floating-point range: {name} does not fit in a float")
-        _output(written, out_path, texts)
+        pieces = [",".join(table) + "\n", *(
+            lambda start=start, stop=stop: _csv_rows(
+                row, [column[start:stop] for column in columns])
+            for start, stop in _spans(rows))]
+    chunks = [piece for piece in pieces if not isinstance(piece, str)]
+    with _forked(chunks[1::2] if rows > CHUNK_ROWS else ()) as texts:
+        _output(pieces, out_path, texts)
 
 
 def build_parser() -> argparse.ArgumentParser:

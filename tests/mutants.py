@@ -43,8 +43,8 @@ SPLIT_FAULTS = TEST_CLI + "test_a_value_beyond_the_float_range_in_the_childs_spa
 ZIGGURAT = "tests/test_draws.py::test_normals_reach_the_tail_and_the_wedge"
 UNCHECKED = TEST_RECORD + "test_unchecked_builds_what_the_constructor_builds"
 
-# The output stage: the forked child, its pipe, its verdict on a split grid
-# and the chunks, the interrupt and the number formats; where the two
+# The output stage: the forked child, its pipe and the chunks, a grid's check
+# at its extreme rows, the interrupt and the number formats; where the two
 # processes run; the scale, pair and grid rules of the models; the tolerance
 # rule; the read-only computed arrays and the records; and the ziggurat of
 # sample's draws.
@@ -58,22 +58,26 @@ MUTANTS = [
     (CLI, "os.kill(pid, 9)", "pass",
      TEST_CLI + "test_a_parent_that_fails_early_kills_a_child_held_in_a_chunk"),
     # The child formats the chunks this process formats.
-    (CLI, "if not isinstance(piece, str)][1::2]", "if not isinstance(piece, str)][0::2]",
+    (CLI, "with _forked(chunks[1::2]", "with _forked(chunks[0::2]",
      TEST_CLI + "test_chunked_writer_matches_per_value_route"),
     # The texts a child did not send are taken to be empty.
     (CLI, "text = next(texts, None) if theirs", 'text = next(texts, "") if theirs',
      TEST_CLI + "test_a_child_that_dies_leaves_the_output_whole"),
-    # A split grid: the child's silence is taken for a pass; the child sends
-    # its verdict whatever its spans hold; this process's own spans go
-    # unchecked; a fault of this process's own spans is raised as it comes,
-    # not by the serial route; the child's texts wait in its buffer.
-    (CLI, "or passed(odd))", "or True)", SPLIT_FAULTS),
-    (CLI, "if passed(odd):", "if True:", SPLIT_FAULTS),
-    (CLI, "ok = passed(even)", "ok = True",
+    # A grid's check: skipped; its rows evaluated but not scanned for nan or
+    # inf; an error of the rows raised as it comes, not by the serial route;
+    # the last row, or the rows around each mean, left out; the serial route
+    # run in reverse, so that the last column's fault is named.
+    (CLI, "if not _fits([", "if False and _fits([",
      TEST_CLI + "test_values_beyond_float_range_exit_2"),
-    (CLI, "except (ValueError, ArithmeticError):\n            return False",
-     "except ZeroDivisionError:\n            return False",
-     TEST_CLI + "test_values_beyond_float_range_exit_2[joint-split-grid-two-faults]"),
+    (CLI, "all(_is_finite(column[j:j + 1])", "all(len(column[j:j + 1])", SPLIT_FAULTS),
+    (CLI, "except (ValueError, ArithmeticError):\n        return False",
+     "except ZeroDivisionError:\n        return False",
+     TEST_CLI + "test_values_beyond_float_range_exit_2[joint-grid]"),
+    (CLI, "extremes = tuple(sorted({0, n - 1, ", "extremes = tuple(sorted({0, ", SPLIT_FAULTS),
+    (CLI, ", *(max(i - 1, 0) for i in above), *above}", "}",
+     TEST_CLI + "test_the_check_reads_the_rows_around_each_mean"),
+    (CLI, "for name, value in quantities])", "for name, value in quantities[::-1]])",
+     SPLIT_FAULTS),
     (CLI, "                    pipe.flush()\n", "",
      TEST_CLI + "test_each_text_reaches_this_process_as_the_child_sends_it"),
     # The read end of the pipe is left for its finalizer.

@@ -3,8 +3,11 @@
 Runs a 1e6-point `qprop force --grid`, a 1e6-point `qprop joint --grid` (the
 widest table) and a 1e6-draw `qprop sample` as child processes, in JSON and
 in CSV, with their output discarded, and reads each child's peak resident set
-size with os.wait4 (Linux, where ru_maxrss is in KiB). Exits 1 if a call fails
-or peaks above LIMIT_MB.
+size with os.wait4 (Linux, where ru_maxrss is in KiB). Each call runs twice:
+as it is, and bound to one CPU (os.sched_setaffinity in the child before it
+starts, where the platform has it), where no formatter child starts and one
+process evaluates and formats the whole output. Exits 1 if a call fails or
+peaks above LIMIT_MB.
 
     PYTHONPATH=src python3 tests/peak_rss.py
 """
@@ -29,11 +32,17 @@ CALLS = {
 }
 
 
-def peak(argv: list[str]) -> tuple[int, float, float]:
+def one_cpu() -> None:
+    """Bind the calling process to the lowest CPU of its set."""
+    os.sched_setaffinity(0, [min(os.sched_getaffinity(0))])
+
+
+def peak(argv: list[str], preexec_fn=None) -> tuple[int, float, float]:
     """(exit code, peak RSS in MB, wall seconds) of one qprop child."""
     start = time.perf_counter()
     with open(os.devnull, "w") as sink:
-        child = subprocess.Popen([sys.executable, "-m", "qprop", *argv], stdout=sink)
+        child = subprocess.Popen([sys.executable, "-m", "qprop", *argv], stdout=sink,
+                                 preexec_fn=preexec_fn)
         _, status, usage = os.wait4(child.pid, 0)
     return (os.waitstatus_to_exitcode(status), usage.ru_maxrss / 1024,
             time.perf_counter() - start)
@@ -41,13 +50,17 @@ def peak(argv: list[str]) -> tuple[int, float, float]:
 
 def main() -> int:
     failed = False
-    for name, argv in CALLS.items():
-        for output in ("json", "csv"):
-            code, mb, seconds = peak([*argv, "--output", output])
-            bad = code != 0 or mb > LIMIT_MB
-            failed |= bad
-            print(f"{name} {output}: exit {code}, peak {mb:.1f} MB, {seconds:.2f} s"
-                  + ("  FAIL" if bad else ""))
+    placements = {"": None}
+    if hasattr(os, "sched_setaffinity"):
+        placements[", one CPU"] = one_cpu
+    for placement, preexec_fn in placements.items():
+        for name, argv in CALLS.items():
+            for output in ("json", "csv"):
+                code, mb, seconds = peak([*argv, "--output", output], preexec_fn)
+                bad = code != 0 or mb > LIMIT_MB
+                failed |= bad
+                print(f"{name} {output}{placement}: exit {code}, peak {mb:.1f} MB, "
+                      f"{seconds:.2f} s" + ("  FAIL" if bad else ""))
     print(f"limit {LIMIT_MB} MB: {'failed' if failed else 'ok'}")
     return 1 if failed else 0
 

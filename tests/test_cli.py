@@ -16,12 +16,13 @@ from array import array
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qprop import __version__, cli, propensity
 from qprop.cli import CHUNK_ROWS, MAX_ROWS, _csv_rows, _fmt, _json_numbers, _json_pieces, main
 
+import differential
 import make_goldens
 from make_goldens import CASES, GOLDEN_DIR, mask_timing, strict_json
 
@@ -1474,6 +1475,112 @@ def test_grid_cells_equal_the_one_point_route(model, grid, b_where, b_width,
         assert columns[name].tobytes() == array("d", map(at, x)).tobytes(), name
 
 
+def positive(rng):
+    """A positive float drawn as tests/differential.py draws a number:
+    mostly from 0.05 to 5, else log-uniform over the whole float range or a
+    special value, the smallest subnormal and the largest float among them;
+    drawn again until it is a positive float."""
+    while True:
+        with contextlib.suppress(ValueError):
+            value = float(differential._number(rng, "posfloat"))
+            if 0.0 < value < math.inf:
+                return value
+
+
+@st.composite
+def extreme_grids(draw):
+    """(model, params) of a force or joint grid of 2 to 300 rows, its bounds,
+    means, widths and gamma drawn by positive."""
+    rng = draw(st.randoms(use_true_random=False))
+    model = draw(st.sampled_from(["force", "joint"]))
+    lo, hi = sorted((positive(rng), positive(rng)))
+    assume(lo < hi)
+    params = {spec.name: None for spec in cli.COMMANDS[model].params}
+    params.update(gamma=positive(rng), grid=f"{lo!r}:{hi!r}:{draw(st.integers(2, 300))}")
+    for side in ("",) if model == "force" else ("buyer_", "seller_"):
+        params.update({f"{side}mean_price": positive(rng), f"{side}sigma": positive(rng)})
+    return model, params
+
+
+def floor_crossing():
+    """Two adjacent prices: at the first, a curve at price 1 of width 1 has a
+    density of at least DENSITY_FLOOR, at the second one below it."""
+    curve = propensity.GaussianCurve(0.0, 1.0)
+    above, below = 1.0, 1e20
+    while math.nextafter(above, math.inf) < below:
+        middle = above + (below - above) / 2
+        if propensity.density(curve, math.log(middle)) < propensity.DENSITY_FLOOR:
+            below = middle
+        else:
+            above = middle
+    return above, below
+
+
+def force_grid(grid, mean_price=1.0, sigma=1.0, gamma=1.0):
+    params = {spec.name: None for spec in cli.COMMANDS["force"].params}
+    params.update(mean_price=mean_price, sigma=sigma, gamma=gamma, grid=grid)
+    return "force", params
+
+
+def joint_grid(grid, buyer, seller, gamma=1.0):
+    params = {spec.name: None for spec in cli.COMMANDS["joint"].params}
+    params.update(buyer_mean_price=buyer[0], buyer_sigma=buyer[1], seller_mean_price=seller[0],
+                  seller_sigma=seller[1], gamma=gamma, grid=grid)
+    return "joint", params
+
+
+FLOOR = floor_crossing()
+LARGEST = sys.float_info.max
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(extreme_grids())
+# The last row's density at the floor and just below it; the first row's.
+@example(force_grid(f"1:{FLOOR[0]!r}:5"))
+@example(force_grid(f"1:{FLOOR[1]!r}:5"))
+@example(force_grid(f"{1 / FLOOR[0]!r}:1:4"))
+@example(joint_grid(f"1:{FLOOR[1]!r}:9", (1.0, 1.0), (2.0, 1e6)))
+# The last row's price at the edge where math.exp overflows, and z * z
+# overflowing to inf in a density that is 0 there; the smallest subnormal
+# as the first row.
+@example(force_grid(f"1e300:{LARGEST!r}:7", mean_price=1e305, sigma=10.0))
+@example(force_grid(f"5e-324:{LARGEST!r}:9", sigma=100.0))
+@example(joint_grid(f"1e300:{LARGEST!r}:6", (1e300, 5.0), (1e308, 8.0)))
+@example(force_grid(f"0.5:{LARGEST!r}:3", sigma=1e-155, gamma=1e-300))
+@example(joint_grid("0.5:2:4", (1.0, 1e-310), (1.5, 1.0)))
+def test_the_extreme_rows_decide_a_grids_fault(grid):
+    """The check of a grid's extreme rows passes where, and only where, the
+    whole grid evaluated column after column raises no error and holds no
+    nan or infinity."""
+    model, params = grid
+    try:
+        table = getattr(cli, f"_exec_{model}")(params).table
+    except (ValueError, ArithmeticError):
+        assume(False)                     # refused before any grid row is evaluated
+    columns = list(table.values())
+    try:
+        whole = all(cli._is_finite(column[0:column.rows]) for column in columns)
+    except (ValueError, ArithmeticError):
+        whole = False
+    assert cli._fits(columns) == whole
+
+
+def test_the_check_reads_the_rows_around_each_mean():
+    """The rows around a mean are the first row above it (or the last row)
+    and the row before it. A curve narrower than 1e-308 has an infinite
+    density at its mean and 0 one row away, so where its mean lies on a
+    row, only the rows around it show the fault."""
+    spec = f"1:{math.exp(2.0)!r}:5"                # log-prices 0, 0.5, 1, 1.5 and 2
+    for mu, rows in ((-1.0, (0, 4)), (0.0, (0, 1, 4)), (1.25, (0, 2, 3, 4)),
+                     (1.5, (0, 3, 4)), (3.0, (0, 3, 4))):
+        assert cli._grid(spec, {}, (mu,))["x"].extremes == rows
+    assert cli._grid(spec, {}, (-1.0, 1.25, 3.0))["x"].extremes == (0, 2, 3, 4)
+    curve = propensity.GaussianCurve(1.0, 1e-310)
+    grid = cli._grid(spec, {"density": lambda x: propensity.density(curve, x)}, (curve.mu,))
+    assert list(grid["density"][0:5]) == [0.0, 0.0, math.inf, 0.0, 0.0]
+    assert not cli._fits(list(grid.values()))
+
+
 # ============================================================
 # JSON writer against json.dumps
 # ============================================================
@@ -1734,9 +1841,9 @@ def test_a_child_that_dies_leaves_the_output_whole(monkeypatch, output):
 
 
 # A 4-span joint grid whose buyer force overflows in the last span only, which
-# the child evaluates, and whose seller and joint forces overflow in the first
-# span only, which this process evaluates; a force grid whose force overflows
-# in the last span only.
+# the child would format, and whose seller and joint forces overflow in the
+# first span only, which this process would format; a force grid whose force
+# overflows in the last span only.
 CHILD_SPAN_OVERFLOWS = {
     "joint": (["joint", "--buyer-mean-price", "1", "--buyer-sigma", "1",
                "--seller-mean-price", "20.085536923187668", "--seller-sigma", "1.2",
@@ -1747,25 +1854,18 @@ CHILD_SPAN_OVERFLOWS = {
 }
 
 
-def kill_the_child_at_its_check(patch):
-    """Make a forked child exit as it checks its first block, before its verdict."""
-    finite, parent = cli._is_finite, os.getpid()
-
-    def dies_in_the_child(value):
-        if os.getpid() != parent:
-            os._exit(3)
-        return finite(value)
-
-    patch.setattr(cli, "_is_finite", dies_in_the_child)
+def grid_table(argv):
+    """The table of a force or joint --grid call's executor, by column name."""
+    model, flags = argv[0], dict(zip(argv[1::2], argv[2::2]))
+    params = {spec.name: None for spec in cli.COMMANDS[model].params}
+    params.update({flag[2:].replace("-", "_"): flags[flag] if flag == "--grid"
+                   else float(flags[flag]) for flag in flags if flag != "--output"})
+    return getattr(cli, f"_exec_{model}")(params).table
 
 
 def spans_beyond_the_float_range(argv):
     """The indices of the spans that hold a nan or an infinity, by column."""
-    model, flags = argv[0], dict(zip(argv[1::2], argv[2::2]))
-    params = {spec.name: None for spec in cli.COMMANDS[model].params}
-    params.update({flag[2:].replace("-", "_"): flags[flag] if flag == "--grid"
-                   else float(flags[flag]) for flag in flags})
-    table = getattr(cli, f"_exec_{model}")(params).table
+    table = grid_table(argv)
     spans = cli._spans(table["x"].rows)
     found = {name: [i for i, (start, stop) in enumerate(spans)
                     if not all(map(math.isfinite, column[start:stop]))]
@@ -1777,12 +1877,11 @@ def spans_beyond_the_float_range(argv):
 @pytest.mark.parametrize("output", ["json", "csv"])
 def test_a_value_beyond_the_float_range_in_the_childs_spans_exits_2(
         monkeypatch, capsys, tmp_path, model, output):
-    """The child sends no verdict, and the call prints one error line naming
-    the first such column in results order, as the serial route does, though
-    this process's own spans may fail on a later column; nothing is written
-    to stdout and no --out file is made. The same holds where the child dies
-    before its verdict and where no child starts: this process evaluates the
-    child's spans itself."""
+    """The check of the grid's extreme rows finds it before a child starts,
+    and the call prints one error line naming the first such column in
+    results order, as the serial route does, though a later column fails in
+    the first span; nothing is written to stdout and no --out file is made.
+    The same holds where fork fails and where the call may run on one CPU."""
     argv, where = CHILD_SPAN_OVERFLOWS[model]
     assert spans_beyond_the_float_range(argv) == where
     line = f"qprop: error: {RANGE}columns_{next(iter(where))} does not fit in a float\n"
@@ -1791,47 +1890,98 @@ def test_a_value_beyond_the_float_range_in_the_childs_spans_exits_2(
     path = write_config(tmp_path, "\n".join(config) + "\n")
     out = tmp_path / "out.txt"
     forks = counted_forks(monkeypatch)
-    for child in ("refuses", "dies", "none"):
+    for cpus in ("two", "no fork", "one"):
         with monkeypatch.context() as patch:
-            if child == "dies":
-                kill_the_child_at_its_check(patch)
-            if child == "none":
+            if cpus == "no fork":
                 patch.setattr(os, "fork", no_fork)
+            if cpus == "one":
+                patch.setattr(os, "sched_getaffinity", lambda pid: {0})
             assert run_cli([*argv, "--output", output]) == (2, "")
             assert run_cli(["run", path, "--out", str(out)]) == (2, "")
         assert capsys.readouterr().err == line * 2
         assert not out.exists()
         assert_no_child()
-    assert len(forks) == 4                 # two calls each where a child starts
+    assert forks == []
 
 
 @pytest.mark.parametrize("model", ["force", "joint"])
 @pytest.mark.parametrize("output", ["json", "csv"])
-def test_a_child_that_dies_before_its_verdict_leaves_the_output_whole(monkeypatch, model,
-                                                                     output):
-    """This process then evaluates and checks the child's spans itself, and
-    formats every chunk: the serial route's bytes."""
+def test_a_child_that_dies_at_its_first_span_leaves_the_output_whole(monkeypatch, model,
+                                                                   output):
+    """The child exits as it evaluates its first span of the grid, before it
+    sends a text: this process then evaluates and formats every chunk, the
+    serial route's bytes."""
     argv = split_argv(model, 2 * CHUNK_ROWS + 5, output)
     expected = serial_text(monkeypatch, argv)
     forks = counted_forks(monkeypatch)
-    kill_the_child_at_its_check(monkeypatch)
+    evaluate, parent = cli._Column.__getitem__, os.getpid()
+
+    def dies_in_the_child(column, rows):
+        if os.getpid() != parent:
+            os._exit(3)
+        return evaluate(column, rows)
+
+    monkeypatch.setattr(cli._Column, "__getitem__", dies_in_the_child)
     code, text = run_cli(argv)
     assert (code, mask_timing(text)) == (0, expected)
     assert len(forks) == 1
     assert_no_child()
 
 
+@pytest.mark.parametrize("output", ["json", "csv"])
+def test_no_process_evaluates_a_grid_row_twice(monkeypatch, output):
+    """Each curve function of a 4-chunk joint grid meets every row once, and
+    the grid's log-prices are evaluated once a row, each span's array handed
+    to every function: the rows this process formats, besides the check's
+    one-row spans at the extreme rows. Where no child starts those are all
+    rows; where one does, the rows of every second chunk from the first."""
+    argv = split_argv("joint", 2 * CHUNK_ROWS + 5, output)
+    extremes = grid_table(argv)["x"].extremes
+    spans = cli._spans(2 * CHUNK_ROWS + 5)
+    calls = []                             # (function, curve, log-prices) of each array call
+
+    def counted(name):
+        function = getattr(propensity, name)
+
+        def count(curve, x, *args):
+            if isinstance(x, array):
+                calls.append((name, curve, x))
+            return function(curve, x, *args)
+
+        return count
+
+    for name in ("density", "entropic_force"):
+        monkeypatch.setattr(propensity, name, counted(name))
+    for child, formatted in ((False, spans), (True, spans[0::2])):
+        calls.clear()
+        with monkeypatch.context() as patch:
+            if child:
+                forks = counted_forks(patch)
+            else:
+                patch.setattr(os, "fork", no_fork)
+            assert run_cli(argv)[0] == 0
+        assert not child or len(forks) == 1
+        points = len(extremes) + sum(stop - start for start, stop in formatted)
+        functions = {(name, curve) for name, curve, _ in calls}
+        assert len(functions) == 6         # three densities and three forces
+        for function in functions:
+            handed = [x for name, curve, x in calls if (name, curve) == function]
+            assert sum(map(len, handed)) == points
+            assert len({id(x) for x in handed}) == len(handed) == len(extremes) + len(formatted)
+        assert len({id(x) for _, _, x in calls}) == len(extremes) + len(formatted)
+
+
 def test_each_text_reaches_this_process_as_the_child_sends_it(monkeypatch):
-    """The child flushes each text as it sends it, so a verdict does not wait
-    in the child's buffer while it formats its first chunk."""
+    """The child flushes each text as it sends it, so its first text does not
+    wait in the child's buffer while it formats the next."""
     def slow():
         time.sleep(5)
         return "slow"
 
     forks = counted_forks(monkeypatch)
     start = time.perf_counter()
-    with cli._forked(iter([lambda: "verdict", slow])) as texts:
-        assert next(texts) == "verdict"
+    with cli._forked(iter([lambda: "first", slow])) as texts:
+        assert next(texts) == "first"
         assert time.perf_counter() - start < 2.0
     assert len(forks) == 1
     assert_no_child()

@@ -19,7 +19,8 @@ import qprop
 from qprop.cli import COMMANDS, MAX_ROWS
 
 MODEL_MODULES = {"numpy", "qprop._draws", "qprop.decision", "qprop.propensity", "qprop.qubits"}
-# Besides: what a call that forks a chunk formatter must not load.
+# Besides: what a call that forks a chunk formatter must not load, but signal,
+# which it loads to block SIGINT across the fork.
 TRACKED = MODEL_MODULES | {"configparser", "dataclasses", "inspect", "json",
                            "fcntl", "multiprocessing", "signal"}
 
@@ -164,10 +165,10 @@ LOADS = [
      {"qprop.propensity"}),
     # Above CHUNK_ROWS rows: a forked child that reported would print a second line.
     (["force", "--mean-price", "1", "--sigma", "0.3", "--gamma", "1",
-      "--grid", "0.5:2.0:20000", "--output", "csv"], {"qprop.propensity"}),
+      "--grid", "0.5:2.0:20000", "--output", "csv"], {"qprop.propensity", "signal"}),
     (["sample", "--trials", "20000", "--buyer-mean-price", "1", "--buyer-sigma", "0.1",
       "--seller-mean-price", "1.1", "--seller-sigma", "0.2", "--seed", "1"],
-     {"qprop._draws", "qprop.propensity", "json"}),
+     {"qprop._draws", "qprop.propensity", "json", "signal"}),
 ]
 
 
