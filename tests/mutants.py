@@ -11,12 +11,15 @@ tree, with the other files as they are, and ``python -m pytest -x -q
 SELECTION`` is run in that copy, with the copy's ``src`` on ``PYTHONPATH``,
 no bytecode written and no plugin loaded by entry point. A mutant is killed
 when its selection fails (pytest exit status 1). A mutant that survives, a
-selection that does not run (any other status, or a run beyond TIMEOUT_S)
-and an old text that is missing or occurs more than once are each reported,
-and make the exit status 1. Standard library only.
+selection that does not run (any other status, or a run beyond TIMEOUT_S),
+an old text that is missing or occurs more than once, and a selection that
+names no test (a file that does not define the name at its top level, by def
+or by assignment) are each reported, and make the exit status 1. Standard
+library only.
 """
 from __future__ import annotations
 
+import ast
 import os
 import shutil
 import subprocess
@@ -42,12 +45,14 @@ CHILD_EXIT = TEST_CLI + "test_the_child_leaves_by_os_exit_on_every_path"
 SPLIT_FAULTS = TEST_CLI + "test_a_value_beyond_the_float_range_in_the_childs_spans_exits_2"
 ZIGGURAT = "tests/test_draws.py::test_normals_reach_the_tail_and_the_wedge"
 UNCHECKED = TEST_RECORD + "test_unchecked_builds_what_the_constructor_builds"
+SIGINT_MASK = TEST_CLI + "test_the_child_blocks_sigint_and_this_thread_unblocks_it"
 
 # The output stage: the forked child, its pipe and the chunks, a grid's check
-# at its extreme rows, the interrupt and the number formats; where the two
-# processes run; the scale, pair and grid rules of the models; the tolerance
-# rule; the read-only computed arrays and the records; and the ziggurat of
-# sample's draws.
+# at its extreme rows, the interrupt and its mask, and the number formats;
+# where the two processes run; the scale, pair and grid rules of the models;
+# the tolerance rule; the edges of the CLI: output that cannot be written,
+# the split writer, the goldens and usage errors; the read-only computed
+# arrays and the records; and the ziggurat of sample's draws.
 MUTANTS = [
     # The child leaves by interpreter exit, or goes on as a second caller.
     (CLI, "os._exit(0)", "sys.exit(0)", CHILD_EXIT),
@@ -88,6 +93,11 @@ MUTANTS = [
      TEST_CLI + "test_an_interrupt_ends_a_process_with_one_line_and_sigint"),
     (CLI, "signal.raise_signal(signal.SIGINT)", "pass",
      TEST_CLI + "test_an_interrupt_ends_a_process_with_one_line_and_sigint"),
+    # SIGINT is not blocked in the child, or stays blocked in this thread.
+    (CLI, "signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGINT])",
+     "signal.pthread_sigmask(signal.SIG_BLOCK, [])", SIGINT_MASK),
+    (CLI, "            signal.pthread_sigmask(signal.SIG_SETMASK, mask)   # a SIGINT", "#",
+     SIGINT_MASK),
     # An odd number of chunks: the two processes format unequal shares.
     (CLI, "    count += count % 2 if count > 1 else 0\n", "",
      TEST_CLI + "test_spans_cut_an_even_number_of_equal_chunks"),
@@ -125,6 +135,72 @@ MUTANTS = [
     # in its own words.
     (CLI, 'Param("tol", "posfloat"', 'Param("tol", "float"',
      TEST_CLI + "test_tolerance_must_be_positive"),
+    # The contract at the edges of the CLI, each rule pinned by one test of
+    # its table. Output that cannot be written: a closed stdout raises
+    # AttributeError, a failed write drops stdout for the next call in the
+    # same process.
+    (CLI, '        if out_path is None and sys.stdout is None:\n'
+          '            raise OSError("standard output is closed")\n', "",
+     TEST_CLI + "test_closed_stdout_exits_2"),
+    (CLI, '    except OSError as exc:\n        raise UsageError(f"cannot write output: {exc}")',
+     '    except OSError as exc:\n        sys.stdout = None\n'
+     '        raise UsageError(f"cannot write output: {exc}")',
+     TEST_CLI + "test_a_failed_write_in_process_leaves_stdout_as_it_was"),
+    # The split writer: a platform without os.fork, a call of CHUNK_ROWS rows
+    # split, and a child that leaves by return, which only a real process
+    # shows formatting a second record.
+    (CLI, 'if calls and hasattr(os, "fork") and len(cpus) != 1:',
+     "if calls and len(cpus) != 1:",
+     TEST_CLI + "test_a_call_that_cannot_fork_writes_the_same_bytes"),
+    (CLI, "if rows > CHUNK_ROWS else ()", "if rows >= CHUNK_ROWS else ()",
+     TEST_CLI + "test_split_output_is_byte_identical"),
+    (CLI, "os._exit(0)", "return",
+     TEST_CLI + "test_split_output_of_a_subprocess_matches_the_call_in_process"),
+    # The goldens: a CSV header with spaces, JSON indented by three, an
+    # integer wall_time_ms, and a command left without goldens.
+    (CLI, 'pieces = [",".join(table) + "\\n"', 'pieces = [", ".join(table) + "\\n"',
+     TEST_CLI + "test_csv_outputs_match_goldens_byte_for_byte"),
+    (CLI, 'inner = indent + "  "', 'inner = indent + "   "',
+     TEST_CLI + "test_json_outputs_match_goldens_byte_for_byte"),
+    (CLI, "(time.perf_counter() - start) * 1000.0, 3)", "(time.perf_counter() - start) * 1000.0)",
+     TEST_CLI + "test_json_outputs_match_goldens_up_to_timing"),
+    ("tests/make_goldens.py", '    "work": ["work", "--mean-price", "1.0", "--sigma", "0.25",\n'
+     '             "--price1", "1.2", "--price2", "1.0", "--gamma", "1.0"],\n', "",
+     TEST_CLI + "test_every_command_has_json_and_csv_goldens"),
+    # Usage errors: a config that cannot be opened, a required flag, a
+    # one-point or reversed grid, both or neither of price and grid, gamma
+    # with omega, two fixed prices, a fixed price with its curve, --flag=--,
+    # the line of an unknown key, an unknown section, an empty --out, and an
+    # --out whose directory is made. The usage line's COMMAND is pinned by
+    # the exact stderr alone.
+    (CLI, "    except (OSError, UnicodeDecodeError) as exc:",
+     "    except UnicodeDecodeError as exc:",
+     TEST_CLI + "test_run_missing_config_file"),
+    (CLI, "required=spec.required,", "required=False,",
+     TEST_CLI + "test_missing_required_flag_exits_2"),
+    (CLI, 'metavar="COMMAND"', 'metavar="MODEL"', TEST_CLI + "test_unknown_command_exits_2"),
+    (CLI, "    if n < 2:", "    if n < 1:", TEST_CLI + "test_single_point_grid_exits_2"),
+    (CLI, "    if lo <= 0 or hi <= lo:", "    if lo <= 0:",
+     TEST_CLI + "test_malformed_grid_exits_2"),
+    (CLI, 'if model == "force" and (grid is None) == (params.get("price") is None):',
+     'if model == "force" and grid is None and params.get("price") is None:',
+     TEST_CLI + "test_force_needs_price_or_grid"),
+    (CLI, '            and (params.get("omega") is not None or params.get("hbar") is not None)):',
+     '            and params.get("hbar") is not None):',
+     TEST_CLI + "test_gamma_and_omega_are_exclusive"),
+    (CLI, "        if None not in fixed.values():", "        if False:",
+     TEST_CLI + "test_both_sides_fixed_exits_2"),
+    (CLI, "            if fixed[side] is not None and curves[side] != (None, None):",
+     "            if False:", TEST_CLI + "test_fixed_price_excludes_same_side_curve"),
+    (CLI, "            if isinstance(value, list):", "            if False:",
+     TEST_CLI + "test_flag_given_double_dash_exits_2"),
+    (CLI, "enumerate(text.splitlines(), start=1)", "enumerate(text.splitlines(), start=0)",
+     TEST_CLI + "test_run_unknown_key_is_fatal"),
+    (CLI, "    if extras:\n", "    if False:\n", TEST_CLI + "test_run_unknown_section_is_fatal"),
+    (CLI, 'start, getattr(args, "out", None))', 'start, getattr(args, "out", None) or None)',
+     TEST_CLI + "test_run_empty_out_exits_2"),
+    (CLI, 'else open(out_path, "w"', 'else open(os.makedirs(os.path.dirname(out_path) or ".", '
+     'exist_ok=True) or out_path, "w"', TEST_CLI + "test_run_out_to_missing_directory_exits_2"),
     # A computed state or gate is writable; unchecked runs __post_init__, or
     # fills the fields in reverse.
     (QUBITS, "    arr.setflags(write=False)\n    return unchecked(cls, arr)",
@@ -168,6 +244,29 @@ def stale(root: Path, mutants: list) -> list[str]:
     return found
 
 
+def unresolved(root: Path, mutants: list) -> list[str]:
+    """Each part of a selection, path or path::name[id], whose file is
+    missing or does not define name at its top level, by def or by
+    assignment; read with ast, without running pytest."""
+    found, defined = [], {}
+    for *_, selection in mutants:
+        for part in selection.split():
+            path, _, name = part.partition("::")
+            name = name.partition("[")[0]
+            if not (root / path).is_file():
+                found.append(f"{part}: no file {path}")
+                continue
+            if path not in defined:
+                body = ast.parse((root / path).read_text(encoding="utf-8")).body
+                defined[path] = {
+                    node.name for node in body if isinstance(node, ast.FunctionDef)} | {
+                    target.id for node in body if isinstance(node, ast.Assign)
+                    for target in node.targets if isinstance(target, ast.Name)}
+            if name and name not in defined[path]:
+                found.append(f"{part}: {path} defines no {name}")
+    return found
+
+
 def survivors(root: Path, mutants: list) -> list[str]:
     """Each mutant that its selection does not kill, in a copy of root; a
     line is printed for every mutant as it is run."""
@@ -202,7 +301,7 @@ def survivors(root: Path, mutants: list) -> list[str]:
 
 def main() -> int:
     start = time.perf_counter()
-    found = stale(ROOT, MUTANTS) or survivors(ROOT, MUTANTS)
+    found = stale(ROOT, MUTANTS) or unresolved(ROOT, MUTANTS) or survivors(ROOT, MUTANTS)
     for line in found:
         print("ERROR", line)
     print(f"{len(MUTANTS)} mutants, {len(found)} errors, {time.perf_counter() - start:.1f} s")

@@ -1,7 +1,6 @@
 import contextlib
 import gc
 import io
-import itertools
 import json
 import math
 import os
@@ -55,35 +54,27 @@ def parse_csv(text):
 # Golden outputs
 # ============================================================
 
-@pytest.mark.parametrize("name", sorted(CSV_CASES))
-def test_csv_outputs_match_goldens_byte_for_byte(name):
-    code, text = run_cli(CSV_CASES[name])
-    assert code == 0
-    golden = (GOLDEN_DIR / name).read_text(encoding="utf-8")
-    assert text == golden
+def matches_goldens(cases, view):
+    """A test of each golden among cases: its call exits 0, and the view of
+    what it prints is the view of the golden."""
+    @pytest.mark.parametrize("name", sorted(cases))
+    def test(name):
+        code, text = run_cli(cases[name])
+        assert code == 0
+        assert view(text) == view((GOLDEN_DIR / name).read_text(encoding="utf-8"))
+    return test
 
 
 def test_every_command_has_json_and_csv_goldens():
     assert make_goldens.uncovered() == []
 
 
-@pytest.mark.parametrize("name", sorted(JSON_CASES))
-def test_json_outputs_match_goldens_up_to_timing(name):
-    code, text = run_cli(JSON_CASES[name])
-    assert code == 0
-    golden = (GOLDEN_DIR / name).read_text(encoding="utf-8")
-    assert normalize_json(text) == normalize_json(golden)
-
-
-@pytest.mark.parametrize("name", sorted(JSON_CASES))
-def test_json_outputs_match_goldens_byte_for_byte(name):
-    """Parsed comparison treats 1 and 1.0 alike; this one pins every byte
-    apart from the wall_time_ms value."""
-    code, text = run_cli(JSON_CASES[name])
-    assert code == 0
-    golden = (GOLDEN_DIR / name).read_text(encoding="utf-8")
-    assert mask_timing(text) == mask_timing(golden)
-    assert mask_timing(text) != text
+test_csv_outputs_match_goldens_byte_for_byte = matches_goldens(CSV_CASES, str)
+# Parsed, so 1 and 1.0 are alike: NaN and Infinity refused, wall_time_ms a float.
+test_json_outputs_match_goldens_up_to_timing = matches_goldens(JSON_CASES, normalize_json)
+# Every byte apart from the wall_time_ms value, which is there to be masked.
+test_json_outputs_match_goldens_byte_for_byte = matches_goldens(
+    JSON_CASES, lambda text: (mask_timing(text), mask_timing(text) != text))
 
 
 def test_golden_check_reports_drift_and_writes_nothing(tmp_path, monkeypatch, capsys):
@@ -331,16 +322,6 @@ def test_seed_flag_beats_env(monkeypatch):
         assert json.loads(text)["seed"] == 5
 
 
-def test_missing_seed_for_stochastic_model(monkeypatch, capsys):
-    monkeypatch.delenv("QPROP_SEED", raising=False)
-    argv = ["sample", "--trials", "2", "--buyer-mean-price", "1.0", "--buyer-sigma", "0.1",
-            "--seller-mean-price", "1.0", "--seller-sigma", "0.1"]
-    for seed, message in (([], "model 'sample' is stochastic; pass --seed or set QPROP_SEED"),
-                          (["--seed", "-1"], "seed must be a nonnegative integer")):
-        assert run_cli([*argv, *seed]) == (2, "")
-        assert capsys.readouterr().err == f"qprop: error: {message}\n"
-
-
 # ============================================================
 # Config files
 # ============================================================
@@ -413,37 +394,15 @@ def test_run_matches_direct_invocation(tmp_path, case, output):
 
 def test_run_config_uses_dashed_keys(tmp_path, capsys):
     """Config keys mirror the dashed flag spelling; underscores are unknown."""
-    dashed = write_config(tmp_path, """\
-[run]
-model = work
-output = json
-
-[work]
-mean-price = 1.0
-sigma = 0.25
-price1 = 1.2
-price2 = 1.0
-gamma = 1.0
-""")
-    code, text = run_cli(["run", dashed])
+    text = ("[run]\nmodel = work\noutput = json\n\n[work]\n"
+            "{} = 1.0\nsigma = 0.25\nprice1 = 1.2\nprice2 = 1.0\ngamma = 1.0\n")
+    code, out = run_cli(["run", write_config(tmp_path, text.format("mean-price"))])
     assert code == 0
-    assert json.loads(text)["results"]["delta_e"] == pytest.approx(
-        0.265929200574, abs=1e-9)
-    underscored = write_config(tmp_path, """\
-[run]
-model = work
-output = json
-
-[work]
-mean_price = 1.0
-sigma = 0.25
-price1 = 1.2
-price2 = 1.0
-gamma = 1.0
-""")
-    code, _ = run_cli(["run", underscored])
-    assert code == 2
-    assert "mean_price" in capsys.readouterr().err
+    assert json.loads(out)["results"]["delta_e"] == pytest.approx(0.265929200574, abs=1e-9)
+    path = write_config(tmp_path, text.format("mean_price"))
+    assert run_cli(["run", path]) == (2, "")
+    assert capsys.readouterr().err == (
+        f"qprop: error: {path}:6: unknown key 'mean_price' for model 'work'\n")
 
 
 def test_run_stochastic_config_with_seed(tmp_path):
@@ -525,70 +484,6 @@ omega = 2.0
     assert out.read_text(encoding="utf-8") == golden
 
 
-def test_run_out_to_missing_directory_exits_2(tmp_path, capsys):
-    path = write_config(tmp_path, """\
-[run]
-model = oscillator
-output = csv
-
-[oscillator]
-sigma = 0.25
-""")
-    out = tmp_path / "missing" / "result.csv"
-    code, text = run_cli(["run", path, "--out", str(out)])
-    assert code == 2
-    assert text == ""
-    assert not out.exists()
-    err = capsys.readouterr().err
-    assert err.startswith("qprop: error: cannot write output: ")
-    assert "Traceback" not in err
-
-
-def test_run_empty_out_exits_2(tmp_path, capsys):
-    """An empty --out is a path that cannot be opened, not a request for stdout."""
-    path = write_config(tmp_path, "[run]\nmodel = oscillator\n\n[oscillator]\nsigma = 0.25\n")
-    code, text = run_cli(["run", path, "--out="])
-    assert (code, text) == (2, "")
-    err = capsys.readouterr().err
-    assert err.startswith("qprop: error: cannot write output: ")
-    assert err.count("\n") == 1
-
-
-def test_run_unknown_key_is_fatal(tmp_path, capsys):
-    path = write_config(tmp_path, """\
-[run]
-model = reversal
-output = csv
-
-[reversal]
-x1 = 1.0
-x2 = 4.0
-temperature = 300
-""")
-    code, _ = run_cli(["run", path])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "temperature" in err
-    assert "model.cfg:8:" in err
-
-
-def test_run_unknown_section_is_fatal(tmp_path, capsys):
-    path = write_config(tmp_path, """\
-[run]
-model = reversal
-
-[reversal]
-x1 = 1.0
-x2 = 4.0
-
-[extras]
-verbose = yes
-""")
-    code, _ = run_cli(["run", path])
-    assert code == 2
-    assert "extras" in capsys.readouterr().err
-
-
 # Values stay small where they size the work: at most 1000 trials or grid
 # points. Each kind also draws extreme and malformed text.
 NOISE = st.one_of(st.floats().map(repr), st.sampled_from(["", "1e400", "0x10"]),
@@ -653,29 +548,126 @@ def test_config_fuzz_exits_cleanly(tmp_path, text, encoding, at):
         assert err.startswith("qprop: error: cannot read config: ") and err.count("\n") == 1
 
 
-def test_run_missing_config_file(capsys):
-    code, _ = run_cli(["run", "/nonexistent/model.cfg"])
-    assert code == 2
-
-
 # ============================================================
-# Errors and exit codes
+# Usage errors: exit 2, nothing on stdout, one exact message
 # ============================================================
 
-def test_missing_required_flag_exits_2(capsys):
-    code, _ = run_cli(["order-effect", "--theta", "0.5"])
-    assert code == 2
+def exits_2(*calls, config=None, ids=None, in_a_process=False):
+    """A test that each call, (argv, message), exits 2 with an empty stdout
+    and exactly message on stderr: argparse's usage and error lines as they
+    are, else the one line "qprop: error: MESSAGE". TMP in argv and message
+    stands for the test's directory, which holds config as model.cfg where
+    one is given and gets no other file. Usage is wrapped at 80 columns, and
+    QPROP_SEED is unset. Calls run in process, or with in_a_process as
+    ``python -W default -m qprop``; with ids, each call is a case of its
+    own."""
+    def check(tmp_path, monkeypatch, capsys, argv, message):
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.delenv("QPROP_SEED", raising=False)
+        if config is not None:
+            write_config(tmp_path, config)
+        argv = [arg.replace("TMP", str(tmp_path)) for arg in argv]
+        stderr = message if message.startswith("usage: ") else f"qprop: error: {message}\n"
+        stderr = stderr.replace("TMP", str(tmp_path))
+        if in_a_process:
+            proc = subprocess.run([sys.executable, "-W", "default", "-m", "qprop", *argv],
+                                  capture_output=True, text=True)
+            assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", stderr)
+        else:
+            assert run_cli(argv) == (2, "")
+            assert capsys.readouterr().err == stderr
+        files = [path.name for path in tmp_path.iterdir()]
+        assert files == (["model.cfg"] if config is not None else [])
+
+    if ids is not None:
+        return pytest.mark.parametrize("argv, message", calls, ids=ids)(check)
+
+    def test(tmp_path, monkeypatch, capsys):
+        for argv, message in calls:
+            check(tmp_path, monkeypatch, capsys, argv, message)
+    return test
 
 
-def test_unknown_command_exits_2(capsys):
-    code, _ = run_cli(["entangle-everything"])
-    assert code == 2
+FORCE_AT_MEAN = ["force", "--mean-price", "1.0", "--sigma", "0.25", "--gamma", "1.0"]
+OSCILLATOR_CONFIG = "[run]\nmodel = oscillator\noutput = csv\n\n[oscillator]\nsigma = 0.25\n"
 
-
-def test_nonpositive_cost_exits_2(capsys):
-    code, _ = run_cli(["reversal", "--x1", "0.0", "--x2", "1.0"])
-    assert code == 2
-    assert "x1" in capsys.readouterr().err
+test_missing_required_flag_exits_2 = exits_2((
+    ["order-effect", "--theta", "0.5"],
+    "usage: qprop order-effect [-h] --theta THETA --phi PHI [--order {ab,ba}]\n"
+    "                          [--degrees] [--output {json,csv}]\n"
+    "qprop order-effect: error: the following arguments are required: --phi\n"))
+test_unknown_command_exits_2 = exits_2((
+    ["entangle-everything"],
+    "usage: qprop [-h] [--version] COMMAND ...\nqprop: error: argument COMMAND: invalid choice: "
+    f"'entangle-everything' (choose from {', '.join(map(repr, [*cli.COMMANDS, 'run']))})\n"))
+# argparse stores --flag=-- as an empty list; it is refused as a missing
+# value, not passed on to the model.
+test_flag_given_double_dash_exits_2 = exits_2(
+    (["order-effect", "--theta", "1", "--phi=--"], "argument --phi: expected one argument"),
+    (["reversal", "--x1", "1", "--x2=--"], "argument --x2: expected one argument"),
+    (["equivalence", "--trials=--", "--seed", "1"], "argument --trials: expected one argument"),
+    (["sample", "--trials", "3", "--buyer-mean-price", "1.05", "--buyer-sigma", "0.1",
+      "--seller-mean-price", "0.95", "--seller-sigma", "0.1", "--seed=--"],
+     "argument --seed: expected one argument"),
+    ids=["order-effect", "reversal", "equivalence", "sample"])
+SAMPLE_PAIR = ["sample", "--trials", "2", "--buyer-mean-price", "1.0", "--buyer-sigma", "0.1",
+               "--seller-mean-price", "1.0", "--seller-sigma", "0.1"]
+test_missing_seed_for_stochastic_model = exits_2(
+    (SAMPLE_PAIR, "model 'sample' is stochastic; pass --seed or set QPROP_SEED"),
+    ([*SAMPLE_PAIR, "--seed", "-1"], "seed must be a nonnegative integer"))
+test_nonpositive_cost_exits_2 = exits_2(
+    (["reversal", "--x1", "0.0", "--x2", "1.0"], "x1 must be positive"))
+test_module_entry_point_error_path = exits_2(
+    (["reversal", "--x1", "-1", "--x2", "2"], "x1 must be positive"), in_a_process=True)
+test_single_point_grid_exits_2 = exits_2(
+    ([*FORCE_AT_MEAN, "--grid", "0.5:2.0:1", "--output", "csv"], "grid needs at least 2 points"))
+test_malformed_grid_exits_2 = exits_2(
+    ([*FORCE_AT_MEAN, "--grid", "2.0:0.5:9", "--output", "csv"], "grid needs 0 < LO < HI"))
+test_force_needs_price_or_grid = exits_2(
+    (FORCE_AT_MEAN, "pass exactly one of price or grid"),
+    ([*FORCE_AT_MEAN, "--price", "1.1", "--grid", "0.5:2.0:5"],
+     "pass exactly one of price or grid"))
+test_gamma_and_omega_are_exclusive = exits_2((
+    ["work", "--mean-price", "1.0", "--sigma", "0.25", "--price1", "1.2", "--price2", "1.0",
+     "--gamma", "1.0", "--omega", "2.0"], "pass either gamma or omega/hbar, not both"))
+test_both_sides_fixed_exits_2 = exits_2((
+    ["joint", "--buyer-fixed-price", "1.0", "--seller-fixed-price", "1.1", "--gamma", "1.0"],
+    "at most one side can fix its price"))
+test_fixed_price_excludes_same_side_curve = exits_2((
+    ["joint", "--buyer-mean-price", "1.0", "--buyer-sigma", "0.1", "--seller-fixed-price", "1.1",
+     "--seller-sigma", "0.2", "--gamma", "1.0"],
+    "seller-fixed-price excludes the seller curve parameters"))
+# Refused by the usage rule, before a point mass reaches the model.
+test_point_mass_joint_grid_exits_2 = exits_2(*(
+    (["joint", f"--{curve}-mean-price", "1.0", f"--{curve}-sigma", "0.1",
+      f"--{fixed}-fixed-price", "1.1", "--gamma", "1.0", "--grid", "0.9:1.2:5", "--output", "csv"],
+     "curve output needs two Gaussian curves, not a fixed price")
+    for fixed, curve in (("seller", "buyer"), ("buyer", "seller"))))
+# The overflow of z * z in a far tail is expected, and numpy's warning about
+# it must not reach stderr ahead of the usage error.
+test_far_tail_density_prints_only_the_error_line = exits_2((
+    ["force", "--mean-price", "1", "--sigma", "1e-160", "--gamma", "1e-300", "--grid", "0.5:2.0:3"],
+    "density underflow: the point lies too far from the curve to carry meaning"),
+    in_a_process=True)
+test_run_missing_config_file = exits_2((
+    ["run", "/nonexistent/model.cfg"],
+    "cannot read config: [Errno 2] No such file or directory: '/nonexistent/model.cfg'"))
+test_run_unknown_key_is_fatal = exits_2(
+    (["run", "TMP/model.cfg"], "TMP/model.cfg:8: unknown key 'temperature' for model 'reversal'"),
+    config="[run]\nmodel = reversal\noutput = csv\n\n[reversal]\nx1 = 1.0\nx2 = 4.0\n"
+           "temperature = 300\n")
+test_run_unknown_section_is_fatal = exits_2(
+    (["run", "TMP/model.cfg"], "TMP/model.cfg: unexpected section(s): extras"),
+    config="[run]\nmodel = reversal\n\n[reversal]\nx1 = 1.0\nx2 = 4.0\n\n[extras]\nverbose = yes\n")
+# An empty --out is a path that cannot be opened, not a request for stdout.
+test_run_empty_out_exits_2 = exits_2(
+    (["run", "TMP/model.cfg", "--out="],
+     "cannot write output: [Errno 2] No such file or directory: ''"),
+    config=OSCILLATOR_CONFIG)
+test_run_out_to_missing_directory_exits_2 = exits_2(
+    (["run", "TMP/model.cfg", "--out", "TMP/missing/result.csv"],
+     "cannot write output: [Errno 2] No such file or directory: 'TMP/missing/result.csv'"),
+    config=OSCILLATOR_CONFIG)
 
 
 @pytest.mark.parametrize("tol", ["0", "-0.0", "-1e-9", "5e-324"])
@@ -697,56 +689,10 @@ def test_tolerance_must_be_positive(tmp_path, capsys, tol):
             assert (code, text, err) == (2, "", "qprop: error: tol must be positive\n")
 
 
-def test_single_point_grid_exits_2(capsys):
-    code, _ = run_cli(["force", "--mean-price", "1.0", "--sigma", "0.25",
-                       "--gamma", "1.0", "--grid", "0.5:2.0:1",
-                       "--output", "csv"])
-    assert code == 2
-    assert "grid" in capsys.readouterr().err
-
-
-def test_malformed_grid_exits_2(capsys):
-    code, _ = run_cli(["force", "--mean-price", "1.0", "--sigma", "0.25",
-                       "--gamma", "1.0", "--grid", "2.0:0.5:9",
-                       "--output", "csv"])
-    assert code == 2
-
-
-def test_force_needs_price_or_grid(capsys):
-    code, _ = run_cli(["force", "--mean-price", "1.0", "--sigma", "0.25",
-                       "--gamma", "1.0"])
-    assert code == 2
-    code, _ = run_cli(["force", "--mean-price", "1.0", "--sigma", "0.25",
-                       "--gamma", "1.0", "--price", "1.1",
-                       "--grid", "0.5:2.0:5"])
-    assert code == 2
-
-
-def test_gamma_and_omega_are_exclusive(capsys):
-    code, _ = run_cli(["work", "--mean-price", "1.0", "--sigma", "0.25",
-                       "--price1", "1.2", "--price2", "1.0",
-                       "--gamma", "1.0", "--omega", "2.0"])
-    assert code == 2
-    assert "gamma" in capsys.readouterr().err
-
-
-def test_both_sides_fixed_exits_2(capsys):
-    code, _ = run_cli(["joint", "--buyer-fixed-price", "1.0",
-                       "--seller-fixed-price", "1.1", "--gamma", "1.0"])
-    assert code == 2
-
-
-def test_fixed_price_excludes_same_side_curve(capsys):
-    code, _ = run_cli(["joint", "--buyer-mean-price", "1.0",
-                       "--buyer-sigma", "0.1", "--seller-fixed-price", "1.1",
-                       "--seller-sigma", "0.2", "--gamma", "1.0"])
-    assert code == 2
-
-
 RANGE = "parameters out of floating-point range: "
 
-
-@pytest.mark.parametrize("argv, message", [
+# A quantity beyond the float range is named in the one error line.
+test_values_beyond_float_range_exit_2 = exits_2(
     (["force", "--mean-price", "1", "--sigma", "1e200", "--gamma", "1", "--price", "2"],
      RANGE + "force_constant does not fit in a float"),
     (["oscillator", "--sigma", "1e-200"], RANGE + "mass does not fit in a float"),
@@ -790,17 +736,12 @@ RANGE = "parameters out of floating-point range: "
       "3269017.37", "--seller-sigma", "0.5", "--gamma", "1e308",
       "--grid", "1:2.3538526683702e17:16385"],
      "density underflow: the point lies too far from the curve to carry meaning"),
-], ids=["force", "oscillator-narrow", "oscillator-wide", "joint-grid", "work",
-        "force-huge-k", "force-subnormal-square", "oscillator-subnormal-square",
-        "oscillator-gamma-inf", "oscillator-gamma-0", "force-gamma-inf", "force-gamma-0",
-        "interference-angle-gap", "order-effect-angle-gap", "force-grid-subnormal-square",
-        "sample-price-overflow", "joint-split-grid-two-faults"])
-def test_values_beyond_float_range_exit_2(argv, message):
-    """A quantity beyond the float range is named in the one error line."""
-    proc = subprocess.run([sys.executable, "-W", "default", "-m", "qprop", *argv],
-                          capture_output=True, text=True)
-    assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr == f"qprop: error: {message}\n"
+    in_a_process=True,
+    ids=["force", "oscillator-narrow", "oscillator-wide", "joint-grid", "work", "force-huge-k",
+         "force-subnormal-square", "oscillator-subnormal-square", "oscillator-gamma-inf",
+         "oscillator-gamma-0", "force-gamma-inf", "force-gamma-0", "interference-angle-gap",
+         "order-effect-angle-gap", "force-grid-subnormal-square", "sample-price-overflow",
+         "joint-split-grid-two-faults"])
 
 
 @pytest.mark.parametrize("sigma", ["1e-160", "5e-324"])
@@ -855,40 +796,12 @@ def test_negative_values_parse_as_separate_arguments(value):
     assert spaced[0] == 0
 
 
-@pytest.mark.parametrize("argv", [
-    ["order-effect", "--theta", "1", "--phi=--"],
-    ["reversal", "--x1", "1", "--x2=--"],
-    ["equivalence", "--trials=--", "--seed", "1"],
-    ["sample", "--trials", "3", "--buyer-mean-price", "1.05", "--buyer-sigma", "0.1",
-     "--seller-mean-price", "0.95", "--seller-sigma", "0.1", "--seed=--"],
-], ids=lambda argv: argv[0])
-def test_flag_given_double_dash_exits_2(argv, capsys):
-    """argparse stores --flag=-- as an empty list; it is refused as a
-    missing value, not passed on to the model."""
-    flag = next(arg for arg in argv if arg.endswith("=--"))[:-len("=--")]
-    code, text = run_cli(argv)
-    assert (code, text) == (2, "")
-    assert capsys.readouterr().err == f"qprop: error: argument {flag}: expected one argument\n"
-
-
 def test_caps_admit_their_own_size():
     assert cli._grid_bounds(f"0.5:2.0:{MAX_ROWS}") == (0.5, 2.0, MAX_ROWS)
     for model, params in (("sample", {}), ("equivalence", {"tol": 1e-12})):
         cli._validate_params(model, {**params, "trials": MAX_ROWS})
         with pytest.raises(cli.UsageError, match="trials must be at most"):
             cli._validate_params(model, {**params, "trials": MAX_ROWS + 1})
-
-
-def test_point_mass_joint_grid_exits_2(capsys):
-    """Refused by the usage rule, before a point mass reaches the model."""
-    for fixed_side, curve_side in (("seller", "buyer"), ("buyer", "seller")):
-        code, _ = run_cli(["joint", f"--{curve_side}-mean-price", "1.0",
-                           f"--{curve_side}-sigma", "0.1", f"--{fixed_side}-fixed-price", "1.1",
-                           "--gamma", "1.0", "--grid", "0.9:1.2:5",
-                           "--output", "csv"])
-        assert code == 2
-        assert capsys.readouterr().err == (
-            "qprop: error: curve output needs two Gaussian curves, not a fixed price\n")
 
 
 # ============================================================
@@ -905,44 +818,16 @@ def test_module_entry_point_runs():
     assert rows["switches"] == "true"
 
 
-def test_module_entry_point_error_path():
-    proc = subprocess.run(
-        [sys.executable, "-m", "qprop", "reversal", "--x1", "-1", "--x2", "2"],
-        capture_output=True, text=True)
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert "error" in proc.stderr
-
-
-def test_far_tail_density_prints_only_the_error_line():
-    """The overflow of z * z in a far tail is expected, and numpy's warning
-    about it must not reach stderr ahead of the usage error."""
-    proc = subprocess.run(
-        [sys.executable, "-W", "default", "-m", "qprop", "force", "--mean-price", "1",
-         "--sigma", "1e-160", "--gamma", "1e-300", "--grid", "0.5:2.0:3"],
-        capture_output=True, text=True)
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert proc.stderr.startswith("qprop: error: density underflow")
-    assert proc.stderr.count("\n") == 1
-
-
-@pytest.mark.parametrize("argv, name", [
-    (["reversal", "--x1", "1e-320", "--x2", "1e308"], "ratio"),
-    (["force", "--mean-price", "1", "--sigma", "10", "--price", "1e130",
-      "--gamma", "1e308"], "force"),
+# A result that leaves the float range is refused, not printed as NaN or
+# Infinity, and no numpy warning reaches stderr ahead of the error.
+test_nonfinite_results_exit_2_with_one_line = exits_2(
+    (["reversal", "--x1", "1e-320", "--x2", "1e308"], RANGE + "ratio does not fit in a float"),
+    (["force", "--mean-price", "1", "--sigma", "10", "--price", "1e130", "--gamma", "1e308"],
+     RANGE + "force does not fit in a float"),
     (["sample", "--trials", "2000", "--buyer-mean-price", "1", "--buyer-sigma", "1000",
-      "--seller-mean-price", "1", "--seller-sigma", "1000", "--seed", "1"], "prices"),
-])
-def test_nonfinite_results_exit_2_with_one_line(argv, name):
-    """A result that leaves the float range is refused, not printed as NaN
-    or Infinity, and no numpy warning reaches stderr ahead of the error."""
-    proc = subprocess.run([sys.executable, "-W", "default", "-m", "qprop", *argv],
-                          capture_output=True, text=True)
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert proc.stderr == (
-        f"qprop: error: parameters out of floating-point range: {name} does not fit in a float\n")
+      "--seller-mean-price", "1", "--seller-sigma", "1000", "--seed", "1"],
+     RANGE + "prices does not fit in a float"),
+    in_a_process=True, ids=["argv0-ratio", "argv1-force", "argv2-prices"])
 
 
 # Magnitudes log-uniform over the float range; angles of either sign. Sizes
@@ -1111,12 +996,11 @@ def stdout_envs():
     return [env, {**env, "PYTHONUNBUFFERED": "1"}]
 
 
-OSCILLATOR = [sys.executable, "-m", "qprop", "oscillator", "--sigma", "0.3"]
 # A sweep that writes its record and then reports a model failure: exit 1.
 FAILED_SWEEP = ["equivalence", "--trials", "3", "--tol", "1e-300", "--seed", "1"]
 # A grid above CHUNK_ROWS rows, formatted by two processes.
-SPLIT_GRID = [sys.executable, "-m", "qprop", "force", "--mean-price", "1.0", "--sigma", "0.25",
-              "--gamma", "1.0", "--grid", "0.5:2.0:20000", "--output", "csv"]
+SPLIT_GRID = ["force", "--mean-price", "1.0", "--sigma", "0.25", "--gamma", "1.0",
+              "--grid", "0.5:2.0:20000", "--output", "csv"]
 
 
 def run_alone(argv, **kwargs):
@@ -1128,64 +1012,6 @@ def run_alone(argv, **kwargs):
     with pytest.raises(ProcessLookupError):
         os.killpg(proc.pid, 0)
     return proc.returncode, out, err
-
-
-@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
-def test_stdout_write_failure_exits_2():
-    """The failed sweep's model failure is not reported: its record was not written."""
-    calls = [OSCILLATOR, SPLIT_GRID, [*OSCILLATOR[:3], *FAILED_SWEEP]]
-    for argv, env in itertools.product(calls, stdout_envs()):
-        with open("/dev/full", "w") as full:
-            code, _, err = run_alone(argv, stdout=full, env=env)
-        assert (code, err) == (
-            2, "qprop: error: cannot write output: [Errno 28] No space left on device\n")
-
-
-# Two calls of main in one process whose stdout cannot be written. os._exit:
-# text left in a buffered stdout would fail once more at interpreter exit.
-TWO_CALLS = """\
-import os, sys
-from qprop.cli import main
-before = len(os.listdir("/dev/fd"))
-codes = [main(["oscillator", "--sigma", "0.3"]) for _ in range(2)]
-print(codes, len(os.listdir("/dev/fd")) - before, file=sys.stderr, flush=True)
-os._exit(0)
-"""
-
-
-@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
-def test_a_failed_write_in_process_leaves_stdout_as_it_was():
-    """Each call fails alike, and none opens a descriptor."""
-    for env in stdout_envs():
-        with open("/dev/full", "w") as full:
-            code, _, err = run_alone([sys.executable, "-c", TWO_CALLS], stdout=full, env=env)
-        assert (code, err) == (0, "qprop: error: cannot write output: "
-                                  "[Errno 28] No space left on device\n" * 2 + "[2, 2] 0\n")
-
-
-@pytest.mark.skipif(os.name != "posix", reason="closes a file descriptor in the child")
-def test_closed_stdout_exits_2():
-    """A record, and the text of --help and --version too."""
-    calls = [OSCILLATOR, [*OSCILLATOR[:3], "--help"], [*OSCILLATOR[:3], "--version"]]
-    for argv, env in itertools.product(calls, stdout_envs()):
-        proc = subprocess.run(argv, stderr=subprocess.PIPE, text=True, env=env,
-                              preexec_fn=lambda: os.close(1))
-        assert (proc.returncode, proc.stderr) == (
-            2, "qprop: error: cannot write output: standard output is closed\n")
-
-
-@pytest.mark.skipif(os.name != "posix", reason="POSIX pipe semantics")
-def test_pipe_without_reader_exits_2():
-    for argv, env in itertools.product([OSCILLATOR, SPLIT_GRID], stdout_envs()):
-        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                                text=True, env=env, start_new_session=True)
-        proc.stdout.close()               # long before the child starts writing
-        err = proc.stderr.read()
-        proc.stderr.close()
-        assert proc.wait(timeout=60) == 2
-        assert err == "qprop: error: cannot write output: [Errno 32] Broken pipe\n"
-        with pytest.raises(ProcessLookupError):   # nothing of the call outlives it
-            os.killpg(proc.pid, 0)
 
 
 def test_version_flag():
@@ -1205,7 +1031,7 @@ EXIT_CALLS = {
     "exit 2": ["reversal", "--x1", "-1", "--x2", "2"],
     "help": ["--help"],
     "version": ["--version"],
-    "split grid": SPLIT_GRID[3:],
+    "split grid": SPLIT_GRID,
 }
 
 
@@ -1293,29 +1119,6 @@ def test_ctrl_c_during_a_split_write_leaves_no_process():
     assert (proc.returncode, err) == (-signal.SIGINT, b"qprop: interrupted\n")
     with pytest.raises(ProcessLookupError):
         os.killpg(proc.pid, 0)
-
-
-@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
-@pytest.mark.parametrize("flag", ["--help", "--version"])
-def test_text_left_in_the_stdout_buffer_that_cannot_be_written_exits_2(flag):
-    """The text of --help and --version goes through the record writer: a
-    write or flush that fails is one error line and exit 2, whether stdout
-    is buffered or not."""
-    for env in stdout_envs():
-        with open("/dev/full", "w") as full:
-            code, _, err = run_alone([sys.executable, "-m", "qprop", flag], stdout=full, env=env)
-        assert (code, err) == (
-            2, "qprop: error: cannot write output: [Errno 28] No space left on device\n")
-
-
-@pytest.mark.parametrize("argv", [["--help"], ["--version"], FAILED_SWEEP],
-                         ids=["--help", "--version", "failed sweep"])
-def test_text_that_cannot_be_written_exits_2_in_process(monkeypatch, capsys, argv):
-    """One line: a model failure is reported only after its record is written."""
-    monkeypatch.setattr(sys, "stdout", FakeStdout(fail_at=1))
-    assert main(argv) == 2
-    assert capsys.readouterr().err == (
-        "qprop: error: cannot write output: [Errno 28] No space left on device\n")
 
 
 # ============================================================
@@ -1705,15 +1508,100 @@ def assert_no_child():
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.parametrize("output", ["json", "csv"])
-def test_failed_write_part_way_exits_2(monkeypatch, capsys, output):
-    fake = FakeStdout(fail_at=3)
-    monkeypatch.setattr(sys, "stdout", fake)
-    assert main([*SEAM_FLAGS, "--output", output]) == 2
-    assert len(fake.pieces) == 2
-    assert capsys.readouterr().err == (
-        "qprop: error: cannot write output: [Errno 28] No space left on device\n")
-    assert_no_child()
+# ============================================================
+# Output that cannot be written
+# ============================================================
+
+ENOSPC = "qprop: error: cannot write output: [Errno 28] No space left on device\n"
+# Each stdout that a process cannot write to, and the error line it gives.
+UNWRITABLE = {
+    "/dev/full": ENOSPC,
+    "closed": "qprop: error: cannot write output: standard output is closed\n",
+    "pipe without reader": "qprop: error: cannot write output: [Errno 32] Broken pipe\n",
+}
+
+
+def unwritable_stdout(how, argv, env):
+    """(exit code, stderr) of argv run alone with /dev/full as stdout, with
+    descriptor 1 closed, or with a pipe whose read end is closed first."""
+    if how == "/dev/full":
+        with open("/dev/full", "w") as full:
+            return run_alone(argv, stdout=full, env=env)[::2]
+    if how == "closed":
+        return run_alone(argv, env=env, preexec_fn=lambda: os.close(1))[::2]
+    read_fd, write_fd = os.pipe()
+    os.close(read_fd)
+    with open(write_fd, "w") as pipe:
+        return run_alone(argv, stdout=pipe, env=env)[::2]
+
+
+def write_fails(how, *calls, ids=None):
+    """A test that each call, an argv of qprop, exits 2 with one error line
+    where its stdout cannot be written. how is a stdout of UNWRITABLE, for
+    ``python -m qprop`` run alone, once with PYTHONUNBUFFERED unset and once
+    set; or N, for main in process, whose N-th write raises ENOSPC: N - 1
+    pieces are written and no child is left. With ids, each call is a case
+    of its own."""
+    def check(monkeypatch, capsys, argv):
+        if how in UNWRITABLE:
+            for env in stdout_envs():
+                assert unwritable_stdout(how, [sys.executable, "-m", "qprop", *argv], env) == (
+                    2, UNWRITABLE[how])
+            return
+        fake = FakeStdout(fail_at=how)
+        monkeypatch.setattr(sys, "stdout", fake)
+        assert main(argv) == 2
+        assert len(fake.pieces) == how - 1
+        assert capsys.readouterr().err == ENOSPC
+        assert_no_child()
+
+    if ids is not None:
+        test = pytest.mark.parametrize("argv", calls, ids=ids)(check)
+    else:
+        def test(monkeypatch, capsys):
+            for argv in calls:
+                check(monkeypatch, capsys, argv)
+    if how == "/dev/full":
+        test = pytest.mark.skipif(not os.path.exists(how), reason="no /dev/full device")(test)
+    elif how in UNWRITABLE:
+        test = pytest.mark.skipif(os.name != "posix", reason="POSIX descriptors and pipes")(test)
+    return test
+
+
+OSCILLATOR = ["oscillator", "--sigma", "0.3"]
+# A record, a split grid, and a failed sweep, whose model failure is not
+# reported: its record was not written. The text of --help and --version goes
+# through the record writer too: a write or flush that fails is one error
+# line and exit 2, whether stdout is buffered or not.
+test_stdout_write_failure_exits_2 = write_fails("/dev/full", OSCILLATOR, SPLIT_GRID, FAILED_SWEEP)
+test_text_left_in_the_stdout_buffer_that_cannot_be_written_exits_2 = write_fails(
+    "/dev/full", ["--help"], ["--version"], ids=["--help", "--version"])
+test_closed_stdout_exits_2 = write_fails("closed", OSCILLATOR, ["--help"], ["--version"])
+test_pipe_without_reader_exits_2 = write_fails("pipe without reader", OSCILLATOR, SPLIT_GRID)
+# In process, a model failure too is reported only after its record is written.
+test_text_that_cannot_be_written_exits_2_in_process = write_fails(
+    1, ["--help"], ["--version"], FAILED_SWEEP, ids=["--help", "--version", "failed sweep"])
+test_failed_write_part_way_exits_2 = write_fails(
+    3, [*SEAM_FLAGS, "--output", "json"], [*SEAM_FLAGS, "--output", "csv"], ids=["json", "csv"])
+
+# Two calls of main in one process whose stdout cannot be written. os._exit:
+# text left in a buffered stdout would fail once more at interpreter exit.
+TWO_CALLS = """\
+import os, sys
+from qprop.cli import main
+before = len(os.listdir("/dev/fd"))
+codes = [main(["oscillator", "--sigma", "0.3"]) for _ in range(2)]
+print(codes, len(os.listdir("/dev/fd")) - before, file=sys.stderr, flush=True)
+os._exit(0)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+def test_a_failed_write_in_process_leaves_stdout_as_it_was():
+    """Each call fails alike, and none opens a descriptor."""
+    for env in stdout_envs():
+        assert unwritable_stdout("/dev/full", [sys.executable, "-c", TWO_CALLS], env) == (
+            0, ENOSPC * 2 + "[2, 2] 0\n")
 
 
 # ============================================================
@@ -1761,6 +1649,43 @@ def counted_forks(monkeypatch):
     return forks
 
 
+def dies_in_the_child(function):
+    """function, but a forked child that calls it exits 3 at once."""
+    parent = os.getpid()
+
+    def dies(*args):
+        if os.getpid() != parent:
+            os._exit(3)
+        return function(*args)
+
+    return dies
+
+
+# The ways a call may run besides the usual one, each by what it patches.
+ROUTES = {
+    "fork fails": lambda patch: patch.setattr(os, "fork", no_fork),
+    "pipe fails": lambda patch: patch.setattr(os, "pipe", no_fork),
+    "no fork": lambda patch: patch.delattr(os, "fork"),
+    "one CPU": lambda patch: patch.setattr(os, "sched_getaffinity", lambda pid: {0}),
+    "child dies at its first span": lambda patch: patch.setattr(
+        cli._Column, "__getitem__", dies_in_the_child(cli._Column.__getitem__)),
+}
+
+
+def children_of_serial_bytes(monkeypatch, argv, route):
+    """The number of children that argv starts, run in process the way of
+    route, after checking that it exits 0 with the serial route's bytes and
+    leaves no child."""
+    expected = serial_text(monkeypatch, argv)
+    with monkeypatch.context() as patch:
+        forks = counted_forks(patch)
+        ROUTES[route](patch)
+        code, text = run_cli(argv)
+    assert (code, mask_timing(text)) == (0, expected), route
+    assert_no_child()
+    return len(forks)
+
+
 @pytest.mark.parametrize("output", ["json", "csv"])
 @pytest.mark.parametrize("model, rows", [
     *((model, rows) for model in sorted(SPLIT_CALLS) for rows in (CHUNK_ROWS, CHUNK_ROWS + 1)),
@@ -1791,25 +1716,39 @@ def test_split_output_is_byte_identical(monkeypatch, tmp_path, model, output, ro
 
 
 @pytest.mark.parametrize("output", ["json", "csv"])
-def test_split_output_of_a_subprocess_matches_the_call_in_process(output):
+def test_split_output_of_a_subprocess_matches_the_call_in_process(monkeypatch, output):
+    """A process of its own prints the bytes of the split call in process,
+    which are those of the serial route."""
     argv = split_argv("force", 2 * CHUNK_ROWS + 5, output)
     code, out, err = run_alone([sys.executable, "-m", "qprop", *argv], stdout=subprocess.PIPE)
     assert (code, err) == (0, "")
-    assert mask_timing(out) == mask_timing(run_cli(argv)[1])
+    assert mask_timing(out) == mask_timing(run_cli(argv)[1]) == serial_text(monkeypatch, argv)
 
 
 def test_a_call_that_cannot_fork_writes_the_same_bytes(monkeypatch):
     """A failed fork, a failed pipe and a platform without fork."""
     argv = split_argv("force", CHUNK_ROWS + 1, "csv")
-    code, text = run_cli(argv)
-    for name, value in (("fork", no_fork), ("pipe", no_fork), ("fork", None)):
-        with monkeypatch.context() as patch:
-            if value is None:
-                patch.delattr(os, name)
-            else:
-                patch.setattr(os, name, value)
-            assert run_cli(argv) == (code, text), name
-        assert_no_child()
+    for route in ("fork fails", "pipe fails", "no fork"):
+        assert children_of_serial_bytes(monkeypatch, argv, route) == 0
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no sched_setaffinity")
+def test_one_cpu_runs_a_large_call_in_one_process(monkeypatch):
+    """Where this thread may run on one CPU only, a 20,000-row call starts no
+    child, and prints what the serial route prints."""
+    argv = split_argv("force", 20_000, "csv")
+    assert children_of_serial_bytes(monkeypatch, argv, "one CPU") == 0
+
+
+@pytest.mark.parametrize("model", ["force", "joint"])
+@pytest.mark.parametrize("output", ["json", "csv"])
+def test_a_child_that_dies_at_its_first_span_leaves_the_output_whole(monkeypatch, model,
+                                                                   output):
+    """The child exits as it evaluates its first span of the grid, before it
+    sends a text: this process then evaluates and formats every chunk, the
+    serial route's bytes."""
+    argv = split_argv(model, 2 * CHUNK_ROWS + 5, output)
+    assert children_of_serial_bytes(monkeypatch, argv, "child dies at its first span") == 1
 
 
 @pytest.mark.parametrize("output", ["json", "csv"])
@@ -1904,30 +1843,6 @@ def test_a_value_beyond_the_float_range_in_the_childs_spans_exits_2(
     assert forks == []
 
 
-@pytest.mark.parametrize("model", ["force", "joint"])
-@pytest.mark.parametrize("output", ["json", "csv"])
-def test_a_child_that_dies_at_its_first_span_leaves_the_output_whole(monkeypatch, model,
-                                                                   output):
-    """The child exits as it evaluates its first span of the grid, before it
-    sends a text: this process then evaluates and formats every chunk, the
-    serial route's bytes."""
-    argv = split_argv(model, 2 * CHUNK_ROWS + 5, output)
-    expected = serial_text(monkeypatch, argv)
-    forks = counted_forks(monkeypatch)
-    evaluate, parent = cli._Column.__getitem__, os.getpid()
-
-    def dies_in_the_child(column, rows):
-        if os.getpid() != parent:
-            os._exit(3)
-        return evaluate(column, rows)
-
-    monkeypatch.setattr(cli._Column, "__getitem__", dies_in_the_child)
-    code, text = run_cli(argv)
-    assert (code, mask_timing(text)) == (0, expected)
-    assert len(forks) == 1
-    assert_no_child()
-
-
 @pytest.mark.parametrize("output", ["json", "csv"])
 def test_no_process_evaluates_a_grid_row_twice(monkeypatch, output):
     """Each curve function of a 4-chunk joint grid meets every row once, and
@@ -2014,6 +1929,25 @@ def test_a_parent_that_fails_early_kills_a_child_held_in_a_chunk(monkeypatch):
     assert_no_child()
 
 
+@pytest.mark.skipif(not hasattr(os, "fork") or not hasattr(signal, "pthread_sigmask"),
+                    reason="needs fork and signal masks")
+def test_the_child_blocks_sigint_and_this_thread_unblocks_it(monkeypatch):
+    """The child of _forked keeps SIGINT blocked from the fork on, so a
+    Ctrl-C reaches this process alone; this thread's mask is as it was, and
+    already was when it formatted its own chunk."""
+    def blocked():
+        return str(signal.SIGINT in signal.pthread_sigmask(signal.SIG_BLOCK, []))
+
+    forks, written = counted_forks(monkeypatch), []
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, [])
+    split_emit(["head", blocked, blocked], written.append)
+    assert written == ["head", "False", "True"]
+    assert signal.pthread_sigmask(signal.SIG_BLOCK, []) == mask
+    assert signal.SIGINT not in mask
+    assert len(forks) == 1
+    assert_no_child()
+
+
 # Two split writes, the second with a chunk that raises in the child. The last
 # write waits until the child has exited, without reaping it, so a child that
 # went on to run atexit hooks or flush stdout would be seen doing so.
@@ -2057,18 +1991,11 @@ def test_no_pipe_end_outlives_a_split_call(monkeypatch, capsys):
     write fails each close the read end of their pipe: no file is left for a
     finalizer to report."""
     argv = split_argv("force", CHUNK_ROWS + 1, "csv")
-    formatter, parent = cli._csv_rows, os.getpid()
-
-    def dies(row, columns):
-        if os.getpid() != parent:
-            os._exit(3)
-        return formatter(row, columns)
-
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ResourceWarning)
         assert run_cli(argv)[0] == 0
         with monkeypatch.context() as patch:
-            patch.setattr(cli, "_csv_rows", dies)
+            patch.setattr(cli, "_csv_rows", dies_in_the_child(cli._csv_rows))
             assert run_cli(argv)[0] == 0
         with monkeypatch.context() as patch:
             patch.setattr(sys, "stdout", FakeStdout(fail_at=2))
@@ -2113,16 +2040,3 @@ def test_the_child_runs_off_this_threads_cpu():
     assert len(child) == len(own) - 1 and set(child) < set(own)
     assert cpus() == own
     assert_no_child()
-
-
-@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no sched_setaffinity")
-def test_one_cpu_runs_a_large_call_in_one_process(monkeypatch):
-    """Where this thread may run on one CPU only, a 20,000-row call starts no
-    child, and prints what the serial route prints."""
-    argv = split_argv("force", 20_000, "csv")
-    expected = serial_text(monkeypatch, argv)
-    forks = counted_forks(monkeypatch)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    code, text = run_cli(argv)
-    assert (code, mask_timing(text)) == (0, expected)
-    assert forks == []
