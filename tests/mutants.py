@@ -41,6 +41,13 @@ QUBITS = "src/qprop/qubits.py"
 RECORD = "src/qprop/_record.py"
 TEST_CLI = "tests/test_cli.py::"
 TEST_RECORD = "tests/test_record.py::"
+TEST_QUBITS = "tests/test_qubits.py::"
+TEST_DECISION = "tests/test_decision.py::"
+TEST_KERNELS = "tests/test_kernels.py::"
+TEST_PROPENSITY = "tests/test_propensity.py::"
+COMPUTED = TEST_QUBITS + "test_every_computed_value_is_a_read_only_complex128_array_of_its_shape"
+PICK = TEST_KERNELS + "test_vectorised_pick_follows_sample_index"
+SWEEP = TEST_KERNELS + "test_equivalence_sweep_equals_the_oracle_bit_for_bit"
 CHILD_EXIT = TEST_CLI + "test_the_child_leaves_by_os_exit_on_every_path"
 SPLIT_FAULTS = TEST_CLI + "test_a_value_beyond_the_float_range_in_the_childs_spans_exits_2"
 ZIGGURAT = "tests/test_draws.py::test_normals_reach_the_tail_and_the_wedge"
@@ -52,7 +59,9 @@ SIGINT_MASK = TEST_CLI + "test_the_child_blocks_sigint_and_this_thread_unblocks_
 # where the two processes run; the scale, pair and grid rules of the models;
 # the tolerance rule; the edges of the CLI: output that cannot be written,
 # the split writer, the goldens and usage errors; the read-only computed
-# arrays and the records; and the ziggurat of sample's draws.
+# arrays and the records; the ziggurat of sample's draws; and each rule of
+# the qubit engine, the decision circuits and the propensity curves that one
+# library test pins alone.
 MUTANTS = [
     # The child leaves by interpreter exit, or goes on as a second caller.
     (CLI, "os._exit(0)", "sys.exit(0)", CHILD_EXIT),
@@ -231,6 +240,146 @@ MUTANTS = [
     (DRAWS, "if rabs >> 8 & 1 else", "if rabs >> 9 & 1 else", ZIGGURAT),
     (DRAWS, "+ _FI[strip] < math.exp(-0.5 * z * z):", "+ _FI[strip] > math.exp(-0.5 * z * z):",
      ZIGGURAT),
+    # The qubit engine: each check of an input, each copy of a computed array, the pick.
+    (QUBITS, "    if arr.shape not in shapes:", "    if False:",
+     TEST_QUBITS + "test_gate_rejects_bad_shape"),
+    (QUBITS, "    if not np.all(np.isfinite(arr)):", "    if False:",
+     TEST_QUBITS + "test_state_rejects_nonfinite"),
+    (QUBITS, "if abs(norm_sq - 1.0) > STATE_NORM_TOL:", "if abs(norm_sq - 1.0) > 1.0:",
+     TEST_QUBITS + "test_state_rejects_unnormalized"),
+    (QUBITS, '    if n_qubits not in (1, 2):\n        raise ValueError(f"supported',
+     '    if False:\n        raise ValueError(f"supported',
+     TEST_QUBITS + "test_initial_state_rejects_unsupported_count"),
+    (QUBITS, "    if not math.isfinite(angle):", "    if False:",
+     TEST_QUBITS + "test_rotation_rejects_nonfinite_angle"),
+    (QUBITS, "    elif control == 2:", "    elif control != 1:",
+     TEST_QUBITS + "test_cnot_rejects_bad_control"),
+    (QUBITS, "if g1.dim != 2 or g2.dim != 2:", "if g1.dim != 2 and g2.dim != 2:",
+     TEST_QUBITS + "test_tensor_rejects_two_qubit_input"),
+    (QUBITS, "    if gate.dim != state.amplitudes.shape[0]:", "    if False:",
+     TEST_QUBITS + "test_apply_rejects_dimension_mismatch"),
+    (QUBITS, "    if state.n_qubits != 2:", "    if False:",
+     TEST_QUBITS + "test_partial_measurement_rejects_single_qubit_state"),
+    (QUBITS, "    if qubit not in (1, 2):", "    if False:",
+     TEST_QUBITS + "test_partial_measurement_rejects_bad_wire"),
+    (QUBITS, "if m.ndim != 2 or m.shape[0] != m.shape[1]:", "if m.ndim != 2:",
+     TEST_QUBITS + "test_is_unitary_rejects_nonsquare"),
+    (QUBITS, "    if n < 0:", "    if n < -1:",
+     TEST_KERNELS + "test_random_unitaries_of_zero_draw_nothing"),
+    (QUBITS, "np.kron(g1.entries, g2.entries).copy()", "np.kron(g1.entries, g2.entries)",
+     COMPUTED),
+    (QUBITS, "random_unitaries(rng, 1)[0].copy()", "random_unitaries(rng, 1)[0]", COMPUTED),
+    (QUBITS, "    probs.setflags(write=False)\n", "",
+     TEST_QUBITS + "test_probabilities_of_a_state_form_a_distribution"),
+    (QUBITS, "            if u < acc:", "            if u <= acc:", PICK),
+    (QUBITS, "        if p > 0.0:", "        if p >= 0.0:", PICK),
+    # The decision circuits: each check of an input, the labels, the threshold, the reports.
+    (DECISION, "        if not all(-EVENT_SUM_TOL <= p <= 1.0 + EVENT_SUM_TOL for p in probs):",
+     "        if False:", TEST_DECISION + "test_event_distribution_rejects_bad_sum"),
+    (DECISION, "        if not abs(sum(probs) - 1.0) <= EVENT_SUM_TOL:", "        if False:",
+     TEST_DECISION + "test_event_distribution_rejects_bad_sum"),
+    (DECISION, "return dict(zip(EVENT_LABELS, self.as_tuple()))",
+     "return dict(zip(EVENT_LABELS[::-1], self.as_tuple()))",
+     TEST_DECISION + "test_event_distribution_as_dict_order"),
+    (DECISION, "if not (math.isfinite(theta) and math.isfinite(phi)):",
+     "if not math.isfinite(theta):", TEST_DECISION + "test_circuit_rejects_nonfinite_angles"),
+    (DECISION, "    if not math.isfinite(theta - phi):", "    if False:",
+     TEST_DECISION + "test_circuit_rejects_nonfinite_angles"),
+    (DECISION, "    if gate.dim != 2:", "    if False:",
+     TEST_KERNELS + "test_event_tables_reject_two_qubit_gates"),
+    (DECISION, "        gate = Gate(gate)",
+     "        gate = unchecked(Gate, __import__('numpy').asarray(gate, dtype=complex))",
+     TEST_DECISION + "test_equivalence_rejects_nonunitary_input"),
+    (DECISION, 'raise ValueError("trials must be at least 1")\n    if not tol',
+     "pass\n    if not tol", TEST_KERNELS + "test_equivalence_sweep_validates_its_arguments"),
+    (DECISION, 'raise ValueError("trials must be at least 1")\n    import numpy',
+     "pass\n    import numpy", TEST_DECISION + "test_sampled_sequential_rejects_bad_trials"),
+    (DECISION, "    if not (math.isfinite(x1) and math.isfinite(x2)):", "    if False:",
+     TEST_DECISION + "test_reversal_rejects_nonpositive_costs"),
+    (DECISION, "    if x1 <= 0 or x2 <= 0:", "    if x1 <= 0:",
+     TEST_DECISION + "test_reversal_rejects_nonpositive_costs"),
+    (DECISION, "ratio > REVERSAL_COST_RATIO)", "ratio >= REVERSAL_COST_RATIO)",
+     TEST_DECISION + "test_reversal_threshold_is_strict_at_three"),
+    (DECISION, "dev = max(abs(x - y) for x, y in zip(seq, ent))", "dev = 0.0",
+     TEST_DECISION + "test_equivalence_fails_beyond_its_tolerance"),
+    (DECISION, "dev, tol, dev <= tol)", "dev, tol, True)",
+     TEST_DECISION + "test_equivalence_fails_beyond_its_tolerance"),
+    (DECISION, "dev = max(abs(seq[2] - ent[2]), abs(seq[3] - ent[3]))",
+     "dev = abs(seq[2] - ent[2])", SWEEP),
+    (DECISION, "abs(m[0] - m[3]),\n                         abs(m[5] - m[6]), abs(m[4] - m[7]))",
+     "abs(m[0] - m[3]))", SWEEP),
+    (DECISION, "return np.where(u < probs[0], 0, 1 if probs[1] > 0.0 else 0)",
+     "return np.where(u < probs[0], 0, 1)", PICK),
+    # The propensity curves: each check of an input, the array routes, each formula.
+    (PROPENSITY, "if not (math.isfinite(self.mu) and math.isfinite(self.sigma)):",
+     "if not math.isfinite(self.sigma):", TEST_PROPENSITY + "test_curve_validation"),
+    (PROPENSITY, "        if self.sigma <= 0:", "        if self.sigma < 0:",
+     TEST_PROPENSITY + "test_curve_validation"),
+    (PROPENSITY, "        if not math.isfinite(self.point):", "        if False:",
+     TEST_PROPENSITY + "test_curve_validation"),
+    (PROPENSITY, "if not (math.isfinite(self.gamma) and self.gamma > 0):",
+     "if not math.isfinite(self.gamma):", TEST_PROPENSITY + "test_scale_constructors"),
+    (PROPENSITY, "if not (0 < omega < math.inf and 0 < hbar < math.inf):",
+     "if not (0 < omega < math.inf):", TEST_PROPENSITY + "test_reversal_energy_rejects_bad_inputs"),
+    (PROPENSITY, "            if not (math.isfinite(value) and value > 0):",
+     "            if not math.isfinite(value):",
+     TEST_PROPENSITY + "test_oscillator_params_validation"),
+    (PROPENSITY, 'raise PointMassError("a point mass has no finite density")\n    # Far',
+     "pass\n    # Far", TEST_PROPENSITY + "test_point_mass_has_no_density"),
+    (PROPENSITY, 'raise PointMassError("a point mass has no finite density")\n    mu,',
+     "pass\n    mu,", TEST_PROPENSITY + "test_point_mass_has_no_density"),
+    (PROPENSITY, 'raise PointMassError(\n            "a point mass exerts',
+     'print(\n            "a point mass exerts', TEST_PROPENSITY + "test_force_point_mass_raises"),
+    (PROPENSITY, 'raise PointMassError("only a Gaussian curve defines an oscillator")', "pass",
+     TEST_PROPENSITY + "test_oscillator_rejects_point_mass"),
+    (PROPENSITY, "if isinstance(buyer, PointMassCurve) or isinstance(seller, PointMassCurve):",
+     "if isinstance(seller, PointMassCurve):",
+     TEST_PROPENSITY + "test_joint_rejects_point_mass_inputs"),
+    (PROPENSITY, 'raise PointMassError("both sides fixed leaves nothing to negotiate")', "pass",
+     TEST_PROPENSITY + "test_fixed_price_joint_side_placement"),
+    (PROPENSITY, '    if fixed_side not in ("buyer", "seller"):', "    if False:",
+     TEST_PROPENSITY + "test_fixed_price_joint_side_placement"),
+    (PROPENSITY, 'raise PointMassError("work along a point mass is undefined")', "pass",
+     TEST_PROPENSITY + "test_work_point_mass_raises"),
+    (PROPENSITY, "    _require_positive_density(curve, (x1, x2))\n", "",
+     TEST_PROPENSITY + "test_work_underflow_raises"),
+    (PROPENSITY, "    if n < 1:", "    if n < 0:",
+     TEST_PROPENSITY + "test_sample_prices_rejects_bad_count"),
+    (PROPENSITY, "return np.frombuffer(out).reshape(shape) if shape else out[0]",
+     "return np.frombuffer(out).reshape(shape)",
+     TEST_PROPENSITY + "test_array_d_route_is_the_one_point_route"),
+    (PROPENSITY, "out.fromlist(values(x[i:i + _BLOCK]))",
+     "out.fromlist(values(x[i:i + _BLOCK - 1]))",
+     TEST_PROPENSITY + "test_nan_opening_the_second_block_is_the_one_point_route"),
+    (PROPENSITY, "    if lo <= hi and min(", "    if min(",
+     TEST_PROPENSITY + "test_nan_opening_the_second_block_is_the_one_point_route"),
+    (PROPENSITY, "_require_positive_density(curve, points)\n        minus_k",
+     "minus_k = -force_constant(curve.sigma, scale.gamma)\n"
+     "        _require_positive_density(curve, points)\n        minus_k",
+     TEST_PROPENSITY + "test_force_of_no_points_needs_no_force_constant"),
+    (PROPENSITY, "- log_sigma\n", "- 0.0\n",
+     TEST_PROPENSITY + "test_density_matches_reference_implementation"),
+    (PROPENSITY, "return self.exact / self.base_energy - 1.0",
+     "return self.exact / self.base_energy", TEST_PROPENSITY + "test_reversal_energy_unit_values"),
+    (PROPENSITY, "mu = min(max(w * buyer.mu + (1.0 - w) * seller.mu, lo), hi)",
+     "mu = w * buyer.mu + (1.0 - w) * seller.mu",
+     TEST_PROPENSITY + "test_joint_of_equal_means_keeps_the_mean"),
+    (PROPENSITY, "sigma = narrow * (wide / overlap_sigma)", "sigma = narrow * wide / overlap_sigma",
+     TEST_PROPENSITY + "test_joint_of_extreme_widths_is_a_gaussian_curve"),
+    (PROPENSITY, 'if fixed_side == "buyer"', 'if fixed_side != "buyer"',
+     TEST_PROPENSITY + "test_fixed_price_joint_side_placement"),
+    (PROPENSITY, "float(density(counterparty, price))",
+     "float(density(counterparty, counterparty.mu))",
+     TEST_PROPENSITY + "test_fixed_price_joint_far_from_mean"),
+    (PROPENSITY, "    if isinstance(joint.joint, GaussianCurve):", "    if False:",
+     TEST_PROPENSITY + "test_transaction_force_gaussian_joint"),
+    (PROPENSITY, "joint.buyer if isinstance(joint.buyer, GaussianCurve) else joint.seller",
+     "joint.seller", TEST_PROPENSITY + "test_transaction_force_with_fixed_price"),
+    (PROPENSITY, "return np.full(n, curve.point)", "return np.full(n, curve.point + 0.5)",
+     TEST_PROPENSITY + "test_sample_prices_point_mass_constant"),
+    (PROPENSITY, "rng.normal(curve.mu, curve.sigma, size=n)",
+     "rng.normal(curve.mu, curve.sigma ** 2, size=n)",
+     TEST_PROPENSITY + "test_sample_prices_moments"),
 ]
 
 

@@ -18,7 +18,7 @@ import subprocess
 import sys
 import time
 
-LIMIT_MB = 120
+LIMIT_MB = 64
 
 CALLS = {
     "force": ["force", "--mean-price", "1.0", "--sigma", "0.25", "--gamma", "1.0",

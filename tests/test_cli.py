@@ -1625,6 +1625,18 @@ def no_fork():
     raise OSError(11, "Resource temporarily unavailable")
 
 
+def same_text(got, expected):
+    """Fail at once where two texts differ, naming the first differing offset
+    with about 40 characters on each side; pytest's own diff of two large
+    texts can run for minutes."""
+    if got != expected:
+        at = next((i for i, (a, b) in enumerate(zip(got, expected)) if a != b),
+                  min(len(got), len(expected)))
+        window = slice(max(at - 40, 0), at + 40)
+        pytest.fail(f"texts of {len(got)} and {len(expected)} characters differ at offset {at}: "
+                    f"{got[window]!r} != {expected[window]!r}", pytrace=False)
+
+
 def serial_text(monkeypatch, argv):
     """The output of an in-process call on the serial route: fork fails."""
     with monkeypatch.context() as patch:
@@ -1681,7 +1693,8 @@ def children_of_serial_bytes(monkeypatch, argv, route):
         forks = counted_forks(patch)
         ROUTES[route](patch)
         code, text = run_cli(argv)
-    assert (code, mask_timing(text)) == (0, expected), route
+    assert code == 0, route
+    same_text(mask_timing(text), expected)
     assert_no_child()
     return len(forks)
 
@@ -1703,7 +1716,7 @@ def test_split_output_is_byte_identical(monkeypatch, tmp_path, model, output, ro
     assert text.count("\n") > rows
     if rows == CHUNK_ROWS:
         return
-    assert mask_timing(text) == serial_text(monkeypatch, argv)
+    same_text(mask_timing(text), serial_text(monkeypatch, argv))
     if rows == CHUNK_ROWS + 1:
         config = [f"[run]\nmodel = {model}\noutput = {output}\n\n[{model}]"]
         config += [f"{flag[2:]} = {value}" for flag, value in zip(argv[1:-2:2], argv[2:-2:2])]
@@ -1712,7 +1725,7 @@ def test_split_output_is_byte_identical(monkeypatch, tmp_path, model, output, ro
         assert run_cli(["run", str(path), "--out", str(out)]) == (0, "")
         assert_no_child()
         assert len(forks) == 2
-        assert mask_timing(out.read_text(encoding="utf-8")) == mask_timing(text)
+        same_text(mask_timing(out.read_text(encoding="utf-8")), mask_timing(text))
 
 
 @pytest.mark.parametrize("output", ["json", "csv"])
@@ -1722,7 +1735,9 @@ def test_split_output_of_a_subprocess_matches_the_call_in_process(monkeypatch, o
     argv = split_argv("force", 2 * CHUNK_ROWS + 5, output)
     code, out, err = run_alone([sys.executable, "-m", "qprop", *argv], stdout=subprocess.PIPE)
     assert (code, err) == (0, "")
-    assert mask_timing(out) == mask_timing(run_cli(argv)[1]) == serial_text(monkeypatch, argv)
+    expected = serial_text(monkeypatch, argv)
+    same_text(mask_timing(out), expected)
+    same_text(mask_timing(run_cli(argv)[1]), expected)
 
 
 def test_a_call_that_cannot_fork_writes_the_same_bytes(monkeypatch):
@@ -1773,7 +1788,8 @@ def test_a_child_that_dies_leaves_the_output_whole(monkeypatch, output):
 
     monkeypatch.setattr(cli, name, dies_after_one_chunk)
     code, text = run_cli(argv)
-    assert (code, mask_timing(text)) == (0, expected)
+    assert code == 0
+    same_text(mask_timing(text), expected)
     assert_no_child()
     # 4 chunks a column: the child formats the second and dies on the fourth.
     assert len(chunks) == (15 if output == "json" else 3)

@@ -42,6 +42,8 @@ from qprop.qubits import (
     tensor,
 )
 
+from checkers import raises, refused
+
 # More trials than one block of draws holds, so the sampled protocol crosses
 # a block boundary; the gate and sweep checks run streams of similar length.
 ACROSS_BLOCKS = DRAW_BLOCK + 1808
@@ -170,8 +172,7 @@ def test_random_unitaries_of_zero_draw_nothing():
     rng = np.random.default_rng(3)
     assert random_unitaries(rng, 0).shape == (0, 2, 2)
     assert rng.random() == np.random.default_rng(3).random()
-    with pytest.raises(ValueError):
-        random_unitaries(rng, -1)
+    assert raises(ValueError, "number of unitaries must not be negative", random_unitaries, rng, -1)
 
 
 # ============================================================
@@ -206,20 +207,15 @@ def test_equivalence_sweep_equals_the_oracle_bit_for_bit(seed, trials, tol):
     assert sweep_rng.random() == rng.random()
 
 
-def test_equivalence_sweep_validates_its_arguments():
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        equivalence_sweep(rng, 0)
-    with pytest.raises(ValueError):
-        equivalence_sweep(rng, 5, tol=0.0)
-
-
-def test_event_tables_reject_two_qubit_gates():
-    for table in (sequential_measurement, entangled_circuit):
-        with pytest.raises(ValueError):
-            table(cnot(1), hadamard())
-    with pytest.raises(ValueError):
-        sequential_measurement_sampled(hadamard(), cnot(2), 3, np.random.default_rng(0))
+test_equivalence_sweep_validates_its_arguments = refused(
+    (ValueError, "trials must be at least 1", equivalence_sweep, np.random.default_rng(0), 0),
+    (ValueError, "tolerance must be positive", equivalence_sweep, np.random.default_rng(0), 5, 0.0))
+ONE_QUBIT = "decision circuits take single-qubit gates"
+test_event_tables_reject_two_qubit_gates = refused(
+    (ValueError, ONE_QUBIT, lambda: sequential_measurement(cnot(1), hadamard())),
+    (ValueError, ONE_QUBIT, lambda: entangled_circuit(cnot(1), hadamard())),
+    (ValueError, ONE_QUBIT, lambda: sequential_measurement_sampled(hadamard(), cnot(2), 3,
+                                                                   np.random.default_rng(0))))
 
 
 # ============================================================

@@ -1,9 +1,11 @@
 import math
+from operator import setitem
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from pytest import approx
 
 from qprop.qubits import (
     STATE_NORM_TOL,
@@ -22,6 +24,8 @@ from qprop.qubits import (
     tensor,
 )
 
+from checkers import READ_ONLY, raises, refused
+
 SQRT2_INV = 1.0 / math.sqrt(2.0)
 
 X_C_MATRIX = np.array([
@@ -30,51 +34,25 @@ X_C_MATRIX = np.array([
     [0, 0, 0, 1],
     [0, 0, 1, 0],
 ], dtype=complex)
+SHEAR = np.array([[1.0, 1.0], [0.0, 1.0]])
 
 
 # ============================================================
-# States
+# Values at fixed inputs
 # ============================================================
 
 def test_initial_state_one_qubit():
-    state = initial_state(1)
-    assert state.n_qubits == 1
-    assert np.array_equal(state.amplitudes, np.array([1, 0], dtype=complex))
+    assert initial_state(1).n_qubits == 1
+    assert initial_state(1).amplitudes.tolist() == [1, 0]
 
 
 def test_initial_state_two_qubits():
-    state = initial_state(2)
-    assert state.n_qubits == 2
-    assert np.array_equal(state.amplitudes, np.array([1, 0, 0, 0], dtype=complex))
-
-
-def test_initial_state_rejects_unsupported_count():
-    with pytest.raises(ValueError):
-        initial_state(3)
-    with pytest.raises(ValueError):
-        initial_state(0)
-
-
-def test_state_rejects_unnormalized():
-    with pytest.raises(ValueError):
-        StateVector(np.array([1.0, 1.0]))
-
-
-def test_state_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        StateVector(np.array([np.nan, 0.0]))
+    assert initial_state(2).n_qubits == 2
+    assert initial_state(2).amplitudes.tolist() == [1, 0, 0, 0]
 
 
 def test_state_accepts_norm_within_tolerance():
-    amps = np.array([1.0 + 4e-13, 0.0])
-    state = StateVector(amps)
-    assert state.n_qubits == 1
-
-
-def test_state_amplitudes_are_read_only():
-    state = initial_state(1)
-    with pytest.raises(ValueError):
-        state.amplitudes[0] = 0.0
+    assert StateVector(np.array([1.0 + 4e-13, 0.0])).n_qubits == 1
 
 
 def test_basis_labels():
@@ -82,132 +60,159 @@ def test_basis_labels():
     assert basis_labels(2) == ("00", "01", "10", "11")
 
 
-# ============================================================
-# Gates
-# ============================================================
-
 def test_rotation_zero_is_identity():
-    assert np.allclose(rotation_gate(0.0).entries, np.eye(2), atol=1e-15)
+    assert rotation_gate(0.0).entries == approx(np.eye(2), abs=1e-15)
 
 
 def test_rotation_entries():
     """R = (cos, -sin; sin, cos)."""
-    g = rotation_gate(0.3)
-    expected = np.array([[math.cos(0.3), -math.sin(0.3)],
-                         [math.sin(0.3), math.cos(0.3)]])
-    assert np.allclose(g.entries, expected, atol=1e-15)
+    c, s = math.cos(0.3), math.sin(0.3)
+    assert rotation_gate(0.3).entries == approx(np.array([[c, -s], [s, c]]), abs=1e-15)
 
 
 def test_rotation_quarter_turn_balances():
     state = apply(rotation_gate(math.pi / 4), initial_state(1))
-    assert np.allclose(state.amplitudes, [SQRT2_INV, SQRT2_INV], atol=1e-12)
-
-
-def test_rotation_rejects_nonfinite_angle():
-    with pytest.raises(ValueError):
-        rotation_gate(math.nan)
-    with pytest.raises(ValueError):
-        rotation_gate(math.inf)
+    assert state.amplitudes == approx(np.array([SQRT2_INV, SQRT2_INV]), abs=1e-12)
 
 
 def test_hadamard_entries():
-    expected = SQRT2_INV * np.array([[1, 1], [1, -1]])
-    assert np.allclose(hadamard().entries, expected, atol=1e-15)
+    assert hadamard().entries == approx(SQRT2_INV * np.array([[1, 1], [1, -1]]), abs=1e-15)
 
 
 def test_hadamard_equal_superposition():
     probs = probabilities(apply(hadamard(), initial_state(1)))
-    assert np.allclose(probs, [0.5, 0.5], atol=1e-12)
+    assert probs == approx(np.array([0.5, 0.5]), abs=1e-12)
 
 
 def test_hadamard_self_inverse_interference():
     """H(H|0>) = |0>: the |1> amplitude cancels."""
     state = apply(hadamard(), apply(hadamard(), initial_state(1)))
-    assert np.allclose(state.amplitudes, [1.0, 0.0], atol=1e-12)
+    assert state.amplitudes == approx(np.array([1.0, 0.0]), abs=1e-12)
 
 
 def test_cnot_control_1_matrix():
-    assert np.array_equal(cnot(control=1).entries, X_C_MATRIX)
+    assert cnot(control=1).entries.tolist() == X_C_MATRIX.tolist()
 
 
 def test_cnot_control_1_truth_table():
     """Flips qubit 2 when qubit 1 is set: 00->00, 01->01, 10->11, 11->10."""
-    gate = cnot(control=1)
     for source, target in ((0, 0), (1, 1), (2, 3), (3, 2)):
-        basis = np.zeros(4, dtype=complex)
-        basis[source] = 1.0
-        out = apply(gate, StateVector(basis))
-        assert abs(out.amplitudes[target] - 1.0) < 1e-15
+        out = apply(cnot(control=1), StateVector(np.eye(4)[source]))
+        assert out.amplitudes.tolist() == np.eye(4)[target].tolist()
 
 
 def test_cnot_control_2_truth_table():
     """Flips qubit 1 when qubit 2 is set: 00->00, 01->11, 10->10, 11->01."""
-    gate = cnot(control=2)
     for source, target in ((0, 0), (1, 3), (2, 2), (3, 1)):
-        basis = np.zeros(4, dtype=complex)
-        basis[source] = 1.0
-        out = apply(gate, StateVector(basis))
-        assert abs(out.amplitudes[target] - 1.0) < 1e-15
-
-
-def test_cnot_rejects_bad_control():
-    with pytest.raises(ValueError):
-        cnot(control=0)
-    with pytest.raises(ValueError):
-        cnot(control=3)
-
-
-def test_gate_rejects_shear():
-    with pytest.raises(ValueError):
-        Gate(np.array([[1.0, 1.0], [0.0, 1.0]]))
-
-
-def test_gate_rejects_bad_shape():
-    with pytest.raises(ValueError):
-        Gate(np.eye(3))
-
-
-def test_gate_entries_are_read_only():
-    gate = hadamard()
-    with pytest.raises(ValueError):
-        gate.entries[0, 0] = 2.0
+        out = apply(cnot(control=2), StateVector(np.eye(4)[source]))
+        assert out.amplitudes.tolist() == np.eye(4)[target].tolist()
 
 
 def test_gate_composition_stays_unitary():
-    composed = hadamard() @ rotation_gate(0.7)
-    assert is_unitary(composed, 1e-10)
+    assert is_unitary(hadamard() @ rotation_gate(0.7), 1e-10)
 
 
 def test_tensor_expands_rotations():
-    """Kronecker product of two rotations acting on |00>."""
+    """The Kronecker product of two rotations acting on |00>."""
     theta, phi = 0.4, 1.1
     state = apply(tensor(rotation_gate(theta), rotation_gate(phi)), initial_state(2))
     expected = [math.cos(theta) * math.cos(phi), math.cos(theta) * math.sin(phi),
                 math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi)]
-    assert np.allclose(state.amplitudes, expected, atol=1e-15)
+    assert state.amplitudes == approx(np.array(expected), abs=1e-15)
 
 
 def test_tensor_with_identity_keeps_block_structure():
-    g = tensor(hadamard(), rotation_gate(0.0))
     expected = np.kron(hadamard().entries, np.eye(2))
-    assert np.allclose(g.entries, expected, atol=1e-15)
+    assert tensor(hadamard(), rotation_gate(0.0)).entries == approx(expected, abs=1e-15)
 
 
-def test_tensor_rejects_two_qubit_input():
-    with pytest.raises(ValueError):
-        tensor(cnot(1), hadamard())
+def test_probabilities_basis_state():
+    assert initial_state(2).labels == ("00", "01", "10", "11")
+    assert probabilities(initial_state(2)).tolist() == [1.0, 0.0, 0.0, 0.0]
 
+
+def test_probabilities_two_norm_rule():
+    assert probabilities(StateVector([0.6, 0.8j])) == approx(np.array([0.36, 0.64]), abs=1e-15)
+
+
+def test_probabilities_rotated_circuit():
+    """cnot(1).(R_pi/6 x R_pi/4)|00>."""
+    pair = tensor(rotation_gate(math.pi / 6), rotation_gate(math.pi / 4))
+    probs = probabilities(apply(cnot(1), apply(pair, initial_state(2))))
+    assert probs == approx(np.array([0.375, 0.375, 0.125, 0.125]), abs=1e-12)
+
+
+def test_entanglement_marker():
+    """cnot(1).(H x I)|00> puts all mass on |00> and |11>."""
+    pair = tensor(hadamard(), rotation_gate(0.0))
+    probs = probabilities(apply(cnot(1), apply(pair, initial_state(2))))
+    assert probs == approx(np.array([0.5, 0.0, 0.0, 0.5]), abs=1e-12)
+
+
+def test_is_unitary_accepts_gate_and_matrix():
+    assert is_unitary(hadamard(), 1e-10)
+    assert is_unitary(X_C_MATRIX, 1e-10)
+
+
+def test_is_unitary_rejects_shear():
+    assert not is_unitary(SHEAR, 1e-10)
+
+
+def test_is_unitary_rejects_nonsquare():
+    assert not is_unitary(np.ones((2, 3)), 1e-10)
+
+
+# ============================================================
+# Refusals
+# ============================================================
+
+SIZES = "supported register sizes are 1 or 2 qubits, got {}"
+test_initial_state_rejects_unsupported_count = refused(
+    (ValueError, SIZES.format(3), initial_state, 3),
+    (ValueError, SIZES.format(0), initial_state, 0))
+test_state_rejects_unnormalized = refused((ValueError, "state is not normalized: sum of |a_i|^2 "
+                                           "is 2.0", StateVector, np.array([1.0, 1.0])))
+test_state_rejects_nonfinite = refused((ValueError, "amplitudes must be finite (no NaN or Inf "
+                                        "entries)", StateVector, np.array([np.nan, 0.0])))
+test_state_amplitudes_are_read_only = refused(
+    (ValueError, READ_ONLY, lambda: setitem(initial_state(1).amplitudes, 0, 0.0)))
+test_rotation_rejects_nonfinite_angle = refused(
+    (ValueError, "rotation angle must be finite", rotation_gate, math.nan),
+    (ValueError, "rotation angle must be finite", rotation_gate, math.inf))
+test_cnot_rejects_bad_control = refused((ValueError, "control qubit must be 1 or 2", cnot, 0),
+                                        (ValueError, "control qubit must be 1 or 2", cnot, 3))
+test_gate_rejects_shear = refused((ValueError, "gate matrix is not unitary within 1e-10", Gate,
+                                   SHEAR))
+test_gate_rejects_bad_shape = refused(
+    (ValueError, "entries must have shape in ((2, 2), (4, 4)), got (3, 3)", Gate, np.eye(3)))
+test_gate_entries_are_read_only = refused(
+    (ValueError, READ_ONLY, lambda: setitem(hadamard().entries, (0, 0), 2.0)))
+test_tensor_rejects_two_qubit_input = refused(
+    (ValueError, "tensor expects two single-qubit gates", lambda: tensor(cnot(1), hadamard())))
+test_apply_rejects_dimension_mismatch = refused(
+    (ValueError, "gate of dimension 4 does not fit a 1-qubit state",
+     lambda: apply(cnot(1), initial_state(1))),
+    (ValueError, "gate of dimension 2 does not fit a 2-qubit state",
+     lambda: apply(hadamard(), initial_state(2))))
+test_partial_measurement_rejects_single_qubit_state = refused(
+    (ValueError, "partial measurement needs a two-qubit state",
+     lambda: measure_collapse(initial_state(1), np.random.default_rng(0), 1)))
+test_partial_measurement_rejects_bad_wire = refused(
+    (ValueError, "qubit index must be 1 or 2",
+     lambda: measure_collapse(initial_state(2), np.random.default_rng(0), 3)))
+test_is_unitary_rejects_bad_tolerance = refused(
+    (ValueError, "tolerance must be positive", lambda: is_unitary(hadamard(), 0.0)))
+
+
+# ============================================================
+# Random gates and states
+# ============================================================
 
 def test_tensor_of_unitaries_is_unitary():
     rng = np.random.default_rng(11)
     for _ in range(25):
         g = tensor(random_unitary_2x2(rng), random_unitary_2x2(rng))
         assert is_unitary(g, 1e-10)
-
-
-# ============================================================
-# Application and probabilities
-# ============================================================
 
 def test_apply_swaps_last_two_amplitudes():
     """cnot(1) maps (a, b, c, d) to (a, b, d, c)."""
@@ -218,13 +223,6 @@ def test_apply_swaps_last_two_amplitudes():
     assert np.allclose(out.amplitudes, raw[[0, 1, 3, 2]], atol=1e-15)
 
 
-def test_apply_rejects_dimension_mismatch():
-    with pytest.raises(ValueError):
-        apply(cnot(1), initial_state(1))
-    with pytest.raises(ValueError):
-        apply(hadamard(), initial_state(2))
-
-
 def test_apply_preserves_norm_over_random_unitaries():
     """1000 seeded random unitaries on random states keep the 2-norm at 1."""
     rng = np.random.default_rng(2024)
@@ -233,34 +231,6 @@ def test_apply_preserves_norm_over_random_unitaries():
         out = apply(random_unitary_2x2(rng), state)
         norm_sq = float(np.sum(np.abs(out.amplitudes) ** 2))
         assert abs(norm_sq - 1.0) <= 1e-12
-
-
-def test_probabilities_basis_state():
-    state = initial_state(2)
-    assert state.labels == ("00", "01", "10", "11")
-    assert np.array_equal(probabilities(state), [1.0, 0.0, 0.0, 0.0])
-
-
-def test_probabilities_two_norm_rule():
-    state = StateVector(np.array([0.6, 0.8j]))
-    probs = probabilities(state)
-    assert np.allclose(probs, [0.36, 0.64], atol=1e-15)
-
-
-def test_probabilities_rotated_circuit():
-    """cnot(1).(R_pi/6 x R_pi/4)|00> gives (0.375, 0.375, 0.125, 0.125)."""
-    state = apply(cnot(1), apply(tensor(rotation_gate(math.pi / 6),
-                                        rotation_gate(math.pi / 4)),
-                                 initial_state(2)))
-    expected = [0.375, 0.375, 0.125, 0.125]
-    assert np.allclose(probabilities(state), expected, atol=1e-12)
-
-
-def test_entanglement_marker():
-    """cnot(1).(H x I)|00> puts all mass on |00> and |11>."""
-    state = apply(cnot(1), apply(tensor(hadamard(), rotation_gate(0.0)),
-                                 initial_state(2)))
-    assert np.allclose(probabilities(state), [0.5, 0.0, 0.0, 0.5], atol=1e-12)
 
 
 @given(st.integers(0, 2**32 - 1), st.sampled_from([None, 1, 2]))
@@ -281,8 +251,7 @@ def test_probabilities_of_a_state_form_a_distribution(seed, control):
     assert probs.shape == (len(state.labels),)
     assert np.all((probs >= 0.0) & (probs <= 1.0 + STATE_NORM_TOL))
     assert abs(float(probs.sum()) - 1.0) <= STATE_NORM_TOL
-    with pytest.raises(ValueError):
-        probs[0] = 0.5
+    assert raises(ValueError, READ_ONLY, setitem, probs, 0, 0.5)
 
 
 # ============================================================
@@ -389,8 +358,7 @@ def test_partial_measurement_qubit_1():
 def test_partial_measurement_qubit_2_certain_branch():
     """With no mass on qubit 2 = 1, the remainder is (a, c) renormalized."""
     amps = np.array([0.6, 0.0, 0.8, 0.0])
-    bit, remainder = measure_collapse(StateVector(amps), np.random.default_rng(3),
-                                      qubit=2)
+    bit, remainder = measure_collapse(StateVector(amps), np.random.default_rng(3), qubit=2)
     assert bit == "0"
     assert np.allclose(remainder.amplitudes, [0.6, 0.8], atol=1e-12)
 
@@ -411,48 +379,14 @@ def test_partial_measurement_renormalizes_by_the_probabilities():
             assert remainder.amplitudes.tobytes() == want.tobytes()
 
 
-def test_partial_measurement_rejects_single_qubit_state():
-    with pytest.raises(ValueError):
-        measure_collapse(initial_state(1), np.random.default_rng(0), qubit=1)
-
-
-def test_partial_measurement_rejects_bad_wire():
-    with pytest.raises(ValueError):
-        measure_collapse(initial_state(2), np.random.default_rng(0), qubit=3)
-
-
 # ============================================================
 # Unitarity helpers
 # ============================================================
-
-def test_is_unitary_accepts_gate_and_matrix():
-    assert is_unitary(hadamard(), 1e-10)
-    assert is_unitary(X_C_MATRIX, 1e-10)
-
-
-def test_is_unitary_rejects_shear():
-    assert not is_unitary(np.array([[1.0, 1.0], [0.0, 1.0]]), 1e-10)
-
-
-def test_is_unitary_rejects_nonsquare():
-    assert not is_unitary(np.ones((2, 3)), 1e-10)
-
-
-def test_is_unitary_rejects_bad_tolerance():
-    with pytest.raises(ValueError):
-        is_unitary(hadamard(), 0.0)
-
 
 def test_random_unitary_is_unitary():
     rng = np.random.default_rng(99)
     for _ in range(200):
         assert is_unitary(random_unitary_2x2(rng), 1e-10)
-
-
-def test_random_unitary_deterministic_given_seed():
-    g1 = random_unitary_2x2(np.random.default_rng(12345))
-    g2 = random_unitary_2x2(np.random.default_rng(12345))
-    assert np.array_equal(g1.entries, g2.entries)
 
 
 def test_random_unitary_moduli_identities():
